@@ -11,6 +11,8 @@ computing induced maps on quotients and kernels).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
+from operator import mul
 from typing import Iterable, Optional
 
 
@@ -20,6 +22,10 @@ class DimensionError(ValueError):
 
 class PreconditionError(ValueError):
     """A stated precondition fails (non-commuting maps, ill-defined hom, ...)."""
+
+
+class InternalError(RuntimeError):
+    """A certificate check failed: the computation is wrong, not the input."""
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +47,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, data: Iterable[Iterable[int]], cols: Optional[int] = None):
-        rows = tuple(tuple(int(x) for x in row) for row in data)
+        rows = tuple([tuple([int(x) for x in row]) for row in data])
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -55,6 +61,15 @@ class IntMatrix:
         self.cols = cols
         self._data = rows
 
+    @classmethod
+    def _of_rows(cls, rows: tuple, cols: int) -> "IntMatrix":
+        """Wrap a tuple of int tuples as they are (no copy, no conversion)."""
+        out = object.__new__(cls)
+        out.rows = len(rows)
+        out.cols = cols
+        out._data = rows
+        return out
+
     # -- construction helpers
 
     @staticmethod
@@ -67,7 +82,7 @@ class IntMatrix:
 
     @staticmethod
     def from_columns(columns: Iterable[Iterable[int]], rows: Optional[int] = None) -> "IntMatrix":
-        cols = [tuple(int(x) for x in c) for c in columns]
+        cols = [tuple([int(x) for x in c]) for c in columns]
         if cols:
             rows = len(cols[0])
         elif rows is None:
@@ -126,10 +141,12 @@ class IntMatrix:
         return self._data[i]
 
     def column(self, j: int) -> tuple:
-        return tuple(self._data[i][j] for i in range(self.rows))
+        return tuple([row[j] for row in self._data])
 
     def columns(self) -> list:
-        return [self.column(j) for j in range(self.cols)]
+        if not self._data:
+            return [()] * self.cols
+        return list(zip(*self._data))
 
     def submatrix(self, row_indices, col_indices) -> "IntMatrix":
         rows = list(row_indices)
@@ -147,18 +164,31 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise DimensionError(f"matmul: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        ot = [other.column(j) for j in range(other.cols)]
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self._data],
-            cols=other.cols,
+        ot = other.columns()
+        return IntMatrix._of_rows(
+            tuple([tuple([sum(map(mul, row, col)) for col in ot]) for row in self._data]),
+            other.cols,
         )
+
+    def is_inverse_of(self, other: "IntMatrix") -> bool:
+        """Is self @ other the identity? Tested entry by entry, building no
+        product. For square integer matrices this makes both unimodular."""
+        n = self.rows
+        if self.cols != n or other.rows != n or other.cols != n:
+            return False
+        ot = other.columns()
+        for i, row in enumerate(self._data):
+            for j, col in enumerate(ot):
+                if sum(map(mul, row, col)) != (i == j):
+                    return False
+        return True
 
     def apply(self, vector) -> tuple:
         """Matrix times a plain vector (sequence of ints)."""
-        vec = tuple(int(x) for x in vector)
+        vec = [int(x) for x in vector]
         if len(vec) != self.cols:
             raise DimensionError("apply: bad vector length")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self._data)
+        return tuple([sum(map(mul, row, vec)) for row in self._data])
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
@@ -181,10 +211,7 @@ class IntMatrix:
         return IntMatrix([[k * x for x in r] for r in self._data], cols=self.cols)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            [[self._data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
+        return IntMatrix._of_rows(tuple(self.columns()), self.rows)
 
     def is_zero(self) -> bool:
         return all(x == 0 for r in self._data for x in r)
@@ -211,94 +238,84 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self._data]!r}, cols={self.cols})"
 
 
-def _det(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
-        raise DimensionError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = m.to_lists()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 
 
 @dataclass(frozen=True)
 class SnfResult:
-    """U @ M @ V == S with U, V unimodular and S in Smith normal form."""
+    """U @ M @ V == S with U, V unimodular, S in Smith normal form, and the
+    exact inverses Uinv, Vinv of the transforms."""
 
     U: IntMatrix
     S: IntMatrix
     V: IntMatrix
-
-    @property
-    def diagonal(self) -> tuple:
-        n = min(self.S.rows, self.S.cols)
-        return tuple(self.S[i, i] for i in range(n))
+    Uinv: IntMatrix
+    Vinv: IntMatrix
+    diagonal: tuple
 
     @property
     def rank(self) -> int:
         return sum(1 for d in self.diagonal if d != 0)
 
 
+def _eye_lists(n: int) -> list:
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    return rows
+
+
+def _frozen(rows: list, cols: int) -> IntMatrix:
+    return IntMatrix._of_rows(tuple([tuple(row) for row in rows]), cols)
+
+
 def smith_normal_form(m: IntMatrix) -> SnfResult:
     """Compute U, S, V with U @ m @ V = S diagonal, d1 | d2 | ... >= 0.
 
     Pivoting always promotes a nonzero entry of minimal absolute value, which
-    keeps intermediate entries small in practice. Postconditions (the
-    factorization identity, the divisibility chain, unimodularity of the
-    transforms) are asserted on every call.
+    keeps intermediate entries small in practice. Every elementary operation
+    on U or V is mirrored by its inverse on Uinv or Vinv. The result is
+    certified on every call: U @ Uinv = I and V @ Vinv = I (so both
+    transforms are unimodular), U @ m = S @ Vinv (which with V @ Vinv = I is
+    the factorization identity), and the divisibility chain.
 
     >>> smith_normal_form(IntMatrix([[2, 4], [6, 8]])).diagonal
     (2, 4)
     """
     r, c = m.rows, m.cols
     a = m.to_lists()
-    u = IntMatrix.identity(r).to_lists()
-    v = IntMatrix.identity(c).to_lists()
+    u = _eye_lists(r)
+    uinv_t = _eye_lists(r)  # rows are the columns of Uinv
+    v_t = _eye_lists(c)  # rows are the columns of V
+    vinv = _eye_lists(c)
 
-    def add_row(i, j, q):  # row_i += q * row_j
+    def add_row(i, j, q):  # row_i += q * row_j; on Uinv col_j -= q * col_i
         a[i] = [x + q * y for x, y in zip(a[i], a[j])]
         u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+        uinv_t[j] = [x - q * y for x, y in zip(uinv_t[j], uinv_t[i])]
 
-    def add_col(j, k, q):  # col_j += q * col_k
+    def add_col(j, k, q):  # col_j += q * col_k; on Vinv row_k -= q * row_j
         for row in a:
             row[j] += q * row[k]
-        for row in v:
-            row[j] += q * row[k]
+        v_t[j] = [x + q * y for x, y in zip(v_t[j], v_t[k])]
+        vinv[k] = [x - q * y for x, y in zip(vinv[k], vinv[j])]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
+        uinv_t[i], uinv_t[j] = uinv_t[j], uinv_t[i]
 
     def swap_cols(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+        v_t[i], v_t[j] = v_t[j], v_t[i]
+        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
+        uinv_t[i] = [-x for x in uinv_t[i]]
 
     t = 0
     while t < min(r, c):
@@ -355,17 +372,34 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
             break
         t += 1
 
+    diag = tuple([a[i][i] for i in range(min(r, c))])
+    for i, d in enumerate(diag):
+        later = diag[i + 1] if i + 1 < len(diag) else 0
+        if d < 0 or (later != 0 and (d == 0 or later % d != 0)):
+            raise InternalError(f"SNF divisibility chain broken: {diag}")
+    # S is built from the diagonal alone, so the identity below also
+    # certifies that every off-diagonal entry was cleared
+    s_rows = tuple([
+        tuple([diag[i] if j == i else 0 for j in range(c)]) for i in range(r)
+    ])
+    s_vinv = tuple([
+        tuple([diag[i] * x for x in vinv[i]]) if i < len(diag) else (0,) * c
+        for i in range(r)
+    ])
     result = SnfResult(
-        IntMatrix(u, cols=r), IntMatrix(a, cols=c), IntMatrix(v, cols=c)
+        U=_frozen(u, r),
+        S=IntMatrix._of_rows(s_rows, c),
+        V=_frozen(v_t, c).transpose(),
+        Uinv=_frozen(uinv_t, r).transpose(),
+        Vinv=_frozen(vinv, c),
+        diagonal=diag,
     )
-    assert result.U @ m @ result.V == result.S, "SNF factorization identity failed"
-    diag = result.diagonal
-    for i in range(len(diag) - 1):
-        if diag[i + 1] != 0:
-            assert diag[i] != 0 and diag[i + 1] % diag[i] == 0, "divisibility chain broken"
-        assert diag[i] >= 0
-    assert abs(_det(result.U)) == 1, "U not unimodular"
-    assert abs(_det(result.V)) == 1, "V not unimodular"
+    if not result.U.is_inverse_of(result.Uinv):
+        raise InternalError("SNF transform U is not unimodular: U @ Uinv != I")
+    if not result.V.is_inverse_of(result.Vinv):
+        raise InternalError("SNF transform V is not unimodular: V @ Vinv != I")
+    if (result.U @ m)._data != s_vinv:
+        raise InternalError("SNF factorization identity U @ M @ V == S failed")
     return result
 
 
@@ -375,7 +409,8 @@ def unimodular_inverse(w: IntMatrix) -> IntMatrix:
     if res.diagonal != tuple([1] * w.rows) or w.rows != w.cols:
         raise PreconditionError("matrix is not unimodular")
     inv = res.V @ res.U
-    assert inv @ w == IntMatrix.identity(w.rows)
+    if not inv.is_inverse_of(w):
+        raise InternalError("unimodular inverse: inv @ w != I")
     return inv
 
 
@@ -383,48 +418,73 @@ def unimodular_inverse(w: IntMatrix) -> IntMatrix:
 # lattices (subgroups of Z^n given by generating columns)
 
 
+class Lattice:
+    """The subgroup of Z^rows spanned by the columns of ``gens``.
+
+    Its Smith form is computed once, here, and every solve against the
+    lattice reuses it: a block of right-hand sides costs one factorization.
+    """
+
+    __slots__ = ("gens", "_u", "_v", "_diag")
+
+    def __init__(self, gens: IntMatrix):
+        res = smith_normal_form(gens)
+        self.gens = gens
+        self._u = res.U
+        self._v = res.V
+        self._diag = res.diagonal[: res.rank]
+
+    def solve(self, b: IntMatrix) -> list:
+        """Per column of b, an integer x with gens @ x == that column (as a
+        tuple), or None when the column is outside the lattice. Every
+        returned solution is checked against its column."""
+        a, diag = self.gens, self._diag
+        if a.rows != b.rows:
+            raise DimensionError("solve: row counts differ")
+        rank = len(diag)
+        zs = []
+        for w in (self._u @ b).columns():
+            if any(w[rank:]) or any(x % d for x, d in zip(w, diag)):
+                zs.append(None)
+            else:
+                zs.append([x // d for x, d in zip(w, diag)] + [0] * (a.cols - rank))
+        solved = [z for z in zs if z is not None]
+        if not solved:
+            return zs
+        x = self._v @ IntMatrix.from_columns(solved, rows=a.cols)
+        wanted = [col for col, z in zip(b.columns(), zs) if z is not None]
+        if (a @ x).columns() != wanted:
+            raise InternalError("lattice solve: gens @ X != B")
+        xs = iter(x.columns())
+        return [None if z is None else next(xs) for z in zs]
+
+    def first_outside(self, vectors: IntMatrix) -> Optional[int]:
+        """Index of the first column of vectors outside the lattice, or None."""
+        for j, x in enumerate(self.solve(vectors)):
+            if x is None:
+                return j
+        return None
+
+
 def solve_columns(a: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
     """Solve a @ X = b over the integers; None when no solution exists."""
-    if a.rows != b.rows:
-        raise DimensionError("solve: row counts differ")
-    res = smith_normal_form(a)
-    rank = res.rank
-    diag = res.diagonal
-    w = res.U @ b
-    cols = []
-    for j in range(b.cols):
-        z = [0] * a.cols
-        ok = True
-        for i in range(a.rows):
-            wi = w[i, j]
-            if i < rank:
-                if wi % diag[i] != 0:
-                    ok = False
-                    break
-                z[i] = wi // diag[i]
-            elif wi != 0:
-                ok = False
-                break
-        if not ok:
-            return None
-        cols.append(z)
-    x = res.V @ IntMatrix.from_columns(cols, rows=a.cols)
-    assert a @ x == b
-    return x
+    xs = Lattice(a).solve(b)
+    if None in xs:
+        return None
+    return IntMatrix.from_columns(xs, rows=a.cols)
 
 
 def lattice_contains(gens: IntMatrix, vector) -> bool:
     """Is the vector in the subgroup of Z^rows generated by the columns?"""
-    return solve_columns(gens, IntMatrix.column_vector(vector)) is not None
+    return Lattice(gens).first_outside(IntMatrix.column_vector(vector)) is None
 
 
 def lattice_basis(gens: IntMatrix) -> IntMatrix:
     """A basis (independent columns) of the lattice spanned by the columns."""
     res = smith_normal_form(gens)
-    rank = res.rank
-    uinv = unimodular_inverse(res.U)
+    uinv = res.Uinv
     cols = [
-        [uinv[i, j] * res.diagonal[j] for i in range(gens.rows)] for j in range(rank)
+        [uinv[i, j] * res.diagonal[j] for i in range(gens.rows)] for j in range(res.rank)
     ]
     return IntMatrix.from_columns(cols, rows=gens.rows)
 
@@ -435,12 +495,10 @@ def lattices_equal(a: IntMatrix, b: IntMatrix):
     Returns (equal, witness) where witness is a generator of one lattice that
     is missing from the other (None when equal).
     """
-    for j in range(b.cols):
-        if not lattice_contains(a, b.column(j)):
-            return False, tuple(b.column(j))
-    for j in range(a.cols):
-        if not lattice_contains(b, a.column(j)):
-            return False, tuple(a.column(j))
+    for gens, vectors in ((a, b), (b, a)):
+        j = Lattice(gens).first_outside(vectors)
+        if j is not None:
+            return False, vectors.column(j)
     return True, None
 
 
@@ -461,7 +519,8 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     rank = res.rank
     cols = [res.V.column(j) for j in range(rank, m.cols)]
     out = IntMatrix.from_columns(cols, rows=m.cols)
-    assert (m @ out).is_zero()
+    if not (m @ out).is_zero():
+        raise InternalError("kernel basis: m @ K != 0")
     return out
 
 
@@ -469,22 +528,11 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
 # finitely generated abelian groups
 
 
-def _factorint(n: int) -> dict:
-    """Prime factorization by trial division (desk-scale inputs)."""
-    out: dict = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def invariant_factors(divisors) -> tuple:
     """Normalize arbitrary cyclic orders to the invariant-factor chain.
+
+    Z/a + Z/b is Z/gcd(a, b) + Z/lcm(a, b); merging every pair i < j in
+    order leaves each entry dividing all later ones, with no factoring.
 
     >>> invariant_factors([2, 3])
     (6,)
@@ -493,23 +541,14 @@ def invariant_factors(divisors) -> tuple:
     >>> invariant_factors([1, 1])
     ()
     """
-    primes: dict = {}
-    for d in divisors:
-        d = int(d)
-        if d < 1:
-            raise ValueError("cyclic orders must be positive")
-        for p, e in _factorint(d).items():
-            primes.setdefault(p, []).append(e)
-    k = max((len(v) for v in primes.values()), default=0)
-    factors = []
-    for slot in range(k):  # slot 0 collects the largest exponents
-        f = 1
-        for p, exps in primes.items():
-            exps = sorted(exps, reverse=True)
-            if slot < len(exps):
-                f *= p ** exps[slot]
-        factors.append(f)
-    return tuple(sorted(f for f in factors if f > 1))
+    chain = [int(d) for d in divisors]
+    if any(d < 1 for d in chain):
+        raise ValueError("cyclic orders must be positive")
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            g = gcd(chain[i], chain[j])
+            chain[i], chain[j] = g, chain[i] // g * chain[j]
+    return tuple(d for d in chain if d > 1)
 
 
 @dataclass(frozen=True)
@@ -633,6 +672,19 @@ class GroupHom:
         return GroupHom(first.dom, self.cod, self.matrix @ first.matrix)
 
 
+def _in_relations(group: FgAbGroup, columns: list) -> bool:
+    """Do all the columns lie in the relation lattice of the group? One SNF
+    membership test for the whole block."""
+    columns = [c for c in columns if any(c)]
+    if not columns:
+        return True
+    rel = group.relations()
+    if rel.cols == 0:
+        return False
+    block = IntMatrix.from_columns(columns, rows=rel.rows)
+    return Lattice(rel).first_outside(block) is None
+
+
 def hom_well_defined(f: GroupHom) -> bool:
     """Does the generator matrix define a map on the quotient groups?
 
@@ -640,34 +692,25 @@ def hom_well_defined(f: GroupHom) -> bool:
     vector d * f(g) must lie in the codomain relation lattice (an SNF
     membership test, uniform with the exactness machinery).
     """
-    rel = f.cod.relations()
-    orders = f.dom.generator_orders()
-    for j, d in enumerate(orders):
-        if d == 0:
-            continue
-        vec = [d * f.matrix[i, j] for i in range(f.matrix.rows)]
-        if any(vec):
-            if rel.cols == 0 or not lattice_contains(rel, vec):
-                return False
-    return True
+    columns = f.matrix.columns()
+    return _in_relations(
+        f.cod,
+        [[d * x for x in columns[j]] for j, d in enumerate(f.dom.generator_orders()) if d],
+    )
 
 
 def hom_equal(f: GroupHom, g: GroupHom) -> bool:
     """Equality as maps (entries may differ by codomain relations)."""
     if f.dom != g.dom or f.cod != g.cod:
         return False
-    rel = f.cod.relations()
-    diff = f.matrix - g.matrix
-    for j in range(diff.cols):
-        col = diff.column(j)
-        if any(col):
-            if rel.cols == 0 or not lattice_contains(rel, col):
-                return False
-    return True
+    return _in_relations(f.cod, (f.matrix - g.matrix).columns())
 
 
 # ---------------------------------------------------------------------------
 # presented subquotients with generator tracking
+
+
+_OUTSIDE_NUMERATOR = "vector is not in the numerator lattice"
 
 
 class Presentation:
@@ -678,10 +721,14 @@ class Presentation:
     canonical generator, ``gen_lift`` returns a representative in Z^ambient
     and ``reduce`` writes any element of N in canonical generator
     coordinates. This is what makes induced maps on stage-one K-groups
-    computable instead of merely knowing their isomorphism class.
+    computable instead of merely knowing their isomorphism class. The basis
+    is factored on the first reduce and that factorization serves every
+    later one for the lifetime of the presentation.
     """
 
-    __slots__ = ("ambient", "basis", "rels", "group", "_u", "_uinv", "_orders", "_kept")
+    __slots__ = (
+        "ambient", "basis", "rels", "group", "_u", "_uinv", "_orders", "_kept", "_numerator"
+    )
 
     def __init__(self, ambient: int, basis: IntMatrix, rels: IntMatrix):
         if basis.rows != ambient or rels.rows != basis.cols:
@@ -702,7 +749,8 @@ class Presentation:
         self._orders = tuple([0] * len(free)) + tuple(order(i) for i in tors)
         self.group = FgAbGroup(len(free), tuple(order(i) for i in tors))
         self._u = res.U
-        self._uinv = unimodular_inverse(res.U)
+        self._uinv = res.Uinv
+        self._numerator = None  # Lattice(basis), factored on the first reduce
 
     # -- constructors
 
@@ -749,21 +797,33 @@ class Presentation:
         return self.basis.apply(col)
 
     def gen_lift_matrix(self) -> IntMatrix:
-        return IntMatrix.from_columns(
-            [self.gen_lift(j) for j in range(self.group.n_generators)], rows=self.ambient
-        )
+        return self.basis @ self._uinv.submatrix(range(self._uinv.rows), self._kept)
+
+    def _coordinates(self, vectors: IntMatrix) -> list:
+        """Canonical generator coordinates of the class of each column, or
+        None for a column outside the numerator lattice."""
+        if self._numerator is None:
+            self._numerator = Lattice(self.basis)
+        out = []
+        for x in self._numerator.solve(vectors):
+            if x is None:
+                out.append(None)
+                continue
+            y = self._u.apply(x)
+            out.append(tuple([y[i] % d if d else y[i] for i, d in zip(self._kept, self._orders)]))
+        return out
+
+    def reduce_columns(self, vectors: IntMatrix) -> list:
+        """Canonical generator coordinates of the class of each column of an
+        ambient block, all solved against one factorization of the basis."""
+        out = self._coordinates(vectors)
+        if None in out:
+            raise PreconditionError(_OUTSIDE_NUMERATOR)
+        return out
 
     def reduce(self, vector) -> tuple:
         """Canonical generator coordinates of the class of an ambient vector."""
-        x = solve_columns(self.basis, IntMatrix.column_vector(vector))
-        if x is None:
-            raise PreconditionError("vector is not in the numerator lattice")
-        y = self._u.apply(x.column(0))
-        out = []
-        for j, i in enumerate(self._kept):
-            d = self._orders[j]
-            out.append(y[i] % d if d else y[i])
-        return tuple(out)
+        return self.reduce_columns(IntMatrix.column_vector(vector))[0]
 
     def class_is_zero(self, vector) -> bool:
         return not any(self.reduce(vector))
@@ -771,29 +831,30 @@ class Presentation:
     def hom_to(self, target: "Presentation", ambient_matrix: IntMatrix) -> GroupHom:
         """The induced map on subquotients of an ambient integer matrix.
 
-        Raises PreconditionError when the matrix does not map numerator into
-        numerator or denominator into denominator.
+        The images of the denominator generators and of the generator lifts
+        are reduced in one block. Raises PreconditionError when the matrix
+        does not map numerator into numerator or denominator into denominator.
         """
         if ambient_matrix.rows != target.ambient or ambient_matrix.cols != self.ambient:
             raise DimensionError("ambient matrix has the wrong shape")
         den = self.basis @ self.rels
-        for j in range(den.cols):
-            image = ambient_matrix.apply(den.column(j))
-            if not target.class_is_zero(image):
+        images = ambient_matrix @ IntMatrix.hstack(den, self.gen_lift_matrix())
+        coords = target._coordinates(images)
+        for j, c in enumerate(coords):
+            if c is None:
+                raise PreconditionError(_OUTSIDE_NUMERATOR)
+            if j < den.cols and any(c):
                 raise PreconditionError(
                     "matrix does not descend: denominator generator "
-                    f"{tuple(den.column(j))} maps to a nonzero class"
+                    f"{den.column(j)} maps to a nonzero class"
                 )
-        cols = [
-            target.reduce(ambient_matrix.apply(self.gen_lift(j)))
-            for j in range(self.group.n_generators)
-        ]
         hom = GroupHom(
             self.group,
             target.group,
-            IntMatrix.from_columns(cols, rows=target.group.n_generators),
+            IntMatrix.from_columns(coords[den.cols :], rows=target.group.n_generators),
         )
-        assert hom_well_defined(hom)
+        if not hom_well_defined(hom):
+            raise InternalError("induced map is not well defined on torsion")
         return hom
 
 

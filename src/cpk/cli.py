@@ -3,8 +3,9 @@
 Five commands: validate, ktheory, fock-check, pullback, examples. Each one
 prints a single report, as JSON by default or as a flat text mirror of the
 same content under --format text. Exit codes: 0 success, 1 semantic problem
-or failed relation check, 2 malformed input, 3 the two K-theory routes
-disagree, 4 a resource cap tripped.
+or failed relation check, 2 malformed input or a bad environment setting,
+3 the two K-theory routes disagree, 4 a resource cap tripped, 5 an internal
+certificate check failed.
 """
 
 import argparse
@@ -19,9 +20,10 @@ from .abelian import (
     FgAbGroup,
     GroupHom,
     IntMatrix,
+    InternalError,
     PreconditionError,
 )
-from .exactseq import ResourceLimitError
+from .exactseq import ResourceLimitError, UsageError
 from .fixtures import (
     fixture_description,
     fixture_document,
@@ -31,6 +33,7 @@ from .fixtures import (
 )
 from .fock import DEFAULT_TOL, build_fock, fock_suite
 from .ktheory import (
+    GraphLayers,
     coefficient_ktheory,
     cuntz_pimsner_ktheory,
     diagram_report,
@@ -313,6 +316,7 @@ _STATUS_CODES = {
     "malformed": 2,
     "route-inconsistency": 3,
     "resource-limit": 4,
+    "internal-error": 5,
 }
 
 
@@ -385,7 +389,7 @@ def cmd_ktheory(args) -> int:
         return _finish(report, args.format)
 
     if kind in ("two_graph", "permutation"):
-        spec = model
+        spec = GraphLayers(model)
         diag = None
         if args.route in ("diagram", "both"):
             diag = diagram_report(spec, assume_split=args.assume_split)
@@ -588,7 +592,9 @@ def main(argv=None) -> int:
     fmt = getattr(args, "format", "json")
     try:
         return args.func(args)
-    except (SchemaError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
+    except (
+        SchemaError, UsageError, json.JSONDecodeError, UnicodeDecodeError, OSError
+    ) as exc:
         _error_report(args.command, "malformed", str(exc), fmt)
         return 2
     except ResourceLimitError as exc:
@@ -597,6 +603,9 @@ def main(argv=None) -> int:
     except (PreconditionError, DimensionError) as exc:
         _error_report(args.command, "invalid", str(exc), fmt)
         return 1
+    except InternalError as exc:
+        _error_report(args.command, "internal-error", str(exc), fmt)
+        return 5
 
 
 if __name__ == "__main__":

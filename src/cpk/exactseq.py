@@ -20,6 +20,7 @@ from .abelian import (
     FgAbGroup,
     GroupHom,
     IntMatrix,
+    Lattice,
     PreconditionError,
     Presentation,
     cokernel,
@@ -30,7 +31,6 @@ from .abelian import (
     hom_kernel_lattice,
     hom_kernel_presentation,
     hom_well_defined,
-    lattice_contains,
 )
 
 DETERMINED = "Determined"
@@ -45,8 +45,22 @@ class ResourceLimitError(RuntimeError):
     """An enumeration bound was exceeded; the message says how to raise it."""
 
 
+class UsageError(ValueError):
+    """An environment setting holds a value the program cannot use."""
+
+
 def ext_bound() -> int:
-    return int(os.environ.get("CPK_EXT_BOUND", DEFAULT_EXT_BOUND))
+    """The torsion-product bound: CPK_EXT_BOUND if set, else the default."""
+    raw = os.environ.get("CPK_EXT_BOUND")
+    if raw is None:
+        return DEFAULT_EXT_BOUND
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise UsageError(f"CPK_EXT_BOUND must be a positive integer, got {raw!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +116,9 @@ def verify_exact(seq: ExactSequence) -> list:
     """Per-node exactness reports: im(incoming) = ker(outgoing) as subgroups.
 
     Both sides live in the generator coordinates Z^{gens} of the node and are
-    compared by mutual SNF lattice membership. A failing node's report holds
-    a witness generator and which inclusion broke.
+    compared by mutual SNF lattice membership, each side factored once and
+    tested against all generators of the other. A failing node's report
+    holds the first failing generator as witness and which inclusion broke.
     """
     if not seq.complete:
         raise PreconditionError("verify_exact needs all nodes and arrows known")
@@ -120,19 +135,15 @@ def verify_exact(seq: ExactSequence) -> list:
         exact = True
         witness = None
         reason = None
-        for j in range(im_lat.cols):
-            col = im_lat.column(j)
-            if not lattice_contains(ker_lat, col):
-                exact, witness = False, tuple(col)
-                reason = "image generator outside the kernel"
-                break
-        if exact:
-            for j in range(ker_lat.cols):
-                col = ker_lat.column(j)
-                if not lattice_contains(im_lat, col):
-                    exact, witness = False, tuple(col)
-                    reason = "kernel generator not reached by the image"
-                    break
+        j = Lattice(ker_lat).first_outside(im_lat)
+        if j is not None:
+            exact, witness = False, im_lat.column(j)
+            reason = "image generator outside the kernel"
+        else:
+            j = Lattice(im_lat).first_outside(ker_lat)
+            if j is not None:
+                exact, witness = False, ker_lat.column(j)
+                reason = "kernel generator not reached by the image"
         reports.append(
             {
                 "node": i,

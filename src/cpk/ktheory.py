@@ -290,30 +290,54 @@ def _reconcile_pairs(a: KPair, b: KPair) -> KPair:
     return KPair(_reconcile_outcome(a.k0, b.k0), _reconcile_outcome(a.k1, b.k1))
 
 
-def _graph_order(spec: TwoGraphSpec, assume_split, bound):
-    """One order of the two-stage computation for a two-layer graph spec.
+class GraphLayers:
+    """A two-layer graph spec with its vertex-lattice maps l1 = 1 - M1^T,
+    l2 = 1 - M2^T and theta = (l1; -l2), and their presented cokernels and
+    kernels.
+
+    Built once per spec (chi is validated here) and shared by both bimodule
+    orders, the ideal sum and the diagram route, so each presentation and
+    its factorizations are computed once.
+    """
+
+    def __init__(self, spec: TwoGraphSpec):
+        report = validate_chi(spec)
+        if not report.valid:
+            raise PreconditionError("; ".join(report.messages()))
+        self.spec = spec
+        eye = IntMatrix.identity(len(spec.vertices))
+        self.m1t = vertex_matrix(spec.graph1()).transpose()
+        self.m2t = vertex_matrix(spec.graph2()).transpose()
+        self.l1 = eye - self.m1t
+        self.l2 = eye - self.m2t
+        self.theta = IntMatrix.vstack(self.l1, -self.l2)
+        self.cok1 = Presentation.cokernel_of(self.l1)
+        self.ker1 = Presentation.kernel_of(self.l1)
+        self.cok2 = Presentation.cokernel_of(self.l2)
+        self.ker2 = Presentation.kernel_of(self.l2)
+        self.cok_theta = Presentation.cokernel_of(self.theta)
+        self.ker_theta = Presentation.kernel_of(self.theta)
+
+
+def _layers(spec: Union[TwoGraphSpec, GraphLayers]) -> GraphLayers:
+    return spec if isinstance(spec, GraphLayers) else GraphLayers(spec)
+
+
+def _graph_order(cok: Presentation, ker: Presentation, action: IntMatrix,
+                 assume_split, bound) -> KPair:
+    """One order of the two-stage computation for a two-layer graph spec:
+    the final K-groups from the stage-1 groups cok, ker of the first layer
+    and the second layer's transposed vertex matrix acting on them.
 
     Stage-1 K-groups are kept as presented subquotients of Z^V so the second
     vertex matrix can act on them; with trivial coefficient K1 they are pure
     cokernel/kernel pieces and stage 1 is never ambiguous.
     """
-    m1t = vertex_matrix(spec.graph1()).transpose()
-    m2t = vertex_matrix(spec.graph2()).transpose()
-    eye = IntMatrix.identity(len(spec.vertices))
-    l1 = eye - m1t
-    l2 = eye - m2t
-    cok1 = Presentation.cokernel_of(l1)
-    ker1 = Presentation.kernel_of(l1)
-    stage1 = KPair.of_groups(cok1.group, ker1.group)
-    act0 = cok1.hom_to(cok1, m2t)
-    act1 = ker1.hom_to(ker1, m2t)
-    final = cuntz_pimsner_ktheory(
-        PimsnerProblem(cok1.group, ker1.group, act0, act1), assume_split, bound
+    act0 = cok.hom_to(cok, action)
+    act1 = ker.hom_to(ker, action)
+    return cuntz_pimsner_ktheory(
+        PimsnerProblem(cok.group, ker.group, act0, act1), assume_split, bound
     )
-    other = KPair.of_groups(
-        Presentation.cokernel_of(l2).group, Presentation.kernel_of(l2).group
-    )
-    return stage1, other, final
 
 
 def _ext_trivial(quotient: FgAbGroup, sub: FgAbGroup) -> bool:
@@ -452,7 +476,7 @@ def _abstract_order(data: AbstractKData, assume_split, bound):
 
 
 def iterated_ktheory(
-    spec: Union[TwoGraphSpec, AbstractKData],
+    spec: Union[TwoGraphSpec, GraphLayers, AbstractKData],
     assume_split: bool = False,
     bound: Optional[int] = None,
 ) -> IteratedResult:
@@ -460,17 +484,13 @@ def iterated_ktheory(
     first algebra. Both orders are computed; Determined answers must agree
     and candidate lists are intersected (the truth lies in both)."""
     notes = []
-    if isinstance(spec, TwoGraphSpec):
-        report = validate_chi(spec)
-        if not report.valid:
-            raise PreconditionError("; ".join(report.messages()))
-        coeff = coefficient_ktheory(spec)
-        stage1, other, final_a = _graph_order(spec, assume_split, bound)
-        other_stage1, stage1_again, final_b = _graph_order(
-            spec.swapped(), assume_split, bound
-        )
-        assert stage1_again.groups == stage1.groups
-        assert other_stage1.groups == other.groups
+    if isinstance(spec, (TwoGraphSpec, GraphLayers)):
+        layers = _layers(spec)
+        coeff = coefficient_ktheory(layers.spec)
+        stage1 = KPair.of_groups(layers.cok1.group, layers.ker1.group)
+        other = KPair.of_groups(layers.cok2.group, layers.ker2.group)
+        final_a = _graph_order(layers.cok1, layers.ker1, layers.m2t, assume_split, bound)
+        final_b = _graph_order(layers.cok2, layers.ker2, layers.m1t, assume_split, bound)
     elif isinstance(spec, AbstractKData):
         report = spec.validate()
         if not report.valid:
@@ -489,20 +509,11 @@ def iterated_ktheory(
     return IteratedResult(coeff, stage1, other, final, tuple(notes))
 
 
-def ideal_sum_ktheory(spec: TwoGraphSpec) -> KPair:
+def ideal_sum_ktheory(spec: Union[TwoGraphSpec, GraphLayers]) -> KPair:
     """K of the ideal sum I + J inside the iterated algebra: the cokernel and
     kernel of the stacked map Theta = (l1; -l2) on the vertex lattice."""
-    report = validate_chi(spec)
-    if not report.valid:
-        raise PreconditionError("; ".join(report.messages()))
-    nv = len(spec.vertices)
-    eye = IntMatrix.identity(nv)
-    l1 = eye - vertex_matrix(spec.graph1()).transpose()
-    l2 = eye - vertex_matrix(spec.graph2()).transpose()
-    theta = IntMatrix.vstack(l1, -l2)
-    return KPair.of_groups(
-        Presentation.cokernel_of(theta).group, Presentation.kernel_of(theta).group
-    )
+    layers = _layers(spec)
+    return KPair.of_groups(layers.cok_theta.group, layers.ker_theta.group)
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +547,9 @@ def _presented_sequence(nodes, matrices) -> ExactSequence:
 
 
 def diagram_report(
-    spec: TwoGraphSpec, assume_split: bool = False, bound: Optional[int] = None
+    spec: Union[TwoGraphSpec, GraphLayers],
+    assume_split: bool = False,
+    bound: Optional[int] = None,
 ) -> DiagramReport:
     """Fill the nine corners and verify both six-term cross-check sequences.
 
@@ -546,21 +559,12 @@ def diagram_report(
     sequences are verified exact node by node and everything is cross-checked
     against the two-stage route; any mismatch is reported, never silent.
     """
-    report = validate_chi(spec)
-    if not report.valid:
-        raise PreconditionError("; ".join(report.messages()))
-    nv = len(spec.vertices)
+    layers = _layers(spec)
+    nv = len(layers.spec.vertices)
     eye = IntMatrix.identity(nv)
-    l1 = eye - vertex_matrix(spec.graph1()).transpose()
-    l2 = eye - vertex_matrix(spec.graph2()).transpose()
-    theta = IntMatrix.vstack(l1, -l2)
-
-    cok1 = Presentation.cokernel_of(l1)
-    ker1 = Presentation.kernel_of(l1)
-    cok2 = Presentation.cokernel_of(l2)
-    ker2 = Presentation.kernel_of(l2)
-    cok_theta = Presentation.cokernel_of(theta)
-    ker_theta = Presentation.kernel_of(theta)
+    l1, l2, theta = layers.l1, layers.l2, layers.theta
+    cok1, ker1, cok2, ker2 = layers.cok1, layers.ker1, layers.cok2, layers.ker2
+    cok_theta, ker_theta = layers.cok_theta, layers.ker_theta
 
     free_v = Presentation.free(nv)
     zero_pres = Presentation.free(0)
@@ -642,7 +646,7 @@ def diagram_report(
                     f"({r['group']}): {r['reason']}, witness {r['witness']}"
                 )
 
-    iterated = iterated_ktheory(spec, assume_split, bound)
+    iterated = iterated_ktheory(layers, assume_split, bound)
     diagram_final = KPair.of_groups(k0_final_pres.group, k1_final_pres.group)
     for degree, mine, theirs in (
         (0, diagram_final.k0, iterated.final.k0),

@@ -6,12 +6,14 @@ k x k minors (Laplace-expansion determinants), kernels via direct membership
 plus a saturation test on maximal minors.
 """
 
+import doctest
 import math
 import random
 from itertools import combinations
 
 import pytest
 
+from cpk import abelian
 from cpk.abelian import (
     DimensionError,
     FgAbGroup,
@@ -123,6 +125,12 @@ def test_invariant_factor_normalization():
     assert invariant_factors([12, 18]) == (6, 36)
     with pytest.raises(ValueError):
         FgAbGroup(0, (3, 2))  # not a chain
+
+
+def test_module_doctests_pass():
+    # covers the invariant_factors examples after the gcd/lcm rewrite
+    result = doctest.testmod(abelian)
+    assert result.attempted >= 8 and result.failed == 0
 
 
 def test_group_str():

@@ -1,10 +1,15 @@
 """Exit-code contract, report shape and fixture round trips for the CLI."""
 
 import json
+import os
+import subprocess
+import sys
+import time
 import types
 
 import pytest
 
+import cpk
 from cpk import cli
 from cpk.fixtures import (
     abstract_document,
@@ -38,6 +43,19 @@ def write_doc(tmp_path, doc, name="doc.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def run_subprocess(argv, *python_flags, timeout=60):
+    """`python [flags] -m cpk.cli argv` or `python [flags] -c ...` in a fresh
+    interpreter that imports cpk from this source tree."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cpk.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    env.pop("CPK_EXT_BOUND", None)
+    return subprocess.run(
+        [sys.executable, *python_flags, *argv],
+        capture_output=True, text=True, timeout=timeout, env=env, check=False,
+    )
 
 
 def final_groups(report):
@@ -113,6 +131,13 @@ class TestMalformed:
     def test_ktheory_rejects_cover_kind_exit_2(self, fixdir, capsys):
         run(capsys, ["ktheory", str(fixdir / "ex2.2-double-cover.json")], expect=2)
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-5"])
+    def test_bad_extension_bound_exit_2(self, fixdir, capsys, monkeypatch, value):
+        monkeypatch.setenv("CPK_EXT_BOUND", value)
+        rc, rep = run(capsys, ["ktheory", str(fixdir / "ex4.7-abstract-p2.json")], expect=2)
+        assert rep["status"] == "malformed"
+        assert "CPK_EXT_BOUND" in rep["error"]
+
 
 class TestKtheory:
     def test_both_routes_exit_0_on_all_two_layer_fixtures(self, fixdir, capsys):
@@ -174,6 +199,37 @@ class TestKtheory:
         path = write_doc(tmp_path, two_graph_document(disjoint_flip_pair()))
         rc, rep = run(capsys, ["ktheory", path, "--route", "iterated"], expect=4)
         assert rep["status"] == "resource-limit"
+
+    def test_assume_split_with_huge_prime_torsion_finishes(self, tmp_path):
+        # 1 - 2**61 has the prime 2**61 - 1 as its only factor
+        doc = fixture_document("ex4.7-abstract-p2")
+        doc["action1"]["K0"] = [[2**61]]
+        path = write_doc(tmp_path, doc)
+        start = time.perf_counter()
+        done = run_subprocess(["-m", "cpk.cli", "ktheory", path, "--assume-split"])
+        elapsed = time.perf_counter() - start
+        assert done.returncode == 0, done.stderr
+        rep = json.loads(done.stdout)
+        assert rep["status"] == "ok"
+        assert rep["assumptions"] == ["split-extension"]
+        assert elapsed < 5.0, f"took {elapsed:.1f}s"
+
+    def test_failed_certificate_exit_5_under_python_O(self, fixdir):
+        # the unimodularity check is an explicit raise, so it survives -O
+        code = (
+            "import sys\n"
+            "if __debug__:\n"
+            "    sys.exit(99)\n"
+            "from cpk import abelian, cli\n"
+            "abelian.IntMatrix.is_inverse_of = lambda self, other: False\n"
+            "sys.exit(cli.main(['ktheory', sys.argv[1]]))\n"
+        )
+        done = run_subprocess(["-c", code, str(fixdir / "ex4.6-flip-3-3.json")], "-O")
+        assert done.returncode == 5, done.stderr
+        assert "Traceback" not in done.stderr
+        rep = json.loads(done.stdout)
+        assert rep["status"] == "internal-error"
+        assert "unimodular" in rep["error"]
 
     def test_iterated_route_still_reports_ideal_sum(self, fixdir, capsys):
         rc, rep = run(
