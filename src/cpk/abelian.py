@@ -137,9 +137,6 @@ class IntMatrix:
         i, j = key
         return self._data[i][j]
 
-    def row(self, i: int) -> tuple:
-        return self._data[i]
-
     def column(self, j: int) -> tuple:
         return tuple([row[j] for row in self._data])
 
@@ -403,17 +400,6 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     return result
 
 
-def unimodular_inverse(w: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix."""
-    res = smith_normal_form(w)
-    if res.diagonal != tuple([1] * w.rows) or w.rows != w.cols:
-        raise PreconditionError("matrix is not unimodular")
-    inv = res.V @ res.U
-    if not inv.is_inverse_of(w):
-        raise InternalError("unimodular inverse: inv @ w != I")
-    return inv
-
-
 # ---------------------------------------------------------------------------
 # lattices (subgroups of Z^n given by generating columns)
 
@@ -474,11 +460,6 @@ def solve_columns(a: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
     return IntMatrix.from_columns(xs, rows=a.cols)
 
 
-def lattice_contains(gens: IntMatrix, vector) -> bool:
-    """Is the vector in the subgroup of Z^rows generated by the columns?"""
-    return Lattice(gens).first_outside(IntMatrix.column_vector(vector)) is None
-
-
 def lattice_basis(gens: IntMatrix) -> IntMatrix:
     """A basis (independent columns) of the lattice spanned by the columns."""
     res = smith_normal_form(gens)
@@ -487,19 +468,6 @@ def lattice_basis(gens: IntMatrix) -> IntMatrix:
         [uinv[i, j] * res.diagonal[j] for i in range(gens.rows)] for j in range(res.rank)
     ]
     return IntMatrix.from_columns(cols, rows=gens.rows)
-
-
-def lattices_equal(a: IntMatrix, b: IntMatrix):
-    """Mutual containment of two column-generated lattices.
-
-    Returns (equal, witness) where witness is a generator of one lattice that
-    is missing from the other (None when equal).
-    """
-    for gens, vectors in ((a, b), (b, a)):
-        j = Lattice(gens).first_outside(vectors)
-        if j is not None:
-            return False, vectors.column(j)
-    return True, None
 
 
 def cokernel(m: IntMatrix) -> "FgAbGroup":
@@ -825,9 +793,6 @@ class Presentation:
         """Canonical generator coordinates of the class of an ambient vector."""
         return self.reduce_columns(IntMatrix.column_vector(vector))[0]
 
-    def class_is_zero(self, vector) -> bool:
-        return not any(self.reduce(vector))
-
     def hom_to(self, target: "Presentation", ambient_matrix: IntMatrix) -> GroupHom:
         """The induced map on subquotients of an ambient integer matrix.
 
@@ -856,44 +821,6 @@ class Presentation:
         if not hom_well_defined(hom):
             raise InternalError("induced map is not well defined on torsion")
         return hom
-
-
-# ---------------------------------------------------------------------------
-# induced maps on cokernels and kernels
-
-
-def _require_commuting(b: IntMatrix, m: IntMatrix) -> None:
-    if b.rows != b.cols or m.rows != m.cols or b.rows != m.rows:
-        raise DimensionError("induced maps need square matrices of equal size")
-    left = b @ m
-    right = m @ b
-    if left != right:
-        for i in range(left.rows):
-            for j in range(left.cols):
-                if left[i, j] != right[i, j]:
-                    raise PreconditionError(
-                        f"matrices do not commute: (B@M)[{i},{j}] = {left[i, j]} "
-                        f"but (M@B)[{i},{j}] = {right[i, j]}"
-                    )
-
-
-def induced_on_cokernel(b: IntMatrix, m: IntMatrix) -> GroupHom:
-    """The endomorphism of Z^n/im(m) induced by b (requires b @ m = m @ b).
-
-    >>> f = induced_on_cokernel(IntMatrix([[3]]), IntMatrix([[-2]]))
-    >>> (str(f.dom), f.matrix[0, 0])
-    ('Z/2', 1)
-    """
-    _require_commuting(b, m)
-    pres = Presentation.cokernel_of(m)
-    return pres.hom_to(pres, b)
-
-
-def induced_on_kernel(b: IntMatrix, m: IntMatrix) -> GroupHom:
-    """The endomorphism of ker(m) (a free group) induced by b."""
-    _require_commuting(b, m)
-    pres = Presentation.kernel_of(m)
-    return pres.hom_to(pres, b)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ certificate check failed.
 import argparse
 import hashlib
 import json
-import os
+import math
 import sys
 
 from . import __version__
@@ -84,7 +84,13 @@ def _int_value(value, ctx: str) -> int:
 def _number(value, ctx: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{ctx}: expected a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise SchemaError(f"{ctx}: expected a finite number")
+    return number
 
 
 def _parse_edges(value, ctx: str) -> tuple:
@@ -340,9 +346,7 @@ def cmd_validate(args) -> int:
             problems = validate_graph(model, strict=args.strict).messages()
         elif kind in ("two_graph", "permutation"):
             problems = validate_chi(model).messages()
-        elif kind == "abstract_kdata":
-            problems = model.validate().messages()
-        elif kind == "unitary_chi":
+        elif kind in ("abstract_kdata", "unitary_chi"):
             problems = model.validate().messages()
         # cover documents carry no semantics of their own
     except (PreconditionError, DimensionError) as exc:
@@ -353,108 +357,73 @@ def cmd_validate(args) -> int:
     return _finish(report, args.format)
 
 
-def _watermarks(*outcomes) -> list:
-    marks = set()
-    for o in outcomes:
-        if o.assumed_split:
-            marks.add("split-extension")
-    return sorted(marks)
-
-
-def _pair_outcomes(pair):
-    return [pair.k0, pair.k1]
-
-
 def cmd_ktheory(args) -> int:
     doc, digest = _load_document(args.file)
     kind, model = parse_document(doc)
+    if kind not in ("graph", "two_graph", "permutation", "abstract_kdata"):
+        raise SchemaError(f"ktheory does not accept documents of kind {kind!r}")
     report = _report(
         "ktheory", {"route": args.route, "assume_split": bool(args.assume_split)}
     )
     report["input"] = _input_block(args.file, digest, kind)
+    split = args.assume_split
     results = {"kind": kind}
     outcomes = []
+    diag = None
 
     if kind == "graph":
-        problem = pimsner_class_maps(model)
         coeff = coefficient_ktheory(model)
-        final = cuntz_pimsner_ktheory(problem, assume_split=args.assume_split)
-        results["coefficient"] = coeff.describe()
-        results["toeplitz_corner"] = coeff.describe()
+        final = cuntz_pimsner_ktheory(pimsner_class_maps(model), assume_split=split)
         results["toeplitz_note"] = "KK-equivalent to the coefficients"
-        results["final"] = final.describe()
-        outcomes += _pair_outcomes(final)
-        report["results"] = results
-        report["assumptions"] = _watermarks(*outcomes)
-        return _finish(report, args.format)
-
-    if kind in ("two_graph", "permutation"):
-        spec = GraphLayers(model)
-        diag = None
-        if args.route in ("diagram", "both"):
-            diag = diagram_report(spec, assume_split=args.assume_split)
-            iterated = diag.iterated
+    else:
+        if kind == "abstract_kdata":
+            iterated = iterated_ktheory(model, assume_split=split)
+        elif args.route == "iterated":
+            layers = GraphLayers(model)
+            iterated = iterated_ktheory(layers, assume_split=split)
+            results["ideal_sum"] = ideal_sum_ktheory(layers).describe()
         else:
-            iterated = iterated_ktheory(spec, assume_split=args.assume_split)
-        results["coefficient"] = iterated.coefficient.describe()
-        results["toeplitz_corner"] = iterated.coefficient.describe()
+            diag = diagram_report(GraphLayers(model), assume_split=split)
+            iterated = diag.iterated
+        coeff, final = iterated.coefficient, iterated.final
         results["toeplitz_note"] = "all three Toeplitz corners are KK-equivalent to the coefficients"
         results["stage1"] = {
             "layer1": iterated.stage1.describe(),
             "layer2": iterated.stage1_other.describe(),
         }
-        results["ideal_sum"] = (
-            {"K0": diag.ij_k0.describe(), "K1": diag.ij_k1.describe()}
-            if diag is not None
-            else ideal_sum_ktheory(spec).describe()
-        )
-        results["final"] = iterated.final.describe()
         results["notes"] = list(iterated.notes)
-        outcomes += _pair_outcomes(iterated.final)
-        outcomes += _pair_outcomes(iterated.stage1) + _pair_outcomes(iterated.stage1_other)
-        if diag is not None:
-            results["diagram"] = {
-                "final": diag.final.describe(),
-                "corners": diag.corners,
-                "exactness_sum": diag.sum_sequence,
-                "exactness_quotient": diag.quotient_sequence,
-                "consistent": diag.consistent,
-                "problems": list(diag.problems),
-            }
-            outcomes += [diag.ij_k0, diag.ij_k1]
-            if diag.problems or not diag.all_verdicts_pass:
-                report["results"] = results
-                report["assumptions"] = _watermarks(*outcomes)
-                report["status"] = "route-inconsistency"
-                return _finish(report, args.format)
-        report["results"] = results
-        report["assumptions"] = _watermarks(*outcomes)
-        return _finish(report, args.format)
-
-    if kind == "abstract_kdata":
-        iterated = iterated_ktheory(model, assume_split=args.assume_split)
-        results["coefficient"] = iterated.coefficient.describe()
-        results["toeplitz_corner"] = iterated.coefficient.describe()
-        results["toeplitz_note"] = "all three Toeplitz corners are KK-equivalent to the coefficients"
-        results["stage1"] = {
-            "layer1": iterated.stage1.describe(),
-            "layer2": iterated.stage1_other.describe(),
+        if kind == "abstract_kdata":
+            results["notes"].append(
+                "ideal-sum K-groups need boundary data the abstract form does not "
+                "carry; only the two-stage route is available"
+            )
+        for pair in (iterated.stage1, iterated.stage1_other):
+            outcomes += [pair.k0, pair.k1]
+    results["coefficient"] = coeff.describe()
+    results["toeplitz_corner"] = coeff.describe()
+    results["final"] = final.describe()
+    outcomes += [final.k0, final.k1]
+    if diag is not None:
+        results["ideal_sum"] = {"K0": diag.ij_k0.describe(), "K1": diag.ij_k1.describe()}
+        results["diagram"] = {
+            "final": diag.final.describe(),
+            "corners": diag.corners,
+            "exactness_sum": diag.sum_sequence,
+            "exactness_quotient": diag.quotient_sequence,
+            "consistent": diag.consistent,
+            "problems": list(diag.problems),
         }
-        results["final"] = iterated.final.describe()
-        results["notes"] = list(iterated.notes) + [
-            "ideal-sum K-groups need boundary data the abstract form does not "
-            "carry; only the two-stage route is available"
-        ]
-        outcomes += _pair_outcomes(iterated.final)
-        outcomes += _pair_outcomes(iterated.stage1) + _pair_outcomes(iterated.stage1_other)
-        report["results"] = results
-        report["assumptions"] = _watermarks(*outcomes)
-        return _finish(report, args.format)
-
-    raise SchemaError(f"ktheory does not accept documents of kind {kind!r}")
+        outcomes += [diag.ij_k0, diag.ij_k1]
+        if diag.problems or not diag.all_verdicts_pass:
+            report["status"] = "route-inconsistency"
+    report["results"] = results
+    report["assumptions"] = sorted({"split-extension" for o in outcomes if o.assumed_split})
+    return _finish(report, args.format)
 
 
 def cmd_fock_check(args) -> int:
+    if args.tol is not None and not 0 <= args.tol < math.inf:
+        raise UsageError(f"--tol must be a finite non-negative number, got {args.tol}")
     doc, digest = _load_document(args.file)
     kind, model = parse_document(doc)
     if kind not in ("graph", "two_graph", "permutation", "unitary_chi"):

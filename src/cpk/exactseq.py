@@ -18,18 +18,14 @@ from typing import Optional
 from .abelian import (
     DimensionError,
     FgAbGroup,
-    GroupHom,
     IntMatrix,
     Lattice,
     PreconditionError,
-    Presentation,
     cokernel,
     hom_cokernel,
-    hom_cokernel_presentation,
     hom_image_lattice,
     hom_kernel,
     hom_kernel_lattice,
-    hom_kernel_presentation,
     hom_well_defined,
 )
 
@@ -46,7 +42,7 @@ class ResourceLimitError(RuntimeError):
 
 
 class UsageError(ValueError):
-    """An environment setting holds a value the program cannot use."""
+    """An option or environment setting holds a value the program cannot use."""
 
 
 def ext_bound() -> int:
@@ -102,13 +98,6 @@ class ExactSequence:
     def complete(self) -> bool:
         return all(x is not None for x in self.nodes) and all(
             x is not None for x in self.arrows
-        )
-
-    def rotate(self, k: int) -> "ExactSequence":
-        n = len(self.nodes)
-        return ExactSequence(
-            tuple(self.nodes[(i + k) % n] for i in range(n)),
-            tuple(self.arrows[(i + k) % n] for i in range(n)),
         )
 
 
@@ -172,6 +161,16 @@ class ExtensionCertificate:
     quotient: FgAbGroup
 
 
+def ext_trivial(quotient: FgAbGroup, sub: FgAbGroup) -> bool:
+    """Ext(Q, N) = 0, i.e. N/qN vanishes for every invariant factor q of Q."""
+    for q in quotient.torsion:
+        if sub.free_rank > 0:
+            return False
+        if any(gcd(q, d) != 1 for d in sub.torsion):
+            return False
+    return True
+
+
 def _class_reps(n_group: FgAbGroup, q: int):
     """Representatives of N / qN in generator coordinates of N."""
     ranges = [range(q)] * n_group.free_rank
@@ -202,14 +201,17 @@ def extension_candidates(
     Every extension is classified by one class datum per torsion factor of Q
     (an element of N/qN); enumerating those and collecting the middle groups
     gives exactly the realizable set. Result is sorted by (free rank,
-    invariant factors) and always contains the split group N + Q.
+    invariant factors) and always contains the split group N + Q. When
+    Ext(Q, N) vanishes that is the only one, found without enumerating.
 
     >>> from cpk.abelian import FgAbGroup
     >>> [str(g) for g in extension_candidates(FgAbGroup(0, (2,)), FgAbGroup(0, (2,)))]
     ['Z/2 + Z/2', 'Z/4']
     """
     if bound is None:
-        bound = ext_bound()
+        bound = ext_bound()  # read first, so a bad setting is always reported
+    if ext_trivial(q_group, n_group):
+        return [n_group.direct_sum(q_group)]
     torsion_product = n_group.torsion_order * q_group.torsion_order
     if torsion_product > bound:
         raise ResourceLimitError(
@@ -327,54 +329,3 @@ def solve_six_term(
         DETERMINED if all(r.status == DETERMINED for r in resolutions) else AMBIGUOUS
     )
     return SolveOutcome(overall, tuple(resolutions))
-
-
-def substitute_solution(seq: ExactSequence, outcome: SolveOutcome) -> ExactSequence:
-    """Fill the unknown nodes with the resolved groups and canonical maps.
-
-    Only valid for Determined (or assume-split) outcomes; the substituted
-    node is the split model coker(f) + ker(h) with the inclusion and
-    projection written out in canonical generator coordinates, so the result
-    can be fed to verify_exact.
-    """
-    if outcome.status == UNDERDETERMINED:
-        raise PreconditionError("nothing to substitute on an underdetermined outcome")
-    nodes = list(seq.nodes)
-    arrows = list(seq.arrows)
-    n = len(seq)
-    for res in outcome.resolutions:
-        if res.status != DETERMINED:
-            raise PreconditionError("cannot substitute an ambiguous node")
-        u = res.position
-        f = seq.arrows[(u - 2) % n]
-        h = seq.arrows[(u + 1) % n]
-        sub_pres = hom_cokernel_presentation(f)
-        quot_pres = hom_kernel_presentation(h)
-        middle = Presentation.direct_sum(
-            Presentation.of_group(sub_pres.group), Presentation.of_group(quot_pres.group)
-        )
-        big = middle.group
-        assert big == res.certificate.sub.direct_sum(res.certificate.quotient)
-        nodes[u] = big
-        n_sub = sub_pres.group.n_generators
-        n_quot = quot_pres.group.n_generators
-        prev = seq.nodes[(u - 1) % n]
-        incl_cols = []
-        for k in range(prev.n_generators):
-            unit = [1 if i == k else 0 for i in range(prev.n_generators)]
-            incl_cols.append(middle.reduce(list(sub_pres.reduce(unit)) + [0] * n_quot))
-        arrows[(u - 1) % n] = GroupHom(
-            prev, big, IntMatrix.from_columns(incl_cols, rows=big.n_generators)
-        )
-        nxt = seq.nodes[(u + 1) % n]
-        lifts = quot_pres.gen_lift_matrix()
-        proj_cols = []
-        for t in range(big.n_generators):
-            ambient = middle.gen_lift(t)
-            proj_cols.append(lifts.apply(ambient[n_sub:]))
-        arrows[u] = GroupHom(
-            big, nxt, IntMatrix.from_columns(proj_cols, rows=nxt.n_generators)
-        )
-        assert hom_well_defined(arrows[(u - 1) % n])
-        assert hom_well_defined(arrows[u])
-    return ExactSequence(tuple(nodes), tuple(arrows))

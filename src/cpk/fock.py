@@ -14,11 +14,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .abelian import IntMatrix, PreconditionError
+from .abelian import PreconditionError
 from .exactseq import ResourceLimitError
 from .model import (
     FiniteGraph,
-    GraphBimodule,
     TwoGraphSpec,
     UnitaryChi,
     validate_chi,
@@ -103,28 +102,30 @@ class FockRep:
     # -- basis ------------------------------------------------------------
 
     def _count_words(self) -> int:
-        m1 = vertex_matrix(FiniteGraph(self.vertices, tuple(
-            (e.id, e.src, e.rng) for e in self.edges1)))
-        m2 = vertex_matrix(FiniteGraph(self.vertices, tuple(
-            (f.id, f.src, f.rng) for f in self.edges2)))
-        nv = len(self.vertices)
+        """The basis size: the entry sum of M1^a M2^b over a + b <= N, from
+        row vectors ones @ M1^a @ M2^b. Raises as soon as the running total
+        passes BASIS_CAP, so a huge degree is refused in bounded time."""
+        m1t = vertex_matrix(FiniteGraph(self.vertices, self.edges1)).transpose()
+        m2t = vertex_matrix(FiniteGraph(self.vertices, self.edges2)).transpose()
         total = 0
-        pow1 = IntMatrix.identity(nv)
+        row1 = (1,) * len(self.vertices)
         for a in range(self.degree + 1):
-            pow12 = pow1
+            row = row1
             for b in range(self.degree + 1 - a):
-                total += sum(pow12[i, j] for i in range(nv) for j in range(nv))
-                pow12 = pow12 @ m2
-            pow1 = pow1 @ m1
+                if not any(row):
+                    break
+                total += sum(row)
+                if total > BASIS_CAP:
+                    raise ResourceLimitError(
+                        f"basis would hold at least {total} words (cap {BASIS_CAP}); "
+                        f"lower the degree"
+                    )
+                row = m2t.apply(row)
+            row1 = m1t.apply(row1)
         return total
 
     def _enumerate_words(self):
-        size = self._count_words()
-        if size > BASIS_CAP:
-            raise ResourceLimitError(
-                f"basis would hold {size} words (cap {BASIS_CAP}); "
-                f"lower the degree"
-            )
+        self._count_words()
         by_src1 = {v: [e for e in self.edges1 if e.src == v] for v in self.vertices}
         by_src2 = {v: [f for f in self.edges2 if f.src == v] for v in self.vertices}
         words = []
@@ -264,10 +265,6 @@ class FockRep:
         return len(self.words)
 
 
-def _edges_of(obj):
-    return tuple(obj.edges)
-
-
 def _permutation_crossing(spec: TwoGraphSpec):
     fwd = {}
     inv = {}
@@ -304,38 +301,25 @@ def _unitary_crossing(u: UnitaryChi):
 
 def build_fock(spec, N: int) -> FockRep:
     """Enumerate all normal-form words of total degree <= N and assemble the
-    creation operators. The basis size is counted up front with exact matrix
-    powers and refused above the cap."""
+    creation operators. The basis size is counted up front in exact integer
+    arithmetic and refused as soon as the count passes the cap."""
     if N < 0:
         raise PreconditionError("truncation degree must be >= 0")
-    if isinstance(spec, GraphBimodule):
-        spec = spec.graph
     if isinstance(spec, FiniteGraph):
-        report = validate_graph(spec, strict=True)
-        if not report.valid:
-            raise PreconditionError("; ".join(report.messages()))
-        return FockRep(spec.vertices, _edges_of(spec), (), N, ({}, {}), None)
+        validate_graph(spec, strict=True).require()
+        return FockRep(spec.vertices, spec.edges, (), N, ({}, {}), None)
     if isinstance(spec, TwoGraphSpec):
-        report = validate_chi(spec)
-        if not report.valid:
-            raise PreconditionError("; ".join(report.messages()))
+        validate_chi(spec).require()
         return FockRep(
-            spec.vertices,
-            _edges_of(spec.graph1()),
-            _edges_of(spec.graph2()),
-            N,
-            _permutation_crossing(spec),
-            "permutation",
+            spec.vertices, spec.edges1, spec.edges2, N,
+            _permutation_crossing(spec), "permutation",
         )
     if isinstance(spec, UnitaryChi):
-        report = spec.validate()
-        if not report.valid:
-            raise PreconditionError("; ".join(report.messages()))
+        spec.validate().require()
         g1 = FiniteGraph(("v",), tuple((f"e{i}", "v", "v") for i in range(spec.m)))
         g2 = FiniteGraph(("v",), tuple((f"f{j}", "v", "v") for j in range(spec.n)))
         return FockRep(
-            ("v",), _edges_of(g1), _edges_of(g2), N, _unitary_crossing(spec),
-            "unitary",
+            ("v",), g1.edges, g2.edges, N, _unitary_crossing(spec), "unitary",
         )
     raise PreconditionError(f"unsupported spec type {type(spec).__name__}")
 

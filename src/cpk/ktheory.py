@@ -22,6 +22,7 @@ from .abelian import (
     FgAbGroup,
     GroupHom,
     IntMatrix,
+    InternalError,
     PreconditionError,
     Presentation,
     hom_cokernel_presentation,
@@ -37,13 +38,13 @@ from .exactseq import (
     ExtensionCertificate,
     ResourceLimitError,
     all_exact,
+    ext_trivial,
     solve_six_term,
     verify_exact,
 )
 from .model import (
     AbstractKData,
     FiniteGraph,
-    GraphBimodule,
     TwoGraphSpec,
     validate_chi,
     validate_graph,
@@ -52,7 +53,7 @@ from .model import (
 
 _COUPLING_CAP = 512
 
-BimoduleModel = Union[FiniteGraph, GraphBimodule, TwoGraphSpec, AbstractKData]
+BimoduleModel = Union[FiniteGraph, TwoGraphSpec, AbstractKData]
 
 
 # ---------------------------------------------------------------------------
@@ -145,18 +146,13 @@ def coefficient_ktheory(model: BimoduleModel) -> KPair:
     passes through."""
     if isinstance(model, AbstractKData):
         return KPair.of_groups(model.k0, model.k1)
-    if isinstance(model, GraphBimodule):
-        model = model.graph
-    if isinstance(model, TwoGraphSpec):
-        n = len(model.vertices)
-    elif isinstance(model, FiniteGraph):
-        n = len(model.vertices)
-    else:
+    if not isinstance(model, (FiniteGraph, TwoGraphSpec)):
         raise PreconditionError(f"unsupported model type {type(model).__name__}")
-    return KPair.of_groups(FgAbGroup.free(n), FgAbGroup.trivial())
+    return KPair.of_groups(FgAbGroup.free(len(model.vertices)), FgAbGroup.trivial())
 
 
-def pimsner_class_maps(model: BimoduleModel, bimodule=None) -> PimsnerProblem:
+def pimsner_class_maps(model: Union[FiniteGraph, AbstractKData],
+                       bimodule: int = 1) -> PimsnerProblem:
     """The class of the bimodule acting on the coefficient K-groups.
 
     Graph models: [E] acts on K0 = Z^V by the transpose vertex matrix and by
@@ -164,26 +160,20 @@ def pimsner_class_maps(model: BimoduleModel, bimodule=None) -> PimsnerProblem:
     or 2. Strict graph validity (no sinks, no sources) is required.
     """
     if isinstance(model, AbstractKData):
-        which = 1 if bimodule is None else bimodule
-        if which == 1:
+        if bimodule == 1:
             return PimsnerProblem(model.k0, model.k1, model.action1_k0, model.action1_k1)
-        if which == 2:
+        if bimodule == 2:
             return PimsnerProblem(model.k0, model.k1, model.action2_k0, model.action2_k1)
         raise PreconditionError("bimodule selector must be 1 or 2")
-    graph = bimodule if bimodule is not None else model
-    if isinstance(graph, GraphBimodule):
-        graph = graph.graph
-    if not isinstance(graph, FiniteGraph):
-        raise PreconditionError(f"unsupported bimodule type {type(graph).__name__}")
-    report = validate_graph(graph, strict=True)
-    if not report.valid:
-        raise PreconditionError("; ".join(report.messages()))
-    k0 = FgAbGroup.free(len(graph.vertices))
+    if not isinstance(model, FiniteGraph):
+        raise PreconditionError(f"unsupported bimodule type {type(model).__name__}")
+    validate_graph(model, strict=True).require()
+    k0 = FgAbGroup.free(len(model.vertices))
     k1 = FgAbGroup.trivial()
     return PimsnerProblem(
         k0,
         k1,
-        GroupHom(k0, k0, vertex_matrix(graph).transpose()),
+        GroupHom(k0, k0, vertex_matrix(model).transpose()),
         GroupHom.zero(k1, k1),
     )
 
@@ -222,22 +212,9 @@ def cuntz_pimsner_ktheory(
     degree-swapped extension; ambiguity propagates as candidates.
     """
     out = solve_six_term(_pimsner_sequence(problem), assume_split, bound)
-    assert out.status != UNDERDETERMINED, out.explanation
+    if out.status == UNDERDETERMINED:
+        raise InternalError(f"the Pimsner sequence has a bad layout: {out.explanation}")
     return KPair(_outcome_of(out.resolution_at(2)), _outcome_of(out.resolution_at(5)))
-
-
-def kunneth_flip_oracle(m: int, n: int) -> KPair:
-    """Independent tensor/Tor formula for single-vertex flip specs.
-
-    K0 = Z_{m-1} (x) Z_{n-1} and K1 = Tor(Z_{m-1}, Z_{n-1}), both cyclic of
-    order gcd(m-1, n-1). Used only as a test oracle.
-    """
-    if m < 2 or n < 2:
-        raise PreconditionError("oracle needs m, n >= 2")
-    g = gcd(m - 1, n - 1)
-    return KPair.of_groups(
-        FgAbGroup.from_divisors(0, [g]), FgAbGroup.from_divisors(0, [g])
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +258,8 @@ def _reconcile_outcome(x: GroupOutcome, y: GroupOutcome) -> GroupOutcome:
         return x
     keys = {_canonical_key(g) for g in y.candidates}
     inter = tuple(g for g in x.candidates if _canonical_key(g) in keys)
-    assert inter, "order symmetry violated: disjoint candidate sets"
+    if not inter:
+        raise InternalError("order symmetry violated: disjoint candidate sets")
     status = DETERMINED if len(inter) == 1 else AMBIGUOUS
     return GroupOutcome(status, inter, x.certificate, x.assumed_split or y.assumed_split)
 
@@ -301,9 +279,7 @@ class GraphLayers:
     """
 
     def __init__(self, spec: TwoGraphSpec):
-        report = validate_chi(spec)
-        if not report.valid:
-            raise PreconditionError("; ".join(report.messages()))
+        validate_chi(spec).require()
         self.spec = spec
         eye = IntMatrix.identity(len(spec.vertices))
         self.m1t = vertex_matrix(spec.graph1()).transpose()
@@ -340,49 +316,33 @@ def _graph_order(cok: Presentation, ker: Presentation, action: IntMatrix,
     )
 
 
-def _ext_trivial(quotient: FgAbGroup, sub: FgAbGroup) -> bool:
-    """Ext(Q, N) = 0, i.e. N/qN vanishes for every invariant factor q of Q."""
-    for q in quotient.torsion:
-        if sub.free_rank > 0:
-            return False
-        if any(gcd(q, d) != 1 for d in sub.torsion):
-            return False
-    return True
-
-
 def _hom_elements(quotient: FgAbGroup, sub: FgAbGroup):
     """All homomorphisms Q -> N as matrices (columns per Q generator).
 
     Only called when the set is finite: a free Q generator can go to any
     element of a finite N; a torsion generator of order q must land in the
-    q-torsion subgroup of N.
+    q-torsion subgroup of N. The set is counted, and refused above the cap,
+    before any of it is built.
     """
-    per_gen = []
-    n = sub.n_generators
-    for q in quotient.generator_orders():
-        options = []
-        if q == 0:
-            assert sub.free_rank == 0
-            for coords in product(*[range(d) for d in sub.torsion]):
-                options.append(tuple(coords))
-        else:
-            free_zero = (0,) * sub.free_rank
-            choice_ranges = []
-            for d in sub.torsion:
-                step = d // gcd(q, d)
-                choice_ranges.append(range(0, d, step))
-            for coords in product(*choice_ranges):
-                options.append(free_zero + tuple(coords))
-        per_gen.append(options)
+    orders = quotient.generator_orders()
+    if sub.free_rank and 0 in orders:
+        raise InternalError("a free quotient generator has infinitely many images")
     total = 1
-    for o in per_gen:
-        total *= len(o)
+    for q in orders:
+        for d in sub.torsion:
+            total *= gcd(q, d)  # images of one generator in Z/d; gcd(0, d) = d
     if total > _COUPLING_CAP:
         raise ResourceLimitError(
             f"coupling enumeration would scan {total} homomorphisms (cap {_COUPLING_CAP})"
         )
+    per_gen = []
+    for q in orders:
+        # free N coordinates stay 0; with them present, q > 0 (checked above)
+        ranges = [range(1)] * sub.free_rank
+        ranges += [range(0, d, d // gcd(q, d)) for d in sub.torsion]
+        per_gen.append(list(product(*ranges)))
     for cols in product(*per_gen):
-        yield IntMatrix.from_columns(cols, rows=n)
+        yield IntMatrix.from_columns(cols, rows=sub.n_generators)
 
 
 def _descended_actions(l_sub, l_quot, a_sub, a_quot, assume_split):
@@ -415,7 +375,7 @@ def _descended_actions(l_sub, l_quot, a_sub, a_quot, assume_split):
     if assume_split:
         action = g_pres.hom_to(g_pres, block(IntMatrix.zeros(n_sub, n_quot)))
         return g_pres.group, [action], True, None
-    if not _ext_trivial(quot, sub):
+    if not ext_trivial(quot, sub):
         return (
             None,
             [],
@@ -492,9 +452,7 @@ def iterated_ktheory(
         final_a = _graph_order(layers.cok1, layers.ker1, layers.m2t, assume_split, bound)
         final_b = _graph_order(layers.cok2, layers.ker2, layers.m1t, assume_split, bound)
     elif isinstance(spec, AbstractKData):
-        report = spec.validate()
-        if not report.valid:
-            raise PreconditionError("; ".join(report.messages()))
+        spec.validate().require()
         coeff = coefficient_ktheory(spec)
         stage1, other, final_a = _abstract_order(spec, assume_split, bound)
         other_stage1, stage1_again, final_b = _abstract_order(
@@ -531,7 +489,6 @@ class DiagramReport:
     iterated: IteratedResult
     consistent: bool
     problems: tuple
-    notes: tuple
 
     @property
     def all_verdicts_pass(self) -> bool:
@@ -623,20 +580,12 @@ def diagram_report(
         res1, res4 = solved.resolution_at(1), solved.resolution_at(4)
         ij_k0 = GroupOutcome(DETERMINED, (cok_theta.group,), res1.certificate)
         ij_k1 = GroupOutcome(DETERMINED, (ker_theta.group,), res4.certificate)
-        if _canonical_key(cok_theta.group) not in {
-            _canonical_key(g) for g in res1.candidates
-        }:
-            problems.append(
-                f"K0 of the ideal sum ({cok_theta.group}) is not among the "
-                f"six-term candidates {[str(g) for g in res1.candidates]}"
-            )
-        if _canonical_key(ker_theta.group) not in {
-            _canonical_key(g) for g in res4.candidates
-        }:
-            problems.append(
-                f"K1 of the ideal sum ({ker_theta.group}) is not among the "
-                f"six-term candidates {[str(g) for g in res4.candidates]}"
-            )
+        for degree, group, res in ((0, cok_theta.group, res1), (1, ker_theta.group, res4)):
+            if group not in res.candidates:
+                problems.append(
+                    f"K{degree} of the ideal sum ({group}) is not among the "
+                    f"six-term candidates {[str(g) for g in res.candidates]}"
+                )
 
     for name, reports in (("sum", sum_reports), ("quotient", quot_reports)):
         for r in reports:
@@ -652,21 +601,18 @@ def diagram_report(
         (0, diagram_final.k0, iterated.final.k0),
         (1, diagram_final.k1, iterated.final.k1),
     ):
-        if theirs.status == DETERMINED:
-            if _canonical_key(mine.group) != _canonical_key(theirs.group):
-                problems.append(
-                    f"K{degree}: diagram route gives {mine.group} but the "
-                    f"two-stage route gives {theirs.group}"
-                )
-        elif theirs.status == AMBIGUOUS:
-            if _canonical_key(mine.group) not in {
-                _canonical_key(g) for g in theirs.candidates
-            }:
-                problems.append(
-                    f"K{degree}: diagram group {mine.group} is not among the "
-                    f"two-stage candidates"
-                )
+        if theirs.status == DETERMINED and mine.group != theirs.group:
+            problems.append(
+                f"K{degree}: diagram route gives {mine.group} but the "
+                f"two-stage route gives {theirs.group}"
+            )
+        elif theirs.status == AMBIGUOUS and mine.group not in theirs.candidates:
+            problems.append(
+                f"K{degree}: diagram group {mine.group} is not among the "
+                f"two-stage candidates"
+            )
 
+    # corner identifications use K(compacts tensor B) = K(B)
     coeff = (str(FgAbGroup.free(nv)), str(FgAbGroup.trivial()))
     corners = {
         "11": {"K0": coeff[0], "K1": coeff[1], "note": "compacts over the coefficients"},
@@ -687,11 +633,6 @@ def diagram_report(
         "33": {"K0": str(diagram_final.k0.group), "K1": str(diagram_final.k1.group),
                "note": "the iterated quotient algebra"},
     }
-    notes = (
-        "corner identifications use K(compacts tensor B) = K(B)",
-        "final-algebra presentations come from candidate boundary maps and are "
-        "cross-checked, not trusted",
-    )
     return DiagramReport(
         corners=corners,
         sum_sequence=sum_reports,
@@ -702,5 +643,4 @@ def diagram_report(
         iterated=iterated,
         consistent=not problems,
         problems=tuple(problems),
-        notes=notes,
     )

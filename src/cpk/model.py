@@ -46,14 +46,10 @@ class ValidationReport:
     def messages(self) -> list:
         return list(self.structural) + list(self.semantic)
 
-    @staticmethod
-    def merge(*reports: "ValidationReport") -> "ValidationReport":
-        structural: list = []
-        semantic: list = []
-        for r in reports:
-            structural.extend(r.structural)
-            semantic.extend(r.semantic)
-        return ValidationReport(tuple(structural), tuple(semantic))
+    def require(self) -> None:
+        """Raise PreconditionError naming every problem, if there is one."""
+        if not self.valid:
+            raise PreconditionError("; ".join(self.messages()))
 
 
 # ---------------------------------------------------------------------------
@@ -70,15 +66,6 @@ class FiniteGraph:
         object.__setattr__(
             self, "edges", tuple(Edge(str(e[0]), str(e[1]), str(e[2])) for e in self.edges)
         )
-
-    def edge_by_id(self, eid: str) -> Edge:
-        for e in self.edges:
-            if e.id == eid:
-                return e
-        raise KeyError(eid)
-
-    def vertex_index(self, v: str) -> int:
-        return self.vertices.index(v)
 
 
 def validate_graph(g: FiniteGraph, strict: bool = False) -> ValidationReport:
@@ -127,29 +114,6 @@ def vertex_matrix(g: FiniteGraph) -> IntMatrix:
     for e in g.edges:
         counts[idx[e.src]][idx[e.rng]] += 1
     return IntMatrix(counts, cols=n)
-
-
-@dataclass(frozen=True)
-class GraphBimodule:
-    """Edge indicators as the basis; coefficients are functions on vertices."""
-
-    graph: FiniteGraph
-
-    @property
-    def vertex_matrix(self) -> IntMatrix:
-        return vertex_matrix(self.graph)
-
-
-def permutation_bimodule(vertices, perm) -> GraphBimodule:
-    """The bimodule of a coefficient-permuting automorphism: one edge per
-    vertex, running v -> perm[v], so the vertex matrix is the permutation
-    matrix."""
-    vertices = tuple(str(v) for v in vertices)
-    mapping = {str(k): str(v) for k, v in dict(perm).items()}
-    if set(mapping) != set(vertices) or set(mapping.values()) != set(vertices):
-        raise PreconditionError("perm is not a bijection of the vertex set")
-    edges = [(f"e_{v}", v, mapping[v]) for v in vertices]
-    return GraphBimodule(FiniteGraph(vertices, tuple(edges)))
 
 
 def pullback_graph(g: FiniteGraph, p: dict) -> FiniteGraph:
@@ -217,9 +181,6 @@ class TwoGraphSpec:
 
     def chi_map(self) -> dict:
         return {d: i for d, i in self.chi}
-
-    def chi_inverse_map(self) -> dict:
-        return {i: d for d, i in self.chi}
 
     def swapped(self) -> "TwoGraphSpec":
         """The same data with the layer roles exchanged (chi inverted)."""
@@ -308,28 +269,6 @@ def chi_flip(m: int, n: int) -> tuple:
     return tuple(
         ((f"e{i}", f"f{j}"), (f"f{j}", f"e{i}")) for i in range(m) for j in range(n)
     )
-
-
-def chi_same_index(m: int, n: int) -> tuple:
-    """Pairing (e_i, f_j) -> (f_i, e_j); needs m = n to be a bijection."""
-    if m != n:
-        raise PreconditionError("same-index pairing needs equal layer sizes")
-    return tuple(
-        ((f"e{i}", f"f{j}"), (f"f{i}", f"e{j}")) for i in range(m) for j in range(n)
-    )
-
-
-def chi_from_permutation(pairing) -> tuple:
-    """Normalize an explicit pair bijection into the chi field."""
-    items = [(tuple(map(str, d)), tuple(map(str, i))) for d, i in
-             (pairing.items() if isinstance(pairing, dict) else pairing)]
-    domain = [d for d, _ in items]
-    image = [i for _, i in items]
-    if len(set(domain)) != len(domain) or len(set(image)) != len(image):
-        raise PreconditionError("pairing is not a bijection")
-    if len(domain) != len(image):
-        raise PreconditionError("pairing sizes do not match")
-    return tuple(items)
 
 
 def single_vertex_two_graph(m: int, n: int, chi: Optional[tuple] = None) -> TwoGraphSpec:
@@ -447,7 +386,7 @@ class UnitaryChi:
             defect = np.max(
                 np.abs(self.matrix.conj().T @ self.matrix - np.eye(size))
             )
-            if defect > tol:
+            if not (defect <= tol):
                 semantic.append(f"matrix is not unitary (defect {defect:.3e})")
         return ValidationReport(tuple(structural), tuple(semantic))
 
@@ -472,18 +411,3 @@ def rotation_unitary_chi(alpha: float, beta: float) -> UnitaryChi:
         dtype=complex,
     )
     return UnitaryChi(2, 2, mat)
-
-
-def permutation_unitary_chi(spec: TwoGraphSpec) -> UnitaryChi:
-    """The 0/1 unitary of a single-vertex permutation chi (test helper)."""
-    if len(spec.vertices) != 1:
-        raise PreconditionError("only single-vertex specs have a global unitary")
-    m, n = len(spec.edges1), len(spec.edges2)
-    ids1 = [e.id for e in spec.edges1]
-    ids2 = [e.id for e in spec.edges2]
-    i1 = {eid: i for i, eid in enumerate(ids1)}
-    i2 = {eid: i for i, eid in enumerate(ids2)}
-    mat = np.zeros((m * n, m * n), dtype=complex)
-    for (e1, e2), (f2, f1) in spec.chi:
-        mat[i2[f2] * m + i1[f1], i1[e1] * n + i2[e2]] = 1.0
-    return UnitaryChi(m, n, mat)

@@ -26,16 +26,17 @@ from cpk.abelian import (
     hom_equal,
     hom_kernel,
     hom_well_defined,
-    induced_on_cokernel,
-    induced_on_kernel,
     invariant_factors,
     kernel_basis,
     lattice_basis,
-    lattice_contains,
-    lattices_equal,
     smith_normal_form,
     solve_columns,
-    unimodular_inverse,
+)
+from support import (
+    induced_on_cokernel,
+    induced_on_kernel,
+    lattice_contains,
+    lattices_equal,
 )
 
 # ---------------------------------------------------------------------------
@@ -137,13 +138,6 @@ def test_group_str():
     assert str(FgAbGroup(0)) == "0"
     assert str(FgAbGroup(1)) == "Z"
     assert str(FgAbGroup(2, (2, 4))) == "Z^2 + Z/2 + Z/4"
-
-
-def test_unimodular_inverse_frozen():
-    w = IntMatrix([[2, 1], [1, 1]])
-    assert unimodular_inverse(w) == IntMatrix([[1, -1], [-1, 2]])
-    with pytest.raises(PreconditionError):
-        unimodular_inverse(IntMatrix([[2, 0], [0, 1]]))
 
 
 def test_lattice_membership():
@@ -313,7 +307,7 @@ def test_presentation_agrees_with_cokernel():
         # denominator generators reduce to zero
         den = pres.basis @ pres.rels
         for j in range(den.cols):
-            assert pres.class_is_zero(den.column(j))
+            assert not any(pres.reduce(den.column(j)))
         # generator lifts reduce to unit coordinate vectors
         n = pres.group.n_generators
         for j in range(n):

@@ -32,9 +32,10 @@ from cpk.exactseq import (
 )
 from cpk.fixtures import fixture_document, fixture_ids, two_graph_document
 from cpk.fock import build_fock, fock_suite
-from cpk.ktheory import iterated_ktheory, kunneth_flip_oracle
+from cpk.ktheory import iterated_ktheory
 from cpk.model import rotation_unitary_chi, single_vertex_two_graph
 
+from support import kunneth_flip_oracle
 from test_model import commuting_layer_spec
 
 

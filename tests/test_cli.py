@@ -131,6 +131,25 @@ class TestMalformed:
     def test_ktheory_rejects_cover_kind_exit_2(self, fixdir, capsys):
         run(capsys, ["ktheory", str(fixdir / "ex2.2-double-cover.json")], expect=2)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400])
+    @pytest.mark.parametrize("command", ["validate", "fock-check"])
+    def test_non_finite_matrix_entry_exit_2(self, tmp_path, capsys, command, value):
+        doc = fixture_document("ex3.5-unitary-chi")
+        doc["matrix"][0][0] = [value, 0.0]
+        rc, rep = run(capsys, [command, write_doc(tmp_path, doc)], expect=2)
+        assert rep["status"] == "malformed"
+        assert "finite" in rep["error"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_bad_tolerance_exit_2(self, fixdir, capsys, value):
+        path = str(fixdir / "ex4.6-flip-3-3.json")
+        rc = cli.main(["fock-check", path, "--tol", value])
+        out = capsys.readouterr().out
+        assert rc == 2
+        rep = json.loads(out, parse_constant=lambda name: pytest.fail(name))
+        assert rep["status"] == "malformed"
+        assert "--tol" in rep["error"]
+
     @pytest.mark.parametrize("value", ["abc", "0", "-5"])
     def test_bad_extension_bound_exit_2(self, fixdir, capsys, monkeypatch, value):
         monkeypatch.setenv("CPK_EXT_BOUND", value)
@@ -212,6 +231,39 @@ class TestKtheory:
         rep = json.loads(done.stdout)
         assert rep["status"] == "ok"
         assert rep["assumptions"] == ["split-extension"]
+        assert elapsed < 5.0, f"took {elapsed:.1f}s"
+
+    def test_rose_with_large_torsion_needs_no_enumeration(self, tmp_path, capsys):
+        # K0 = coker(1 - 5000) = Z/4999 is an extension by 0, so Ext vanishes
+        # and the torsion bound (4096) never comes into play
+        doc = {
+            "kind": "graph",
+            "vertices": ["v"],
+            "edges": [{"id": f"e{i}", "src": "v", "rng": "v"} for i in range(5000)],
+        }
+        rc, rep = run(capsys, ["ktheory", write_doc(tmp_path, doc)], expect=0)
+        assert final_groups(rep) == ("Z/4999", "0")
+
+    def test_huge_coupling_count_refused_in_bounded_memory(self, tmp_path):
+        # stage one is Z/(2**61 - 1) by Z with vanishing Ext: the couplings
+        # Z -> Z/(2**61 - 1) are counted and refused, never listed
+        doc = fixture_document("ex4.7-abstract-p2")
+        doc["action1"]["K0"] = [[2**61]]
+        doc["action2"] = {"K0": [[1]], "K1": [[1]]}
+        path = write_doc(tmp_path, doc)
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from cpk import cli\n"
+            "sys.exit(cli.main(['ktheory', sys.argv[1]]))\n"
+        )
+        start = time.perf_counter()
+        done = run_subprocess(["-c", code, path], timeout=30)
+        elapsed = time.perf_counter() - start
+        assert done.returncode == 4, done.stderr
+        rep = json.loads(done.stdout)
+        assert rep["status"] == "resource-limit"
+        assert "coupling" in rep["error"]
         assert elapsed < 5.0, f"took {elapsed:.1f}s"
 
     def test_failed_certificate_exit_5_under_python_O(self, fixdir):
@@ -308,6 +360,13 @@ class TestFockCheck:
             expect=4,
         )
         assert rep["status"] == "resource-limit"
+
+    def test_huge_degree_refused_quickly(self, fixdir, capsys):
+        path = str(fixdir / "ex4.6-flip-3-3.json")
+        start = time.perf_counter()
+        rc, rep = run(capsys, ["fock-check", path, "--degree", "3000"], expect=4)
+        assert time.perf_counter() - start < 1.0
+        assert "at least" in rep["error"]
 
 
 class TestPullback:

@@ -15,9 +15,9 @@ from cpk.exactseq import (
     all_exact,
     extension_candidates,
     solve_six_term,
-    substitute_solution,
     verify_exact,
 )
+from support import rotate, substitute_solution
 
 Z = FgAbGroup(1)
 Z2 = FgAbGroup(0, (2,))
@@ -124,6 +124,16 @@ def test_extension_split_always_present():
 def test_extension_coprime_cyclic_unique():
     for a, b in [(2, 3), (3, 4), (4, 9), (5, 6)]:
         assert len(extension_candidates(FgAbGroup(0, (a,)), FgAbGroup(0, (b,)))) == 1
+
+
+def test_vanishing_ext_skips_the_bound():
+    # Ext(Q, N) = 0 leaves only the split group, whatever the torsion order
+    big = FgAbGroup(0, (4999,))
+    assert extension_candidates(big, FgAbGroup.trivial(), bound=1) == [big]
+    coprime = extension_candidates(FgAbGroup(0, (125,)), FgAbGroup(1, (64,)), bound=1)
+    assert coprime == [FgAbGroup(1, (8000,))]
+    with pytest.raises(ResourceLimitError):
+        extension_candidates(FgAbGroup(0, (2,)), FgAbGroup(0, (64,)), bound=1)
 
 
 def test_extension_bound(monkeypatch):
@@ -233,7 +243,7 @@ def test_solver_rotation_invariance():
         arrows=(hom(Z, Z, [[3]]), None, None, zero(Z2, Z2), None, None),
     )
     out = solve_six_term(seq)
-    rotated = solve_six_term(seq.rotate(3))
+    rotated = solve_six_term(rotate(seq, 3))
     assert out.status == rotated.status
     by_pos = {r.position: r for r in out.resolutions}
     for r in rotated.resolutions:

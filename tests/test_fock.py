@@ -20,11 +20,11 @@ from cpk.fock import (
 )
 from cpk.model import (
     FiniteGraph,
-    chi_same_index,
     rotation_unitary_chi,
     single_vertex_two_graph,
     two_graph_from_permutations,
 )
+from support import chi_same_index
 
 
 def rose(n: int) -> FiniteGraph:

@@ -9,15 +9,16 @@ import random
 
 import pytest
 
-from cpk.abelian import FgAbGroup, GroupHom, IntMatrix, PreconditionError
-from cpk.exactseq import AMBIGUOUS, DETERMINED, UNDERDETERMINED
+from cpk import ktheory
+from cpk.abelian import FgAbGroup, GroupHom, IntMatrix, InternalError, PreconditionError
+from cpk.exactseq import AMBIGUOUS, DETERMINED, UNDERDETERMINED, SolveOutcome
 from cpk.ktheory import (
     DiagramReport,
+    GroupOutcome,
     coefficient_ktheory,
     cuntz_pimsner_ktheory,
     diagram_report,
     iterated_ktheory,
-    kunneth_flip_oracle,
     one_minus,
     pimsner_class_maps,
 )
@@ -25,10 +26,10 @@ from cpk.model import (
     AbstractKData,
     FiniteGraph,
     TwoGraphSpec,
-    permutation_bimodule,
     single_vertex_two_graph,
     two_graph_from_permutations,
 )
+from support import kunneth_flip_oracle, permutation_bimodule
 from test_model import commuting_layer_spec
 
 
@@ -339,3 +340,33 @@ class TestProperties:
         assert names(kunneth_flip_oracle(5, 9).k1.group) == "Z/4"
         with pytest.raises(PreconditionError):
             kunneth_flip_oracle(1, 3)
+
+
+# ---------------------------------------------------------------------------
+# internal invariants raise InternalError, which python -O keeps
+
+
+class TestInternalErrors:
+    def test_disjoint_determined_orders(self):
+        a = GroupOutcome.of(FgAbGroup.free(1))
+        b = GroupOutcome.of(FgAbGroup(0, (2,)))
+        with pytest.raises(InternalError, match="order symmetry"):
+            ktheory._reconcile_outcome(a, b)
+
+    def test_underdetermined_pimsner_sequence(self, monkeypatch):
+        def broken(seq, assume_split=False, bound=None):
+            return SolveOutcome(UNDERDETERMINED, explanation="no antipodal pair")
+
+        monkeypatch.setattr(ktheory, "solve_six_term", broken)
+        with pytest.raises(InternalError, match="no antipodal pair"):
+            cuntz_pimsner_ktheory(pimsner_class_maps(rose(2)))
+
+    def test_free_quotient_into_free_sub(self):
+        with pytest.raises(InternalError, match="infinitely many"):
+            next(ktheory._hom_elements(FgAbGroup.free(1), FgAbGroup(1, (2,))))
+
+    def test_hom_elements_enumerate_the_q_torsion(self):
+        homs = ktheory._hom_elements(FgAbGroup(0, (2,)), FgAbGroup(1, (4, 8)))
+        assert [m.column(0) for m in homs] == [
+            (0, 0, 0), (0, 0, 4), (0, 2, 0), (0, 2, 4)
+        ]

@@ -12,10 +12,6 @@ from cpk.model import (
     TwoGraphSpec,
     UnitaryChi,
     chi_flip,
-    chi_from_permutation,
-    chi_same_index,
-    permutation_bimodule,
-    permutation_unitary_chi,
     pullback_graph,
     rotation_unitary_chi,
     single_vertex_two_graph,
@@ -23,6 +19,12 @@ from cpk.model import (
     validate_chi,
     validate_graph,
     vertex_matrix,
+)
+from support import (
+    chi_from_permutation,
+    chi_same_index,
+    permutation_bimodule,
+    permutation_unitary_chi,
 )
 
 
@@ -64,17 +66,17 @@ def test_vertex_matrix_frozen():
 
 
 def test_permutation_bimodule():
-    assert permutation_bimodule(["v"], {"v": "v"}).vertex_matrix == IntMatrix([[1]])
+    assert vertex_matrix(permutation_bimodule(["v"], {"v": "v"})) == IntMatrix([[1]])
     swap = permutation_bimodule(["v", "w"], {"v": "w", "w": "v"})
-    assert swap.vertex_matrix == IntMatrix([[0, 1], [1, 0]])
+    assert vertex_matrix(swap) == IntMatrix([[0, 1], [1, 0]])
     cyc = permutation_bimodule("abc", {"a": "b", "b": "c", "c": "a"})
-    assert cyc.vertex_matrix == IntMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    assert vertex_matrix(cyc) == IntMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
     with pytest.raises(PreconditionError):
         permutation_bimodule(["v", "w"], {"v": "v", "w": "v"})
 
 
 def test_permutation_bimodule_is_strict_valid():
-    g = permutation_bimodule("abcd", {"a": "b", "b": "a", "c": "d", "d": "c"}).graph
+    g = permutation_bimodule("abcd", {"a": "b", "b": "a", "c": "d", "d": "c"})
     assert validate_graph(g, strict=True).valid
 
 
@@ -134,7 +136,7 @@ def test_pullback_fiber_row_sums():
             for w in vertices:
                 fiber = [yi for yi, y in enumerate(cvs) if cover[y] == w]
                 got = sum(mt[xi, yi] for yi in fiber)
-                base = m[g.vertex_index(cover[x]), g.vertex_index(w)]
+                base = m[g.vertices.index(cover[x]), g.vertices.index(w)]
                 assert got == len(fiber) * base
 
 
@@ -353,6 +355,7 @@ def test_nonunitary_flagged():
     assert not bad.validate().valid
     wrong_shape = UnitaryChi(2, 2, np.eye(3))
     assert wrong_shape.validate().structural
+    assert not UnitaryChi(1, 1, np.array([[np.nan]])).validate().valid
 
 
 def test_permutation_unitary_of_flip():
