@@ -27,7 +27,6 @@ from .model import (
 
 DEFAULT_TOL = 1e-10
 BASIS_CAP = 200_000
-_DENSE_NORM_LIMIT = 4096
 
 
 class Word(NamedTuple):
@@ -37,6 +36,9 @@ class Word(NamedTuple):
 
 @dataclass(frozen=True)
 class DefectReport:
+    """defect is a certified upper bound on the operator norm of the
+    relation's residual, so passed proves the relation within tolerance."""
+
     relation: str
     defect: float
     tolerance: float
@@ -52,14 +54,16 @@ class DefectReport:
 
 
 def _subblock_norm(mat: sp.spmatrix, rows, cols) -> float:
-    """Operator-norm of a sub-block; Frobenius upper bound past the dense
-    cutoff (conservative: it dominates the spectral norm)."""
-    sub = mat.tocsr()[rows, :][:, cols]
-    if sub.shape[0] == 0 or sub.shape[1] == 0:
+    """A certified upper bound on the operator norm of a sub-block A:
+    min(sqrt(|A|_1 |A|_inf), |A|_F), both of which dominate the spectral
+    norm. It equals the norm when A has at most one nonzero per row and
+    column, and it is 0.0 when A has no nonzero entry."""
+    sub = abs(mat.tocsr()[rows, :][:, cols])
+    if not sub.count_nonzero():
         return 0.0
-    if max(sub.shape) <= _DENSE_NORM_LIMIT:
-        return float(np.linalg.norm(sub.toarray(), 2))
-    return float(np.sqrt(abs((sub.multiply(sub.conjugate())).sum())))
+    one_inf = np.sqrt(sub.sum(axis=0).max()) * np.sqrt(sub.sum(axis=1).max())
+    # hypot squares nothing, so tiny entries cannot underflow to a zero bound
+    return float(min(one_inf, np.hypot.reduce(sub.data)))
 
 
 class FockRep:
@@ -125,36 +129,30 @@ class FockRep:
         return total
 
     def _enumerate_words(self):
+        """Every layer-1 path, then each of them extended by layer-2 paths,
+        level by level, so a deep basis needs no deep recursion."""
         self._count_words()
-        by_src1 = {v: [e for e in self.edges1 if e.src == v] for v in self.vertices}
-        by_src2 = {v: [f for f in self.edges2 if f.src == v] for v in self.vertices}
-        words = []
 
-        def extend(letters, end, remaining, table, then=None):
-            if then is not None:
-                then(letters, end, remaining)
-            else:
-                words.append(Word(tuple(letters),
-                                  self._edge[letters[0]].src if letters else end))
-            if remaining == 0:
-                return
-            for edge in table[end]:
-                letters.append(edge.id)
-                extend(letters, edge.rng, remaining - 1, table, then)
-                letters.pop()
+        def walk(paths, edges):
+            by_src = {v: [e for e in edges if e.src == v] for v in self.vertices}
+            out = []
+            level = paths
+            while level:
+                out.extend(level)
+                level = [
+                    (letters + (e.id,), start, e.rng)
+                    for letters, start, end in level
+                    if len(letters) < self.degree
+                    for e in by_src[end]
+                ]
+            return out
 
-        def after_e(letters, end, remaining):
-            extend(list(letters), end, remaining, by_src2)
-
-        for v in self.vertices:
-            extend([], v, self.degree, by_src1, after_e)
+        layer1 = walk([((), v, v) for v in self.vertices], self.edges1)
+        words = [Word(letters, start)
+                 for letters, start, _ in walk(layer1, self.edges2)]
         vpos = {v: i for i, v in enumerate(self.vertices)}
-
-        def sort_key(w: Word):
-            b = sum(1 for x in w.letters if self.layer_of[x] == 2)
-            return (len(w.letters), b, w.letters, vpos[w.vertex])
-
-        return tuple(sorted(set(words), key=sort_key))
+        return tuple(sorted(words, key=lambda w: (
+            len(w.letters), self.bidegree(w)[1], w.letters, vpos[w.vertex])))
 
     def bidegree(self, w: Word) -> tuple:
         b = sum(1 for x in w.letters if self.layer_of[x] == 2)
@@ -162,15 +160,23 @@ class FockRep:
 
     # -- creation operators -------------------------------------------------
 
-    def _layer1_creator(self, e) -> sp.csr_matrix:
+    def _operator(self, entries) -> sp.csr_matrix:
+        """The matrix with coeff at (index of target word, column) for each
+        (target word, column, coeff) triple; repeated positions sum."""
+        rows, cols, vals = [], [], []
+        for target, col, coeff in entries:
+            rows.append(self.index[target])
+            cols.append(col)
+            vals.append(coeff)
         dim = len(self.words)
-        mat = sp.lil_matrix((dim, dim), dtype=complex)
-        for j, w in enumerate(self.words):
-            if len(w.letters) >= self.degree or e.rng != w.vertex:
-                continue
-            target = Word((e.id,) + w.letters, e.src)
-            mat[self.index[target], j] = 1.0
-        return mat.tocsr()
+        return sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=complex).tocsr()
+
+    def _layer1_creator(self, e) -> sp.csr_matrix:
+        return self._operator(
+            (Word((e.id,) + w.letters, e.src), j, 1.0)
+            for j, w in enumerate(self.words)
+            if len(w.letters) < self.degree and e.rng == w.vertex
+        )
 
     def _prepend_crossing(self, f_id, letters):
         """Normalize f (x) letters, crossing f past leading layer-1 letters
@@ -186,17 +192,13 @@ class FockRep:
         return out
 
     def _layer2_creator(self, f) -> sp.csr_matrix:
-        dim = len(self.words)
-        mat = sp.lil_matrix((dim, dim), dtype=complex)
-        for j, w in enumerate(self.words):
-            if len(w.letters) >= self.degree or f.rng != w.vertex:
-                continue
-            for letters, coeff in self._prepend_crossing(f.id, w.letters).items():
-                if coeff == 0:
-                    continue
-                vertex = self._edge[letters[0]].src
-                mat[self.index[Word(letters, vertex)], j] += coeff
-        return mat.tocsr()
+        return self._operator(
+            (Word(letters, self._edge[letters[0]].src), j, coeff)
+            for j, w in enumerate(self.words)
+            if len(w.letters) < self.degree and f.rng == w.vertex
+            for letters, coeff in self._prepend_crossing(f.id, w.letters).items()
+            if coeff != 0
+        )
 
     def annihilator(self, edge_id) -> sp.csr_matrix:
         """The adjoint built combinatorially, without transposing anything.
@@ -206,26 +208,18 @@ class FockRep:
         directions are mutually inverse exactly when chi is unitary, which is
         what check_left_action_adjoint exploits.
         """
-        dim = len(self.words)
-        mat = sp.lil_matrix((dim, dim), dtype=complex)
         layer = self.layer_of[edge_id]
+        entries = []
         for j, w in enumerate(self.words):
-            if not w.letters:
-                continue
             if layer == 1:
-                if w.letters[0] == edge_id:
-                    rest = w.letters[1:]
-                    vertex = self._edge[rest[0]].src if rest else self._edge[edge_id].rng
-                    mat[self.index[Word(rest, vertex)], j] = 1.0
-                continue
-            if self.bidegree(w)[1] == 0:
-                continue
-            for (front, rest), coeff in self._pull_front(w.letters).items():
-                if front != edge_id or coeff == 0:
-                    continue
-                vertex = self._edge[rest[0]].src if rest else self._edge[front].rng
-                mat[self.index[Word(rest, vertex)], j] += coeff
-        return mat.tocsr()
+                pulled = {(w.letters[0], w.letters[1:]): 1.0} if w.letters else {}
+            else:
+                pulled = self._pull_front(w.letters) if self.bidegree(w)[1] else {}
+            for (front, rest), coeff in pulled.items():
+                if front == edge_id and coeff != 0:
+                    vertex = self._edge[rest[0]].src if rest else self._edge[front].rng
+                    entries.append((Word(rest, vertex), j, coeff))
+        return self._operator(entries)
 
     def _pull_front(self, letters):
         """Move the first layer-2 letter to the front with forward chi.
@@ -439,11 +433,9 @@ def check_reordering(rep: FockRep, tol: Optional[float] = None) -> DefectReport:
                 if layers != {1, 2}:
                     continue
                 d = rep.creators[g1] @ rep.creators[g2] @ rep.creators[g3]
-                for letters, c in rep.normal_order((g1, g2, g3)).items():
-                    prod = sp.eye(rep.dimension, dtype=complex, format="csr")
-                    for g in letters:
-                        prod = prod @ rep.creators[g]
-                    d = d - c * prod
+                for (h1, h2, h3), c in rep.normal_order((g1, g2, g3)).items():
+                    d = d - c * (rep.creators[h1] @ rep.creators[h2]
+                                 @ rep.creators[h3])
                 worst = max(worst, _subblock_norm(d, everything, idx))
     return _report("normal ordering associativity", worst, tol)
 

@@ -23,6 +23,9 @@ from .abelian import (
     hom_equal,
     hom_well_defined,
 )
+from .exactseq import ResourceLimitError
+
+PULLBACK_CAP = 200_000
 
 
 class Edge(NamedTuple):
@@ -120,7 +123,8 @@ def pullback_graph(g: FiniteGraph, p: dict) -> FiniteGraph:
     """Pull back along a surjection p from cover vertices onto g's vertices.
 
     Cover edges are all triples (x, e, y) with src(e) = p(x) and
-    rng(e) = p(y), running x -> y.
+    rng(e) = p(y), running x -> y. Their number is counted from the fibres
+    first and refused past PULLBACK_CAP.
     """
     cover = tuple(str(v) for v in p)
     mapping = {str(k): str(v) for k, v in p.items()}
@@ -131,14 +135,14 @@ def pullback_graph(g: FiniteGraph, p: dict) -> FiniteGraph:
     if set(mapping.values()) != base:
         missing = sorted(base - set(mapping.values()))
         raise PreconditionError(f"cover map is not surjective; missed {missing}")
-    edges = []
+    fiber = {v: [] for v in g.vertices}
     for x in cover:
-        for e in g.edges:
-            if e.src != mapping[x]:
-                continue
-            for y in cover:
-                if e.rng == mapping[y]:
-                    edges.append((f"{x}|{e.id}|{y}", x, y))
+        fiber[mapping[x]].append(x)
+    count = sum(len(fiber[e.src]) * len(fiber[e.rng]) for e in g.edges)
+    if count > PULLBACK_CAP:
+        raise ResourceLimitError(f"pullback would hold {count} edges (cap {PULLBACK_CAP})")
+    edges = [(f"{x}|{e.id}|{y}", x, y) for x in cover
+             for e in g.edges if e.src == mapping[x] for y in fiber[e.rng]]
     return FiniteGraph(cover, tuple(edges))
 
 

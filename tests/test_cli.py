@@ -368,6 +368,22 @@ class TestFockCheck:
         assert time.perf_counter() - start < 1.0
         assert "at least" in rep["error"]
 
+    @pytest.mark.parametrize("degree", [1100, 3000])
+    def test_deep_basis_gives_a_report(self, fixdir, degree):
+        # the circle's basis has one word per length, so it stays far below
+        # the cap while its words grow thousands of letters long
+        path = str(fixdir / "ex1.2.1-circle.json")
+        start = time.perf_counter()
+        done = run_subprocess(["-m", "cpk.cli", "fock-check", path,
+                               "--degree", str(degree)])
+        elapsed = time.perf_counter() - start
+        assert done.returncode == 0, done.stderr
+        assert "Traceback" not in done.stderr
+        rep = json.loads(done.stdout, parse_constant=lambda name: pytest.fail(name))
+        assert rep["results"]["dimension"] == degree + 1
+        assert rep["results"]["all_passed"]
+        assert elapsed < 10.0, f"took {elapsed:.1f}s"
+
 
 class TestPullback:
     def test_double_cover_roundtrip(self, fixdir, tmp_path, capsys):
@@ -413,6 +429,41 @@ class TestPullback:
             ],
             expect=2,
         )
+
+    @staticmethod
+    def rose_cover(tmp_path, size):
+        names = [f"x{i}" for i in range(size)]
+        return write_doc(
+            tmp_path,
+            {"kind": "cover", "vertices": names, "map": {x: "v" for x in names}},
+            name=f"cover-{size}.json",
+        )
+
+    def test_cover_within_cap_written(self, fixdir, tmp_path, capsys):
+        out = tmp_path / "pulled.json"
+        rc, rep = run(
+            capsys,
+            ["pullback", str(fixdir / "ex1.2.2-cuntz-2.json"),
+             self.rose_cover(tmp_path, 100), str(out)],
+            expect=0,
+        )
+        assert rep["results"]["edges"] == 2 * 100 * 100
+        assert len(json.loads(out.read_text())["edges"]) == 2 * 100 * 100
+
+    def test_oversized_cover_refused_before_writing(self, fixdir, tmp_path, capsys):
+        # 2 * 400**2 = 320000 edges would pass the 200000-edge cap
+        out = tmp_path / "pulled.json"
+        start = time.perf_counter()
+        rc, rep = run(
+            capsys,
+            ["pullback", str(fixdir / "ex1.2.2-cuntz-2.json"),
+             self.rose_cover(tmp_path, 400), str(out)],
+            expect=4,
+        )
+        assert time.perf_counter() - start < 1.0
+        assert rep["status"] == "resource-limit"
+        assert "320000" in rep["error"]
+        assert not out.exists()
 
 
 class TestExamples:

@@ -4,6 +4,8 @@ builds, and corrupted negative controls."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpk.abelian import PreconditionError
 from cpk.exactseq import ResourceLimitError
@@ -17,6 +19,7 @@ from cpk.fock import (
     check_reordering,
     check_toeplitz,
     fock_suite,
+    _subblock_norm,
 )
 from cpk.model import (
     FiniteGraph,
@@ -206,3 +209,76 @@ class TestNegativeControls:
         dim = rep.dimension
         rep.creators["f0"] = sp.csr_matrix((dim, dim), dtype=complex)
         assert check_reordering(rep).defect > DEFAULT_TOL
+
+
+PROPERTY = settings(max_examples=200, deadline=None, database=None, derandomize=True)
+ENTRY = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def sub_blocks(draw, monomial=False):
+    """A sparse complex matrix up to 40 x 40, possibly with explicit zeros
+    and repeated positions, and the rows and columns of one sub-block."""
+    n_rows = draw(st.integers(0, 40))
+    n_cols = draw(st.integers(0, 40))
+    if monomial:
+        k = draw(st.integers(0, min(n_rows, n_cols)))
+        r = draw(st.permutations(range(n_rows)))[:k]
+        c = draw(st.permutations(range(n_cols)))[:k]
+    elif n_rows and n_cols:
+        cells = draw(st.lists(
+            st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1)),
+            max_size=120,
+        ))
+        r, c = [i for i, _ in cells], [j for _, j in cells]
+    else:
+        r, c = [], []
+    vals = draw(st.lists(ENTRY, min_size=len(r), max_size=len(r)))
+    # squares and products of entries this small underflow to zero
+    scale = draw(st.sampled_from([1.0, 1e-200]))
+    mat = sp.coo_matrix(
+        (scale * np.array(vals, dtype=complex),
+         (np.array(r, dtype=np.intp), np.array(c, dtype=np.intp))),
+        shape=(n_rows, n_cols),
+    ).tocsr()
+    rows = draw(st.lists(st.integers(0, n_rows - 1), unique=True)) if n_rows else []
+    cols = draw(st.lists(st.integers(0, n_cols - 1), unique=True)) if n_cols else []
+    return mat, np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
+
+
+def spectral(dense) -> float:
+    """The reference: the largest singular value."""
+    return float(np.linalg.norm(dense, 2)) if dense.size else 0.0
+
+
+class TestNorm:
+    @PROPERTY
+    @given(sub_blocks())
+    def test_bound_lies_between_spectral_and_frobenius(self, block):
+        mat, rows, cols = block
+        bound = _subblock_norm(mat, rows, cols)
+        dense = mat.toarray()[np.ix_(rows, cols)]
+        assert bound >= spectral(dense) * (1 - 1e-12)
+        top = np.abs(dense).max(initial=0.0)
+        # scaled by the largest entry, so that tiny entries do not underflow
+        frobenius = top * np.linalg.norm(dense / top) if top else 0.0
+        assert bound <= frobenius * (1 + 1e-12)
+        if not np.any(dense):
+            assert bound == 0.0
+
+    @PROPERTY
+    @given(sub_blocks(monomial=True))
+    def test_bound_is_the_norm_on_monomial_blocks(self, block):
+        mat, rows, cols = block
+        bound = _subblock_norm(mat, rows, cols)
+        dense = mat.toarray()[np.ix_(rows, cols)]
+        assert bound == pytest.approx(spectral(dense), rel=1e-12, abs=0.0)
+
+    def test_zero_blocks(self):
+        explicit = sp.csr_matrix(
+            (np.zeros(3, dtype=complex), ([0, 1, 2], [2, 0, 1])), shape=(3, 3)
+        )
+        everything = np.arange(3)
+        assert _subblock_norm(explicit, everything, everything) == 0.0
+        assert _subblock_norm(explicit, everything, everything[:0]) == 0.0
+        assert _subblock_norm(explicit, everything[:0], everything) == 0.0

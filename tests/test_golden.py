@@ -2,8 +2,8 @@
 committed references under tests/golden/.
 
 The input path is left out of the comparison, and fock-check defects are
-compared within 1e-12 because a dense SVD may differ in the last digits from
-platform to platform. To rewrite the references (only when a report is
+compared within 1e-12 because floating-point sums in the sparse products and
+the norm bound may differ in the last digits from platform to platform. To rewrite the references (only when a report is
 meant to change):
 
     PYTHONPATH=src python3 tests/test_golden.py --write
