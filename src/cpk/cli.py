@@ -549,11 +549,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _error_report(command: str, status: str, message: str, fmt: str):
+def _error_report(command: str, status: str, message: str, fmt: str) -> int:
     report = _report(command or "?", {})
     report["status"] = status
     report["error"] = message
-    _emit(report, fmt)
+    return _finish(report, fmt)
 
 
 def main(argv=None) -> int:
@@ -564,17 +564,13 @@ def main(argv=None) -> int:
     except (
         SchemaError, UsageError, json.JSONDecodeError, UnicodeDecodeError, OSError
     ) as exc:
-        _error_report(args.command, "malformed", str(exc), fmt)
-        return 2
+        return _error_report(args.command, "malformed", str(exc), fmt)
     except ResourceLimitError as exc:
-        _error_report(args.command, "resource-limit", str(exc), fmt)
-        return 4
+        return _error_report(args.command, "resource-limit", str(exc), fmt)
     except (PreconditionError, DimensionError) as exc:
-        _error_report(args.command, "invalid", str(exc), fmt)
-        return 1
+        return _error_report(args.command, "invalid", str(exc), fmt)
     except InternalError as exc:
-        _error_report(args.command, "internal-error", str(exc), fmt)
-        return 5
+        return _error_report(args.command, "internal-error", str(exc), fmt)
 
 
 if __name__ == "__main__":

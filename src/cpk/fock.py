@@ -2,8 +2,11 @@
 
 Words are composable edge paths in normal form, every layer-1 letter before
 every layer-2 letter; a layer-2 creation crosses leading layer-1 letters via
-the inverse of chi. Relations are checked on sub-blocks strictly below the
-truncation boundary, where they hold exactly up to rounding.
+the inverse of chi, and a layer-2 annihilation pulls the first layer-2
+letter to the front via chi. The basis is sorted shortest first, so each
+word's crossings are one chi step from those of its suffix, computed once.
+Relations are checked on sub-blocks strictly below the truncation boundary,
+where they hold exactly up to rounding.
 """
 
 from __future__ import annotations
@@ -71,30 +74,32 @@ class FockRep:
 
     creators maps edge id to a sparse matrix; vertex projections are diagonal
     over each word's source vertex. Layer-2 matrices embed the chi crossing,
-    so their entries are products of chi unitary coefficients.
+    so their entries are products of chi unitary coefficients. Each word's
+    crossings are computed once, by one chi step from those of its suffix,
+    so the build costs one pass over the basis.
     """
 
-    def __init__(self, vertices, edges1, edges2, degree, crossing, chi_kind):
+    def __init__(self, vertices, edges1, edges2, degree, crossing):
         self.vertices = tuple(vertices)
         self.edges1 = tuple(edges1)
         self.edges2 = tuple(edges2)
         self.degree = degree
-        self.chi_kind = chi_kind  # None | "permutation" | "unitary"
-        # crossing holds chi both ways, keyed by letter pairs:
+        # chi both ways, keyed by letter pairs:
         #   fwd[(e, f)] -> ((f', e', coeff), ...)    chi itself
         #   inv[(f, e)] -> ((e', f', coeff), ...)    its inverse
-        self.crossing_fwd, self.crossing_inv = crossing
+        self.crossing_fwd = crossing
+        self.crossing_inv = _inverse_crossing(crossing)
         self.layer_of = {e.id: 1 for e in self.edges1}
         self.layer_of.update({f.id: 2 for f in self.edges2})
-        self._edge = {e.id: e for e in self.edges1 + self.edges2}
-        self.words = self._enumerate_words()
+        self.words, self._bidegrees = self._enumerate_words()
         self.index = {w: i for i, w in enumerate(self.words)}
         self.totals = np.array([len(w.letters) for w in self.words])
-        self.creators = {}
-        for e in self.edges1:
-            self.creators[e.id] = self._layer1_creator(e)
-        for f in self.edges2:
-            self.creators[f.id] = self._layer2_creator(f)
+        crossed, self._pulled = self._cross_basis()
+        self.creators = {
+            x: self._operator((k, j, c) for j, terms in crossed[x].items()
+                              for k, c in terms.items() if c != 0)
+            for x in self.layer_of
+        }
         self.projections = {
             v: sp.diags(
                 [1.0 if w.vertex == v else 0.0 for w in self.words],
@@ -130,109 +135,120 @@ class FockRep:
 
     def _enumerate_words(self):
         """Every layer-1 path, then each of them extended by layer-2 paths,
-        level by level, so a deep basis needs no deep recursion."""
+        level by level, so a deep basis needs no deep recursion. Returns the
+        sorted words and their bidegrees: walk gives one list per number of
+        letters added, so the layer-2 walk counts each word's layer-2 letters."""
         self._count_words()
 
         def walk(paths, edges):
             by_src = {v: [e for e in edges if e.src == v] for v in self.vertices}
-            out = []
-            level = paths
-            while level:
-                out.extend(level)
-                level = [
+            levels = [paths]
+            while levels[-1]:
+                levels.append([
                     (letters + (e.id,), start, e.rng)
-                    for letters, start, end in level
+                    for letters, start, end in levels[-1]
                     if len(letters) < self.degree
                     for e in by_src[end]
-                ]
-            return out
+                ])
+            return levels[:-1]
 
-        layer1 = walk([((), v, v) for v in self.vertices], self.edges1)
-        words = [Word(letters, start)
-                 for letters, start, _ in walk(layer1, self.edges2)]
+        layer1 = [p for level in walk([((), v, v) for v in self.vertices], self.edges1)
+                  for p in level]
+        words = [(Word(letters, start), b)
+                 for b, level in enumerate(walk(layer1, self.edges2))
+                 for letters, start, _ in level]
         vpos = {v: i for i, v in enumerate(self.vertices)}
-        return tuple(sorted(words, key=lambda w: (
-            len(w.letters), self.bidegree(w)[1], w.letters, vpos[w.vertex])))
+        words.sort(key=lambda wb: (
+            len(wb[0].letters), wb[1], wb[0].letters, vpos[wb[0].vertex]))
+        return (tuple(w for w, _ in words),
+                tuple((len(w.letters) - b, b) for w, b in words))
 
     def bidegree(self, w: Word) -> tuple:
-        b = sum(1 for x in w.letters if self.layer_of[x] == 2)
-        return (len(w.letters) - b, b)
+        return self._bidegrees[self.index[w]]
 
-    # -- creation operators -------------------------------------------------
+    # -- chi crossings and operators ----------------------------------------
+
+    def _cross_basis(self):
+        """Every chi crossing. Words come shortest first, so the suffix t of
+        every word e.t is done before the word, and crossing the leading
+        layer-1 letter e is one chi step applied to the crossings of t.
+
+          prepend[x][t] -> k: word k is x.t; filled first, since crossing
+                           word j needs it on later words of the same length;
+          crossed[x][j] -> {k: coeff}: x (x) word j in normal form, a layer-2
+                           x crossed past leading layer-1 letters by chi^-1;
+          pulled[j]     -> {(front, k): coeff}: word j with its first letter
+                           of each layer in front (by chi), the rest being word k.
+
+        Returns crossed and pulled.
+        """
+        prepend = {x: {} for x in self.layer_of}
+        front = {}
+        by_rng = {v: [x for x in self.edges1 + self.edges2 if x.rng == v]
+                  for v in self.vertices}
+        for j, w in enumerate(self.words):
+            if len(w.letters) < self.degree:
+                for x in by_rng[w.vertex]:
+                    if self.layer_of[x.id] == 1 or self._bidegrees[j][0] == 0:
+                        k = self.index[Word((x.id,) + w.letters, x.src)]
+                        prepend[x.id][j] = k
+                        front[k] = (x.id, j)
+
+        crossed = {x: {} for x in self.layer_of}
+        pulled = []
+        for j, w in enumerate(self.words):
+            terms = {}
+            if w.letters:
+                x, t = front[j]
+                terms[(x, t)] = 1.0 + 0j
+                if self.layer_of[x] == 1:
+                    # layer-1 fronts of t have no chi entry and add nothing
+                    for (mid, u), c in pulled[t].items():
+                        for f2, e2, c2 in self.crossing_fwd.get((x, mid), ()):
+                            key = (f2, prepend[e2][u])
+                            terms[key] = terms.get(key, 0j) + c * c2
+            pulled.append(terms)
+            if len(w.letters) == self.degree:
+                continue
+            for x in by_rng[w.vertex]:
+                if j in prepend[x.id]:
+                    crossed[x.id][j] = {prepend[x.id][j]: 1.0 + 0j}
+                    continue
+                e, t = front[j]
+                terms = {}
+                for e2, f2, c in self.crossing_inv.get((x.id, e), ()):
+                    for u, c2 in crossed[f2][t].items():
+                        k = prepend[e2][u]
+                        terms[k] = terms.get(k, 0j) + c * c2
+                crossed[x.id][j] = terms
+        return crossed, pulled
 
     def _operator(self, entries) -> sp.csr_matrix:
-        """The matrix with coeff at (index of target word, column) for each
-        (target word, column, coeff) triple; repeated positions sum."""
+        """The matrix with coeff at (row, column) for each (row, column,
+        coeff) triple; repeated positions sum."""
         rows, cols, vals = [], [], []
-        for target, col, coeff in entries:
-            rows.append(self.index[target])
+        for row, col, coeff in entries:
+            rows.append(row)
             cols.append(col)
             vals.append(coeff)
         dim = len(self.words)
         return sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=complex).tocsr()
 
-    def _layer1_creator(self, e) -> sp.csr_matrix:
-        return self._operator(
-            (Word((e.id,) + w.letters, e.src), j, 1.0)
-            for j, w in enumerate(self.words)
-            if len(w.letters) < self.degree and e.rng == w.vertex
-        )
-
-    def _prepend_crossing(self, f_id, letters):
-        """Normalize f (x) letters, crossing f past leading layer-1 letters
-        with the inverse of chi. Returns {letter tuple: coefficient}."""
-        if not letters or self.layer_of[letters[0]] == 2:
-            return {(f_id,) + tuple(letters): 1.0 + 0j}
-        head, rest = letters[0], letters[1:]
-        out = {}
-        for e2, f2, c in self.crossing_inv.get((f_id, head), ()):
-            for tail, c2 in self._prepend_crossing(f2, rest).items():
-                key = (e2,) + tail
-                out[key] = out.get(key, 0j) + c * c2
-        return out
-
-    def _layer2_creator(self, f) -> sp.csr_matrix:
-        return self._operator(
-            (Word(letters, self._edge[letters[0]].src), j, coeff)
-            for j, w in enumerate(self.words)
-            if len(w.letters) < self.degree and f.rng == w.vertex
-            for letters, coeff in self._prepend_crossing(f.id, w.letters).items()
-            if coeff != 0
-        )
-
     def annihilator(self, edge_id) -> sp.csr_matrix:
-        """The adjoint built combinatorially, without transposing anything.
+        """The adjoint built combinatorially, without transposing anything,
+        from the table of pulled fronts.
 
         Layer 1 strips a leading letter. Layer 2 pulls the first layer-2
         letter back to the front using chi in the forward direction; the two
         directions are mutually inverse exactly when chi is unitary, which is
         what check_left_action_adjoint exploits.
         """
-        layer = self.layer_of[edge_id]
-        entries = []
-        for j, w in enumerate(self.words):
-            if layer == 1:
-                pulled = {(w.letters[0], w.letters[1:]): 1.0} if w.letters else {}
-            else:
-                pulled = self._pull_front(w.letters) if self.bidegree(w)[1] else {}
-            for (front, rest), coeff in pulled.items():
-                if front == edge_id and coeff != 0:
-                    vertex = self._edge[rest[0]].src if rest else self._edge[front].rng
-                    entries.append((Word(rest, vertex), j, coeff))
-        return self._operator(entries)
-
-    def _pull_front(self, letters):
-        """Move the first layer-2 letter to the front with forward chi.
-        Returns {(front letter, remaining letters): coefficient}."""
-        if self.layer_of[letters[0]] == 2:
-            return {(letters[0], tuple(letters[1:])): 1.0 + 0j}
-        head, rest = letters[0], letters[1:]
-        out = {}
-        for (mid, tail), c in self._pull_front(rest).items():
-            for f2, e2, c2 in self.crossing_fwd.get((head, mid), ()):
-                key = (f2, (e2,) + tail)
-                out[key] = out.get(key, 0j) + c * c2
-        return out
+        return self._operator(
+            (k, j, coeff)
+            for j, terms in enumerate(self._pulled)
+            for (front, k), coeff in terms.items()
+            if front == edge_id and coeff != 0
+        )
 
     def normal_order(self, letters):
         """Formal normal ordering of a generator word via chi inverse.
@@ -260,37 +276,31 @@ class FockRep:
 
 
 def _permutation_crossing(spec: TwoGraphSpec):
-    fwd = {}
-    inv = {}
-    for (e1, e2), (f2, f1) in spec.chi_map().items():
-        fwd[(e1, e2)] = ((f2, f1, 1.0 + 0j),)
-        inv[(f2, f1)] = ((e1, e2, 1.0 + 0j),)
-    return fwd, inv
+    return {(e1, e2): ((f2, f1, 1.0 + 0j),)
+            for (e1, e2), (f2, f1) in spec.chi_map().items()}
 
 
 def _unitary_crossing(u: UnitaryChi):
-    m, n = u.m, u.n
-    fwd = {}
+    return {
+        (f"e{i}", f"f{j}"): tuple(
+            (f"f{k}", f"e{l}", u.coefficient(k, l, i, j))
+            for k in range(u.n)
+            for l in range(u.m)
+            if u.coefficient(k, l, i, j) != 0
+        )
+        for i in range(u.m)
+        for j in range(u.n)
+    }
+
+
+def _inverse_crossing(fwd):
+    """The inverse of a unitary chi is its conjugate transpose: each
+    (f', e', c) in fwd[(e, f)] gives (e, f, conj(c)) in inv[(f', e')]."""
     inv = {}
-    for i in range(m):
-        for j in range(n):
-            entries = []
-            for k in range(n):
-                for l in range(m):
-                    c = u.coefficient(k, l, i, j)
-                    if c != 0:
-                        entries.append((f"f{k}", f"e{l}", complex(c)))
-            fwd[(f"e{i}", f"f{j}")] = tuple(entries)
-    for k in range(n):
-        for l in range(m):
-            entries = []
-            for i in range(m):
-                for j in range(n):
-                    c = u.coefficient(k, l, i, j)
-                    if c != 0:
-                        entries.append((f"e{i}", f"f{j}", complex(np.conjugate(c))))
-            inv[(f"f{k}", f"e{l}")] = tuple(entries)
-    return fwd, inv
+    for (e, f), images in fwd.items():
+        for f2, e2, c in images:
+            inv.setdefault((f2, e2), []).append((e, f, c.conjugate()))
+    return inv
 
 
 def build_fock(spec, N: int) -> FockRep:
@@ -301,20 +311,17 @@ def build_fock(spec, N: int) -> FockRep:
         raise PreconditionError("truncation degree must be >= 0")
     if isinstance(spec, FiniteGraph):
         validate_graph(spec, strict=True).require()
-        return FockRep(spec.vertices, spec.edges, (), N, ({}, {}), None)
+        return FockRep(spec.vertices, spec.edges, (), N, {})
     if isinstance(spec, TwoGraphSpec):
         validate_chi(spec).require()
         return FockRep(
-            spec.vertices, spec.edges1, spec.edges2, N,
-            _permutation_crossing(spec), "permutation",
+            spec.vertices, spec.edges1, spec.edges2, N, _permutation_crossing(spec)
         )
     if isinstance(spec, UnitaryChi):
         spec.validate().require()
         g1 = FiniteGraph(("v",), tuple((f"e{i}", "v", "v") for i in range(spec.m)))
         g2 = FiniteGraph(("v",), tuple((f"f{j}", "v", "v") for j in range(spec.n)))
-        return FockRep(
-            ("v",), g1.edges, g2.edges, N, _unitary_crossing(spec), "unitary",
-        )
+        return FockRep(("v",), g1.edges, g2.edges, N, _unitary_crossing(spec))
     raise PreconditionError(f"unsupported spec type {type(spec).__name__}")
 
 
@@ -387,7 +394,7 @@ def check_chi_commutation(rep: FockRep, tol: Optional[float] = None) -> DefectRe
     """T_e T_f = sum of chi coefficients times T_f' T_e' on degrees <= N-2;
     non-composable products must vanish."""
     tol = _resolve(tol)
-    if rep.chi_kind is None:
+    if not rep.edges2:
         raise PreconditionError("single-layer representation has no chi")
     idx = np.where(rep.degree_mask(rep.degree - 2))[0]
     everything = np.arange(rep.dimension)
@@ -420,7 +427,7 @@ def check_reordering(rep: FockRep, tol: Optional[float] = None) -> DefectReport:
     word, the direct operator product equals the symbolically normal-ordered
     combination, on degrees <= N-3."""
     tol = _resolve(tol)
-    if rep.chi_kind is None:
+    if not rep.edges2:
         raise PreconditionError("single-layer representation has no chi")
     idx = np.where(rep.degree_mask(rep.degree - 3))[0]
     everything = np.arange(rep.dimension)

@@ -395,11 +395,7 @@ def _descended_actions(l_sub, l_quot, a_sub, a_quot, assume_split):
     return g_pres.group, actions, False, None
 
 
-def _abstract_order(data: AbstractKData, assume_split, bound):
-    stage1 = cuntz_pimsner_ktheory(
-        pimsner_class_maps(data, 1), assume_split, bound
-    )
-    other = cuntz_pimsner_ktheory(pimsner_class_maps(data, 2), assume_split, bound)
+def _abstract_order(data: AbstractKData, assume_split, bound) -> KPair:
     l0 = one_minus(data.action1_k0)
     l1 = one_minus(data.action1_k1)
     g0, acts0, assumed0, why0 = _descended_actions(
@@ -411,7 +407,7 @@ def _abstract_order(data: AbstractKData, assume_split, bound):
     if why0 or why1:
         why = why0 or why1
         under = GroupOutcome(UNDERDETERMINED, (), None, False, why)
-        return stage1, other, KPair(under, under)
+        return KPair(under, under)
     if len(acts0) * len(acts1) > _COUPLING_CAP:
         raise ResourceLimitError(
             f"{len(acts0) * len(acts1)} coupling combinations exceed the cap "
@@ -432,7 +428,7 @@ def _abstract_order(data: AbstractKData, assume_split, bound):
     if assumed:
         k0 = GroupOutcome(k0.status, k0.candidates, k0.certificate, True, k0.explanation)
         k1 = GroupOutcome(k1.status, k1.candidates, k1.certificate, True, k1.explanation)
-    return stage1, other, KPair(k0, k1)
+    return KPair(k0, k1)
 
 
 def iterated_ktheory(
@@ -454,10 +450,10 @@ def iterated_ktheory(
     elif isinstance(spec, AbstractKData):
         spec.validate().require()
         coeff = coefficient_ktheory(spec)
-        stage1, other, final_a = _abstract_order(spec, assume_split, bound)
-        other_stage1, stage1_again, final_b = _abstract_order(
-            spec.swapped(), assume_split, bound
-        )
+        stage1 = cuntz_pimsner_ktheory(pimsner_class_maps(spec, 1), assume_split, bound)
+        other = cuntz_pimsner_ktheory(pimsner_class_maps(spec, 2), assume_split, bound)
+        final_a = _abstract_order(spec, assume_split, bound)
+        final_b = _abstract_order(spec.swapped(), assume_split, bound)
     else:
         raise PreconditionError(f"unsupported spec type {type(spec).__name__}")
     final = _reconcile_pairs(final_a, final_b)

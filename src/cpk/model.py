@@ -207,12 +207,12 @@ def _composable(first: FiniteGraph, second: FiniteGraph) -> set:
     }
 
 
-def validate_chi(spec: TwoGraphSpec, strict_layers: bool = True) -> ValidationReport:
+def validate_chi(spec: TwoGraphSpec) -> ValidationReport:
     """Layer validity, bijectivity and endpoint preservation of chi, and the
     forced consequence that the two vertex matrices commute."""
     g1, g2 = spec.graph1(), spec.graph2()
-    r1 = validate_graph(g1, strict=strict_layers)
-    r2 = validate_graph(g2, strict=strict_layers)
+    r1 = validate_graph(g1, strict=True)
+    r2 = validate_graph(g2, strict=True)
     structural = [f"layer 1: {m}" for m in r1.structural]
     structural += [f"layer 2: {m}" for m in r2.structural]
     semantic = [f"layer 1: {m}" for m in r1.semantic]

@@ -4,6 +4,7 @@ the package's exact core."""
 from math import gcd
 
 import numpy as np
+import scipy.sparse as sp
 
 from cpk.abelian import (
     DimensionError,
@@ -18,6 +19,7 @@ from cpk.abelian import (
     hom_well_defined,
 )
 from cpk.exactseq import DETERMINED, UNDERDETERMINED, ExactSequence, SolveOutcome
+from cpk.fock import Word
 from cpk.ktheory import KPair
 from cpk.model import FiniteGraph, TwoGraphSpec, UnitaryChi
 
@@ -201,3 +203,80 @@ def kunneth_flip_oracle(m: int, n: int) -> KPair:
     return KPair.of_groups(
         FgAbGroup.from_divisors(0, [g]), FgAbGroup.from_divisors(0, [g])
     )
+
+
+# ---------------------------------------------------------------------------
+# Fock operators rebuilt word by word
+
+
+def prepend_crossing(rep, f_id, letters):
+    """Normalize f (x) letters, crossing f past leading layer-1 letters
+    with the inverse of chi, letter by letter. Returns {letter tuple:
+    coefficient}."""
+    if not letters or rep.layer_of[letters[0]] == 2:
+        return {(f_id,) + tuple(letters): 1.0 + 0j}
+    head, rest = letters[0], letters[1:]
+    out = {}
+    for e2, f2, c in rep.crossing_inv.get((f_id, head), ()):
+        for tail, c2 in prepend_crossing(rep, f2, rest).items():
+            key = (e2,) + tail
+            out[key] = out.get(key, 0j) + c * c2
+    return out
+
+
+def pull_front(rep, letters):
+    """Move the first layer-2 letter to the front with forward chi, letter
+    by letter. Returns {(front letter, remaining letters): coefficient}."""
+    if rep.layer_of[letters[0]] == 2:
+        return {(letters[0], tuple(letters[1:])): 1.0 + 0j}
+    head, rest = letters[0], letters[1:]
+    out = {}
+    for (mid, tail), c in pull_front(rep, rest).items():
+        for f2, e2, c2 in rep.crossing_fwd.get((head, mid), ()):
+            key = (f2, (e2,) + tail)
+            out[key] = out.get(key, 0j) + c * c2
+    return out
+
+
+def reference_operators(rep):
+    """Every creator and annihilator of a FockRep, rebuilt word by word from
+    the recursive crossings above. Returns (creators, annihilators), each a
+    dict from edge id to a CSR matrix."""
+    edge = {e.id: e for e in rep.edges1 + rep.edges2}
+
+    def operator(entries):
+        rows, cols, vals = [], [], []
+        for target, col, coeff in entries:
+            rows.append(rep.index[target])
+            cols.append(col)
+            vals.append(coeff)
+        shape = (rep.dimension, rep.dimension)
+        return sp.coo_matrix((vals, (rows, cols)), shape=shape, dtype=complex).tocsr()
+
+    creators, annihilators = {}, {}
+    for x, layer in rep.layer_of.items():
+        shorter = [(j, w) for j, w in enumerate(rep.words)
+                   if len(w.letters) < rep.degree and edge[x].rng == w.vertex]
+        if layer == 1:
+            creators[x] = operator(
+                (Word((x,) + w.letters, edge[x].src), j, 1.0) for j, w in shorter
+            )
+        else:
+            creators[x] = operator(
+                (Word(letters, edge[letters[0]].src), j, coeff)
+                for j, w in shorter
+                for letters, coeff in prepend_crossing(rep, x, w.letters).items()
+                if coeff != 0
+            )
+        entries = []
+        for j, w in enumerate(rep.words):
+            if layer == 1:
+                pulled = {(w.letters[0], w.letters[1:]): 1.0} if w.letters else {}
+            else:
+                pulled = pull_front(rep, w.letters) if rep.bidegree(w)[1] else {}
+            for (front, rest), coeff in pulled.items():
+                if front == x and coeff != 0:
+                    vertex = edge[rest[0]].src if rest else edge[front].rng
+                    entries.append((Word(rest, vertex), j, coeff))
+        annihilators[x] = operator(entries)
+    return creators, annihilators

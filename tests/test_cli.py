@@ -384,6 +384,20 @@ class TestFockCheck:
         assert rep["results"]["all_passed"]
         assert elapsed < 10.0, f"took {elapsed:.1f}s"
 
+    def test_long_mixed_words_give_a_report(self, fixdir):
+        # the torus has 45451 words at degree 300, e^a f^b with a + b <= 300;
+        # every word is crossed once, from its suffix, not letter by letter
+        path = str(fixdir / "ex4.5-torus.json")
+        start = time.perf_counter()
+        done = run_subprocess(["-m", "cpk.cli", "fock-check", path, "--degree", "300"])
+        elapsed = time.perf_counter() - start
+        assert done.returncode == 0, done.stderr
+        assert "Traceback" not in done.stderr
+        rep = json.loads(done.stdout, parse_constant=lambda name: pytest.fail(name))
+        assert rep["results"]["dimension"] == 301 * 302 // 2
+        assert rep["results"]["all_passed"]
+        assert elapsed < 20.0, f"took {elapsed:.1f}s"
+
 
 class TestPullback:
     def test_double_cover_roundtrip(self, fixdir, tmp_path, capsys):

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpk import fock
 from cpk.abelian import PreconditionError
 from cpk.exactseq import ResourceLimitError
 from cpk.fock import (
@@ -23,11 +24,12 @@ from cpk.fock import (
 )
 from cpk.model import (
     FiniteGraph,
+    UnitaryChi,
     rotation_unitary_chi,
     single_vertex_two_graph,
     two_graph_from_permutations,
 )
-from support import chi_same_index
+from support import chi_same_index, reference_operators
 
 
 def rose(n: int) -> FiniteGraph:
@@ -282,3 +284,88 @@ class TestNorm:
         assert _subblock_norm(explicit, everything, everything) == 0.0
         assert _subblock_norm(explicit, everything, everything[:0]) == 0.0
         assert _subblock_norm(explicit, everything[:0], everything) == 0.0
+
+
+@st.composite
+def two_layer_specs(draw):
+    """A flip with m, n <= 3, a commuting permutation pair on up to six
+    vertices (a permutation and one of its powers, or two translations of a
+    relabelled Z_a x Z_b), or a rotation unitary with random angles, its
+    columns possibly multiplied by random phases."""
+    kind = draw(st.sampled_from(["flip", "power", "translation", "rotation", "phased"]))
+    if kind == "flip":
+        return single_vertex_two_graph(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    if kind in ("rotation", "phased"):
+        angle = st.floats(0.0, 2 * np.pi)
+        u = rotation_unitary_chi(draw(angle), draw(angle))
+        if kind == "rotation":
+            return u
+        phases = np.exp(1j * np.array([draw(angle) for _ in range(4)]))
+        return UnitaryChi(2, 2, u.matrix * phases)
+    n = draw(st.integers(1, 6))
+    if kind == "power":
+        p1 = dict(enumerate(draw(st.permutations(range(n)))))
+        p2 = {v: v for v in range(n)}
+        for _ in range(draw(st.integers(0, 5))):
+            p2 = {v: p1[w] for v, w in p2.items()}
+    else:
+        a = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+        b = n // a
+        label = draw(st.permutations(range(n)))
+        p1, p2 = (
+            {label[i * b + j]: label[(i + s) % a * b + (j + t) % b]
+             for i in range(a) for j in range(b)}
+            for s, t in draw(st.lists(
+                st.tuples(st.integers(0, a - 1), st.integers(0, b - 1)),
+                min_size=2, max_size=2,
+            ))
+        )
+    return two_graph_from_permutations(range(n), p1, p2)
+
+
+class CountingDict(dict):
+    """A crossing table that counts its lookups."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+class TestCrossings:
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(two_layer_specs(), st.integers(0, 5))
+    def test_operators_match_the_recursive_reference(self, spec, degree):
+        rep = build_fock(spec, degree)
+        creators, annihilators = reference_operators(rep)
+        for x in rep.layer_of:
+            assert (rep.creators[x] != creators[x]).nnz == 0, x
+            assert (rep.annihilator(x) != annihilators[x]).nnz == 0, x
+        # annihilators cross with chi and creators with its derived inverse
+        assert check_left_action_adjoint(rep).defect <= 1e-12
+
+    def test_lookups_grow_with_the_basis_not_the_word_length(self, monkeypatch):
+        # on the torus a word e^a f^b crossed letter by letter costs a
+        # lookups, so the total would grow like dimension * degree
+        tables = []
+
+        def counted(make):
+            def wrapper(arg):
+                tables.append(CountingDict(make(arg)))
+                return tables[-1]
+            return wrapper
+
+        monkeypatch.setattr(fock, "_permutation_crossing",
+                            counted(fock._permutation_crossing))
+        monkeypatch.setattr(fock, "_inverse_crossing", counted(fock._inverse_crossing))
+        rep = build_fock(single_vertex_two_graph(1, 1), 60)
+        assert check_left_action_adjoint(rep).passed
+        assert len(tables) == 2
+        assert sum(t.lookups for t in tables) <= 3 * rep.dimension
