@@ -23,7 +23,7 @@ from .abelian import (
     InternalError,
     PreconditionError,
 )
-from .exactseq import ResourceLimitError, UsageError
+from .exactseq import ResourceLimitError, UsageError, ext_bound
 from .fixtures import (
     fixture_description,
     fixture_document,
@@ -358,6 +358,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_ktheory(args) -> int:
+    bound = ext_bound()  # read before any work, so a bad setting always exits 2
     doc, digest = _load_document(args.file)
     kind, model = parse_document(doc)
     if kind not in ("graph", "two_graph", "permutation", "abstract_kdata"):
@@ -373,17 +374,17 @@ def cmd_ktheory(args) -> int:
 
     if kind == "graph":
         coeff = coefficient_ktheory(model)
-        final = cuntz_pimsner_ktheory(pimsner_class_maps(model), assume_split=split)
+        final = cuntz_pimsner_ktheory(pimsner_class_maps(model), split, bound)
         results["toeplitz_note"] = "KK-equivalent to the coefficients"
     else:
         if kind == "abstract_kdata":
-            iterated = iterated_ktheory(model, assume_split=split)
+            iterated = iterated_ktheory(model, split, bound)
         elif args.route == "iterated":
             layers = GraphLayers(model)
-            iterated = iterated_ktheory(layers, assume_split=split)
+            iterated = iterated_ktheory(layers, split, bound)
             results["ideal_sum"] = ideal_sum_ktheory(layers).describe()
         else:
-            diag = diagram_report(GraphLayers(model), assume_split=split)
+            diag = diagram_report(GraphLayers(model), split, bound)
             iterated = diag.iterated
         coeff, final = iterated.coefficient, iterated.final
         results["toeplitz_note"] = "all three Toeplitz corners are KK-equivalent to the coefficients"

@@ -387,9 +387,10 @@ class UnitaryChi:
                 f"matrix shape {self.matrix.shape} does not match m*n = {size}"
             )
         else:
-            defect = np.max(
-                np.abs(self.matrix.conj().T @ self.matrix - np.eye(size))
-            )
+            with np.errstate(over="ignore", invalid="ignore"):  # non-finite fails below
+                defect = np.max(
+                    np.abs(self.matrix.conj().T @ self.matrix - np.eye(size))
+                )
             if not (defect <= tol):
                 semantic.append(f"matrix is not unitary (defect {defect:.3e})")
         return ValidationReport(tuple(structural), tuple(semantic))

@@ -5,6 +5,7 @@ from math import gcd
 
 import numpy as np
 import scipy.sparse as sp
+from hypothesis import strategies as st
 
 from cpk.abelian import (
     DimensionError,
@@ -14,9 +15,12 @@ from cpk.abelian import (
     Lattice,
     PreconditionError,
     Presentation,
+    cokernel,
     hom_cokernel_presentation,
     hom_kernel_presentation,
     hom_well_defined,
+    kernel_basis,
+    solve_columns,
 )
 from cpk.exactseq import DETERMINED, UNDERDETERMINED, ExactSequence, SolveOutcome
 from cpk.fock import Word
@@ -189,6 +193,64 @@ def permutation_unitary_chi(spec: TwoGraphSpec) -> UnitaryChi:
     for (e1, e2), (f2, f1) in spec.chi:
         mat[i2[f2] * m + i1[f1], i1[e1] * n + i2[e2]] = 1.0
     return UnitaryChi(m, n, mat)
+
+
+def two_graph_from_matrices(m1, m2, order=list) -> TwoGraphSpec:
+    """A two-layer spec over vertices v0..v{n-1} with commuting vertex
+    matrices m1 and m2: one edge per unit of each entry, and chi pairing the
+    (1,2)-paths between each pair of vertices with the (2,1)-paths in the
+    sequence `order` puts them in."""
+    n = len(m1)
+    vertices = tuple(f"v{i}" for i in range(n))
+
+    def edges(m, prefix):
+        return tuple(
+            (f"{prefix}{i}_{j}_{k}", vertices[i], vertices[j])
+            for i in range(n) for j in range(n) for k in range(m[i][j])
+        )
+
+    edges1, edges2 = edges(m1, "e"), edges(m2, "f")
+    chi = []
+    for u in vertices:
+        for w in vertices:
+            forward = [(a[0], b[0]) for a in edges1 for b in edges2
+                       if (a[1], a[2], b[2]) == (u, b[1], w)]
+            backward = [(b[0], a[0]) for b in edges2 for a in edges1
+                        if (b[1], b[2], a[2]) == (u, a[1], w)]
+            chi += zip(forward, order(backward))
+    return TwoGraphSpec(vertices, edges1, edges2, tuple(chi))
+
+
+@st.composite
+def two_graph_specs(draw) -> TwoGraphSpec:
+    """General multi-vertex 2-graphs: 2-4 vertices, M1 with entries in
+    {0, 1, 2} and no zero row or column, M2 one of M1^2, M1 + I and M1 with
+    entries at most 6, and chi a random endpoint-preserving bijection."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    row = st.lists(st.integers(min_value=0, max_value=2), min_size=n, max_size=n)
+    m1 = np.array(draw(
+        st.lists(row, min_size=n, max_size=n).filter(
+            lambda m: all(any(r) for r in m) and all(any(c) for c in zip(*m))
+        )
+    ))
+    options = [m for m in (m1 @ m1, m1 + np.eye(n, dtype=int), m1) if m.max() <= 6]
+    m2 = draw(st.sampled_from(options))
+    return two_graph_from_matrices(
+        m1.tolist(), m2.tolist(), lambda paths: draw(st.permutations(paths))
+    )
+
+
+def evans_ktheory(m1: IntMatrix, m2: IntMatrix) -> KPair:
+    """Evans' homology formula for a row-finite 2-graph without sources:
+    K0 = coker d1 + ker d2 and K1 = ker d1 / im d2, where
+    d1 = (1 - M1^T, 1 - M2^T) and d2 = (-(1 - M2^T); 1 - M1^T)."""
+    eye = IntMatrix.identity(m1.rows)
+    l1, l2 = eye - m1.transpose(), eye - m2.transpose()
+    d1 = IntMatrix.hstack(l1, l2)
+    d2 = IntMatrix.vstack(-l2, l1)
+    k0 = cokernel(d1).direct_sum(FgAbGroup.free(kernel_basis(d2).cols))
+    k1 = cokernel(solve_columns(kernel_basis(d1), d2))  # d2 in kernel coordinates
+    return KPair.of_groups(k0, k1)
 
 
 def kunneth_flip_oracle(m: int, n: int) -> KPair:

@@ -7,6 +7,7 @@ import sys
 import time
 import types
 
+import numpy as np
 import pytest
 
 import cpk
@@ -21,6 +22,7 @@ from cpk.fixtures import (
     write_fixtures,
 )
 
+from support import two_graph_from_matrices
 from test_ktheory import disjoint_flip_pair
 
 
@@ -140,6 +142,17 @@ class TestMalformed:
         assert rep["status"] == "malformed"
         assert "finite" in rep["error"]
 
+    @pytest.mark.parametrize("command", ["validate", "fock-check"])
+    def test_overflowing_matrix_is_not_unitary(self, tmp_path, capsys, command):
+        # the defect overflows to inf/nan; that must read as "not unitary"
+        # without a RuntimeWarning, which the test settings turn into errors
+        doc = fixture_document("ex3.5-unitary-chi")
+        doc["matrix"][0][0] = [1e308, 0.0]
+        doc["matrix"][1][1] = [1e308, 0.0]
+        rc, rep = run(capsys, [command, write_doc(tmp_path, doc)], expect=1)
+        assert rep["status"] == "invalid"
+        assert "not unitary" in json.dumps(rep)
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     def test_bad_tolerance_exit_2(self, fixdir, capsys, value):
         path = str(fixdir / "ex4.6-flip-3-3.json")
@@ -150,10 +163,22 @@ class TestMalformed:
         assert rep["status"] == "malformed"
         assert "--tol" in rep["error"]
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-5"])
-    def test_bad_extension_bound_exit_2(self, fixdir, capsys, monkeypatch, value):
+    @pytest.mark.parametrize("value, fixture, options", [
+        pytest.param("abc", "ex4.7-abstract-p2", [], id="abc"),
+        pytest.param("0", "ex4.7-abstract-p2", [], id="0"),
+        pytest.param("-5", "ex4.7-abstract-p2", [], id="-5"),
+        # runs that never reach the extension enumerator
+        pytest.param("abc", "ex4.6-flip-3-3", ["--route", "iterated", "--assume-split"],
+                     id="abc-flip-iterated-split"),
+        pytest.param("abc", "ex1.2.1-circle", ["--assume-split"], id="abc-circle-split"),
+        pytest.param("abc", "ex4.7-abstract-p2", ["--assume-split"],
+                     id="abc-abstract-split"),
+    ])
+    def test_bad_extension_bound_exit_2(self, fixdir, capsys, monkeypatch, value,
+                                        fixture, options):
         monkeypatch.setenv("CPK_EXT_BOUND", value)
-        rc, rep = run(capsys, ["ktheory", str(fixdir / "ex4.7-abstract-p2.json")], expect=2)
+        argv = ["ktheory", str(fixdir / f"{fixture}.json"), *options]
+        rc, rep = run(capsys, argv, expect=2)
         assert rep["status"] == "malformed"
         assert "CPK_EXT_BOUND" in rep["error"]
 
@@ -178,6 +203,17 @@ class TestKtheory:
         )
         assert final_groups(rep) == ("Z/2", "Z/2")
         assert rep["results"]["ideal_sum"]["K0"]["group"] == "Z + Z/2"
+
+    def test_general_two_graph_needs_no_extension_enumeration(self, tmp_path, capsys):
+        # exactness of the sum sequence certifies the ideal-sum groups; an
+        # enumeration of their extensions would scan 547981281 classes here
+        m1 = [[2, 1, 0, 2], [0, 1, 2, 1], [1, 0, 1, 0], [0, 0, 1, 0]]
+        m2 = (np.array(m1) @ np.array(m1)).tolist()
+        doc = two_graph_document(two_graph_from_matrices(m1, m2))
+        rc, rep = run(capsys, ["ktheory", write_doc(tmp_path, doc), "--route", "both"],
+                      expect=0)
+        assert final_groups(rep) == ("Z/3", "Z/3")
+        assert rep["results"]["diagram"]["consistent"]
 
     def test_single_stage_graph(self, fixdir, capsys):
         rc, rep = run(
