@@ -425,6 +425,8 @@ def cmd_ktheory(args) -> int:
 def cmd_fock_check(args) -> int:
     if args.tol is not None and not 0 <= args.tol < math.inf:
         raise UsageError(f"--tol must be a finite non-negative number, got {args.tol}")
+    if args.degree < 0:
+        raise UsageError(f"--degree must be non-negative, got {args.degree}")
     doc, digest = _load_document(args.file)
     kind, model = parse_document(doc)
     if kind not in ("graph", "two_graph", "permutation", "unitary_chi"):

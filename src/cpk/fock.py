@@ -3,8 +3,10 @@
 Words are composable edge paths in normal form, every layer-1 letter before
 every layer-2 letter; a layer-2 creation crosses leading layer-1 letters via
 the inverse of chi, and a layer-2 annihilation pulls the first layer-2
-letter to the front via chi. The basis is sorted shortest first, so each
-word's crossings are one chi step from those of its suffix, computed once.
+letter to the front via chi. A word is stored only as its first letter and
+the index of its suffix, the word one letter shorter; the basis is sorted
+shortest first, so each word's crossings are one chi step from those of its
+suffix, computed once, and memory follows the basis size, not its letters.
 Relations are checked on sub-blocks strictly below the truncation boundary,
 where they hold exactly up to rounding.
 """
@@ -12,7 +14,7 @@ where they hold exactly up to rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,11 +32,6 @@ from .model import (
 
 DEFAULT_TOL = 1e-10
 BASIS_CAP = 200_000
-
-
-class Word(NamedTuple):
-    letters: tuple
-    vertex: str  # source vertex of the path; the vacuum vertex when empty
 
 
 @dataclass(frozen=True)
@@ -72,6 +69,11 @@ def _subblock_norm(mat: sp.spmatrix, rows, cols) -> float:
 class FockRep:
     """Creation operators for both layers on the degree-capped path space.
 
+    Basis word k is first[k] (an edge id) prepended to word suffix[k], or the
+    empty path at vertex[k] when first[k] is None; vertex[k] is its source
+    vertex and bidegrees[k] its (layer-1, layer-2) letter counts. Words are
+    sorted by (length, layer-2 count, letters, vertex position).
+
     creators maps edge id to a sparse matrix; vertex projections are diagonal
     over each word's source vertex. Layer-2 matrices embed the chi crossing,
     so their entries are products of chi unitary coefficients. Each word's
@@ -91,10 +93,11 @@ class FockRep:
         self.crossing_inv = _inverse_crossing(crossing)
         self.layer_of = {e.id: 1 for e in self.edges1}
         self.layer_of.update({f.id: 2 for f in self.edges2})
-        self.words, self._bidegrees = self._enumerate_words()
-        self.index = {w: i for i, w in enumerate(self.words)}
-        self.totals = np.array([len(w.letters) for w in self.words])
-        crossed, self._pulled = self._cross_basis()
+        by_rng = {v: [x for x in self.edges1 + self.edges2 if x.rng == v]
+                  for v in self.vertices}
+        prepend = self._enumerate_words(by_rng)
+        self.totals = self.bidegrees.sum(axis=1)
+        crossed, self._pulled = self._cross_basis(prepend, by_rng)
         self.creators = {
             x: self._operator((k, j, c) for j, terms in crossed[x].items()
                               for k, c in terms.items() if c != 0)
@@ -102,7 +105,7 @@ class FockRep:
         }
         self.projections = {
             v: sp.diags(
-                [1.0 if w.vertex == v else 0.0 for w in self.words],
+                [1.0 if u == v else 0.0 for u in self.vertex],
                 format="csr", dtype=complex,
             )
             for v in self.vertices
@@ -133,48 +136,54 @@ class FockRep:
             row1 = m1t.apply(row1)
         return total
 
-    def _enumerate_words(self):
-        """Every layer-1 path, then each of them extended by layer-2 paths,
-        level by level, so a deep basis needs no deep recursion. Returns the
-        sorted words and their bidegrees: walk gives one list per number of
-        letters added, so the layer-2 walk counts each word's layer-2 letters."""
+    def _enumerate_words(self, by_rng):
+        """Fill first, suffix, vertex and bidegrees level by level: word k of
+        length L + 1 is first[k] prepended to word suffix[k] of length L. A
+        layer-2 letter goes only in front of words without layer-1 letters,
+        so every word is in normal form. Each level is ordered by (layer-2
+        count, letters); the letters compare as (first letter, letter rank of
+        the suffix within its level), so no letter tuple is ever built.
+        Returns prepend[x][t] -> k, the index of the word x.t."""
         self._count_words()
-
-        def walk(paths, edges):
-            by_src = {v: [e for e in edges if e.src == v] for v in self.vertices}
-            levels = [paths]
-            while levels[-1]:
-                levels.append([
-                    (letters + (e.id,), start, e.rng)
-                    for letters, start, end in levels[-1]
-                    if len(letters) < self.degree
-                    for e in by_src[end]
-                ])
-            return levels[:-1]
-
-        layer1 = [p for level in walk([((), v, v) for v in self.vertices], self.edges1)
-                  for p in level]
-        words = [(Word(letters, start), b)
-                 for b, level in enumerate(walk(layer1, self.edges2))
-                 for letters, start, _ in level]
-        vpos = {v: i for i, v in enumerate(self.vertices)}
-        words.sort(key=lambda wb: (
-            len(wb[0].letters), wb[1], wb[0].letters, vpos[wb[0].vertex]))
-        return (tuple(w for w, _ in words),
-                tuple((len(w.letters) - b, b) for w, b in words))
-
-    def bidegree(self, w: Word) -> tuple:
-        return self._bidegrees[self.index[w]]
+        letter_rank = {x: r for r, x in enumerate(sorted(self.layer_of))}
+        self.first = [None] * len(self.vertices)
+        self.suffix = [None] * len(self.vertices)
+        self.vertex = list(self.vertices)
+        ones = [0] * len(self.vertices)
+        twos = [0] * len(self.vertices)
+        prepend = {x: {} for x in self.layer_of}
+        # rank[t - start]: the letter rank of word t within its level
+        start, rank = 0, [0] * len(self.vertices)
+        for _ in range(self.degree):
+            end = len(self.first)
+            made = sorted(
+                (letter_rank[x.id], rank[t - start], x, t)
+                for t in range(start, end)
+                for x in by_rng[self.vertex[t]]
+                if self.layer_of[x.id] == 1 or ones[t] == 0
+            )
+            layer2 = [twos[t] + (self.layer_of[x.id] == 2) for _, _, x, t in made]
+            order = sorted(range(len(made)), key=layer2.__getitem__)
+            for i in order:
+                _, _, x, t = made[i]
+                prepend[x.id][t] = len(self.first)
+                self.first.append(x.id)
+                self.suffix.append(t)
+                self.vertex.append(x.src)
+                ones.append(ones[t] + (self.layer_of[x.id] == 1))
+                twos.append(layer2[i])
+            start, rank = end, order
+        self.bidegrees = np.column_stack((ones, twos))
+        return prepend
 
     # -- chi crossings and operators ----------------------------------------
 
-    def _cross_basis(self):
+    def _cross_basis(self, prepend, by_rng):
         """Every chi crossing. Words come shortest first, so the suffix t of
         every word e.t is done before the word, and crossing the leading
-        layer-1 letter e is one chi step applied to the crossings of t.
+        layer-1 letter e is one chi step applied to the crossings of t,
+        with prepend[x][t] -> k locating each word x.t.
 
-          prepend[x][t] -> k: word k is x.t; filled first, since crossing
-                           word j needs it on later words of the same length;
           crossed[x][j] -> {k: coeff}: x (x) word j in normal form, a layer-2
                            x crossed past leading layer-1 letters by chi^-1;
           pulled[j]     -> {(front, k): coeff}: word j with its first letter
@@ -182,24 +191,12 @@ class FockRep:
 
         Returns crossed and pulled.
         """
-        prepend = {x: {} for x in self.layer_of}
-        front = {}
-        by_rng = {v: [x for x in self.edges1 + self.edges2 if x.rng == v]
-                  for v in self.vertices}
-        for j, w in enumerate(self.words):
-            if len(w.letters) < self.degree:
-                for x in by_rng[w.vertex]:
-                    if self.layer_of[x.id] == 1 or self._bidegrees[j][0] == 0:
-                        k = self.index[Word((x.id,) + w.letters, x.src)]
-                        prepend[x.id][j] = k
-                        front[k] = (x.id, j)
-
+        short = np.count_nonzero(self.degree_mask(self.degree - 1))
         crossed = {x: {} for x in self.layer_of}
         pulled = []
-        for j, w in enumerate(self.words):
+        for j, (x, t) in enumerate(zip(self.first, self.suffix)):
             terms = {}
-            if w.letters:
-                x, t = front[j]
+            if x is not None:
                 terms[(x, t)] = 1.0 + 0j
                 if self.layer_of[x] == 1:
                     # layer-1 fronts of t have no chi entry and add nothing
@@ -208,19 +205,18 @@ class FockRep:
                             key = (f2, prepend[e2][u])
                             terms[key] = terms.get(key, 0j) + c * c2
             pulled.append(terms)
-            if len(w.letters) == self.degree:
+            if j >= short:
                 continue
-            for x in by_rng[w.vertex]:
-                if j in prepend[x.id]:
-                    crossed[x.id][j] = {prepend[x.id][j]: 1.0 + 0j}
+            for y in by_rng[self.vertex[j]]:
+                if j in prepend[y.id]:
+                    crossed[y.id][j] = {prepend[y.id][j]: 1.0 + 0j}
                     continue
-                e, t = front[j]
                 terms = {}
-                for e2, f2, c in self.crossing_inv.get((x.id, e), ()):
+                for e2, f2, c in self.crossing_inv.get((y.id, x), ()):
                     for u, c2 in crossed[f2][t].items():
                         k = prepend[e2][u]
                         terms[k] = terms.get(k, 0j) + c * c2
-                crossed[x.id][j] = terms
+                crossed[y.id][j] = terms
         return crossed, pulled
 
     def _operator(self, entries) -> sp.csr_matrix:
@@ -231,7 +227,7 @@ class FockRep:
             rows.append(row)
             cols.append(col)
             vals.append(coeff)
-        dim = len(self.words)
+        dim = self.dimension
         return sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=complex).tocsr()
 
     def annihilator(self, edge_id) -> sp.csr_matrix:
@@ -272,7 +268,7 @@ class FockRep:
 
     @property
     def dimension(self) -> int:
-        return len(self.words)
+        return len(self.first)
 
 
 def _permutation_crossing(spec: TwoGraphSpec):
@@ -379,9 +375,7 @@ def check_covariance_defect(rep: FockRep, layer: int = 1,
     for e in edges:
         te = rep.creators[e.id]
         total = total + te @ te.getH()
-    vacuum = np.array(
-        [1.0 if rep.bidegree(w)[layer - 1] == 0 else 0.0 for w in rep.words]
-    )
+    vacuum = (rep.bidegrees[:, layer - 1] == 0).astype(float)
     expected = sp.eye(dim, dtype=complex, format="csr") - sp.diags(
         vacuum, format="csr", dtype=complex
     )

@@ -23,7 +23,6 @@ from cpk.abelian import (
     solve_columns,
 )
 from cpk.exactseq import DETERMINED, UNDERDETERMINED, ExactSequence, SolveOutcome
-from cpk.fock import Word
 from cpk.ktheory import KPair
 from cpk.model import FiniteGraph, TwoGraphSpec, UnitaryChi
 
@@ -300,16 +299,53 @@ def pull_front(rep, letters):
     return out
 
 
+def basis_words(rep):
+    """The basis as (letters, vertex) pairs, rebuilt from the (first letter,
+    suffix index) table."""
+    words = []
+    for x, t, v in zip(rep.first, rep.suffix, rep.vertex):
+        words.append(((x,) + words[t][0] if x is not None else (), v))
+    return words
+
+
+def reference_basis(rep):
+    """Every normal-form word as (letters, vertex): layer-1 paths grown by
+    appending letters, each then extended by layer-2 paths, sorted by
+    (length, layer-2 count, letters, vertex position)."""
+
+    def walk(paths, edges):
+        levels = [paths]
+        while levels[-1]:
+            levels.append([
+                (letters + (e.id,), start, e.rng)
+                for letters, start, end in levels[-1]
+                if len(letters) < rep.degree
+                for e in edges if e.src == end
+            ])
+        return levels[:-1]
+
+    layer1 = [p for level in walk([((), v, v) for v in rep.vertices], rep.edges1)
+              for p in level]
+    words = [(b, letters, start)
+             for b, level in enumerate(walk(layer1, rep.edges2))
+             for letters, start, _ in level]
+    vpos = {v: i for i, v in enumerate(rep.vertices)}
+    words.sort(key=lambda w: (len(w[1]), w[0], w[1], vpos[w[2]]))
+    return [(letters, start) for _, letters, start in words]
+
+
 def reference_operators(rep):
     """Every creator and annihilator of a FockRep, rebuilt word by word from
     the recursive crossings above. Returns (creators, annihilators), each a
     dict from edge id to a CSR matrix."""
     edge = {e.id: e for e in rep.edges1 + rep.edges2}
+    words = basis_words(rep)
+    index = {w: i for i, w in enumerate(words)}
 
     def operator(entries):
         rows, cols, vals = [], [], []
         for target, col, coeff in entries:
-            rows.append(rep.index[target])
+            rows.append(index[target])
             cols.append(col)
             vals.append(coeff)
         shape = (rep.dimension, rep.dimension)
@@ -317,28 +353,28 @@ def reference_operators(rep):
 
     creators, annihilators = {}, {}
     for x, layer in rep.layer_of.items():
-        shorter = [(j, w) for j, w in enumerate(rep.words)
-                   if len(w.letters) < rep.degree and edge[x].rng == w.vertex]
+        shorter = [(j, letters) for j, (letters, vertex) in enumerate(words)
+                   if len(letters) < rep.degree and edge[x].rng == vertex]
         if layer == 1:
             creators[x] = operator(
-                (Word((x,) + w.letters, edge[x].src), j, 1.0) for j, w in shorter
+                (((x,) + letters, edge[x].src), j, 1.0) for j, letters in shorter
             )
         else:
             creators[x] = operator(
-                (Word(letters, edge[letters[0]].src), j, coeff)
-                for j, w in shorter
-                for letters, coeff in prepend_crossing(rep, x, w.letters).items()
+                ((out, edge[out[0]].src), j, coeff)
+                for j, letters in shorter
+                for out, coeff in prepend_crossing(rep, x, letters).items()
                 if coeff != 0
             )
         entries = []
-        for j, w in enumerate(rep.words):
+        for j, (letters, _) in enumerate(words):
             if layer == 1:
-                pulled = {(w.letters[0], w.letters[1:]): 1.0} if w.letters else {}
+                pulled = {(letters[0], letters[1:]): 1.0} if letters else {}
             else:
-                pulled = pull_front(rep, w.letters) if rep.bidegree(w)[1] else {}
+                pulled = pull_front(rep, letters) if rep.bidegrees[j, 1] else {}
             for (front, rest), coeff in pulled.items():
                 if front == x and coeff != 0:
                     vertex = edge[rest[0]].src if rest else edge[front].rng
-                    entries.append((Word(rest, vertex), j, coeff))
+                    entries.append(((rest, vertex), j, coeff))
         annihilators[x] = operator(entries)
     return creators, annihilators

@@ -163,6 +163,12 @@ class TestMalformed:
         assert rep["status"] == "malformed"
         assert "--tol" in rep["error"]
 
+    def test_negative_degree_exit_2(self, fixdir, capsys):
+        path = str(fixdir / "ex4.6-flip-3-3.json")
+        rc, rep = run(capsys, ["fock-check", path, "--degree", "-1"], expect=2)
+        assert rep["status"] == "malformed"
+        assert "--degree" in rep["error"]
+
     @pytest.mark.parametrize("value, fixture, options", [
         pytest.param("abc", "ex4.7-abstract-p2", [], id="abc"),
         pytest.param("0", "ex4.7-abstract-p2", [], id="0"),
@@ -433,6 +439,30 @@ class TestFockCheck:
         assert rep["results"]["dimension"] == 301 * 302 // 2
         assert rep["results"]["all_passed"]
         assert elapsed < 20.0, f"took {elapsed:.1f}s"
+
+    @pytest.mark.parametrize("fixture, degree, dimension", [
+        ("ex1.2.1-circle", 150000, 150001),
+        ("ex4.5-torus", 629, 630 * 631 // 2),
+    ])
+    def test_deep_basis_in_bounded_memory(self, fixdir, fixture, degree, dimension):
+        # each word is stored as (first letter, suffix index), so memory
+        # follows the basis size, not the total number of letters
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from cpk import cli\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        path = str(fixdir / f"{fixture}.json")
+        start = time.perf_counter()
+        done = run_subprocess(["-c", code, "fock-check", path, "--degree", str(degree)])
+        elapsed = time.perf_counter() - start
+        assert done.returncode == 0, done.stderr
+        assert "Traceback" not in done.stderr
+        rep = json.loads(done.stdout, parse_constant=lambda name: pytest.fail(name))
+        assert rep["results"]["dimension"] == dimension
+        assert rep["results"]["all_passed"]
+        assert elapsed < 15.0, f"took {elapsed:.1f}s"
 
 
 class TestPullback:

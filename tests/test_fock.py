@@ -29,7 +29,7 @@ from cpk.model import (
     single_vertex_two_graph,
     two_graph_from_permutations,
 )
-from support import chi_same_index, reference_operators
+from support import basis_words, chi_same_index, reference_basis, reference_operators
 
 
 def rose(n: int) -> FiniteGraph:
@@ -55,7 +55,7 @@ class TestBasis:
         )
         rep = build_fock(swap, 0)
         assert rep.dimension == 2
-        assert all(w.letters == () for w in rep.words)
+        assert all(letters == () for letters, _ in basis_words(rep))
 
     def test_closed_form_count(self):
         # single vertex: sum of m^a n^b over a+b <= N
@@ -70,17 +70,17 @@ class TestBasis:
 
     def test_words_sorted_by_degree(self):
         rep = build_fock(single_vertex_two_graph(2, 3), 3)
-        degs = [len(w.letters) for w in rep.words]
+        degs = [len(letters) for letters, _ in basis_words(rep)]
         assert degs == sorted(degs)
         # within a total degree, layer-2 count never decreases
         for k in range(3):
-            block = [rep.bidegree(w)[1] for w in rep.words if len(w.letters) == k]
+            block = [b for b, deg in zip(rep.bidegrees[:, 1], degs) if deg == k]
             assert block == sorted(block)
 
     def test_normal_form_only(self):
         rep = build_fock(single_vertex_two_graph(2, 2), 3)
-        for w in rep.words:
-            layers = [rep.layer_of[x] for x in w.letters]
+        for letters, _ in basis_words(rep):
+            layers = [rep.layer_of[x] for x in letters]
             assert layers == sorted(layers)
 
     def test_creator_degree_shift(self):
@@ -89,9 +89,9 @@ class TestBasis:
             layer = rep.layer_of[eid]
             coo = mat.tocoo()
             for i, j in zip(coo.row, coo.col):
-                a, b = rep.bidegree(rep.words[j])
+                a, b = rep.bidegrees[j]
                 want = (a + 1, b) if layer == 1 else (a, b + 1)
-                assert rep.bidegree(rep.words[i]) == want
+                assert tuple(rep.bidegrees[i]) == want
 
     def test_permutation_entries_are_binary(self):
         rep = build_fock(single_vertex_two_graph(3, 2), 3)
@@ -140,9 +140,9 @@ class TestRelations:
         assert all(r.defect == 0.0 for r in fock_suite(rep))
         # relative vacuum of layer 1 = words with no layer-1 letter: one
         # identity loop per vertex gives two pure layer-2 words per length
-        vac = [w for w in rep.words if rep.bidegree(w)[0] == 0]
+        vac = np.flatnonzero(rep.bidegrees[:, 0] == 0)
         assert len(vac) == 8
-        assert {w.vertex for w in rep.words if not w.letters} == {"0", "1"}
+        assert {v for letters, v in basis_words(rep) if not letters} == {"0", "1"}
 
     def test_unitary_chi_grid(self):
         for alpha in (0.0, np.pi / 6, np.pi / 4):
@@ -156,7 +156,8 @@ class TestRelations:
         rp = build_fock(
             single_vertex_two_graph(2, 2, chi=chi_same_index(2, 2)), 3
         )
-        assert [w.letters for w in ru.words] == [w.letters for w in rp.words]
+        assert ([letters for letters, _ in basis_words(ru)]
+                == [letters for letters, _ in basis_words(rp)])
         for eid in ru.creators:
             diff = (ru.creators[eid] - rp.creators[eid]).tocoo()
             assert diff.nnz == 0 or np.allclose(diff.data, 0)
@@ -344,6 +345,8 @@ class TestCrossings:
     @given(two_layer_specs(), st.integers(0, 5))
     def test_operators_match_the_recursive_reference(self, spec, degree):
         rep = build_fock(spec, degree)
+        # the order itself is pinned, since the reference reads the rep's own
+        assert basis_words(rep) == reference_basis(rep)
         creators, annihilators = reference_operators(rep)
         for x in rep.layer_of:
             assert (rep.creators[x] != creators[x]).nnz == 0, x
