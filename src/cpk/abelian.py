@@ -452,14 +452,6 @@ class Lattice:
         return None
 
 
-def solve_columns(a: IntMatrix, b: IntMatrix) -> Optional[IntMatrix]:
-    """Solve a @ X = b over the integers; None when no solution exists."""
-    xs = Lattice(a).solve(b)
-    if None in xs:
-        return None
-    return IntMatrix.from_columns(xs, rows=a.cols)
-
-
 def lattice_basis(gens: IntMatrix) -> IntMatrix:
     """A basis (independent columns) of the lattice spanned by the columns."""
     res = smith_normal_form(gens)
@@ -641,24 +633,20 @@ class GroupHom:
 
 
 def _in_relations(group: FgAbGroup, columns: list) -> bool:
-    """Do all the columns lie in the relation lattice of the group? One SNF
-    membership test for the whole block."""
-    columns = [c for c in columns if any(c)]
-    if not columns:
-        return True
-    rel = group.relations()
-    if rel.cols == 0:
-        return False
-    block = IntMatrix.from_columns(columns, rows=rel.rows)
-    return Lattice(rel).first_outside(block) is None
+    """Do all the columns lie in the relation lattice of the group? The
+    lattice is diagonal, so a free coordinate must be 0 and a torsion
+    coordinate divisible by its order."""
+    orders = group.generator_orders()
+    return all(
+        x % d == 0 if d else x == 0 for c in columns for x, d in zip(c, orders)
+    )
 
 
 def hom_well_defined(f: GroupHom) -> bool:
     """Does the generator matrix define a map on the quotient groups?
 
     For each torsion generator g of the domain with invariant factor d, the
-    vector d * f(g) must lie in the codomain relation lattice (an SNF
-    membership test, uniform with the exactness machinery).
+    vector d * f(g) must lie in the codomain relation lattice.
     """
     columns = f.matrix.columns()
     return _in_relations(
@@ -690,8 +678,10 @@ class Presentation:
     and ``reduce`` writes any element of N in canonical generator
     coordinates. This is what makes induced maps on stage-one K-groups
     computable instead of merely knowing their isomorphism class. The basis
-    is factored on the first reduce and that factorization serves every
-    later one for the lifetime of the presentation.
+    is factored once, on the first reduce (or by ``subquotient``, which
+    needs it to write the denominator in basis coordinates), and that
+    factorization serves every later reduce for the lifetime of the
+    presentation.
     """
 
     __slots__ = (
@@ -723,10 +713,6 @@ class Presentation:
     # -- constructors
 
     @staticmethod
-    def free(n: int) -> "Presentation":
-        return Presentation(n, IntMatrix.identity(n), IntMatrix.zeros(n, 0))
-
-    @staticmethod
     def cokernel_of(m: IntMatrix) -> "Presentation":
         return Presentation(m.rows, IntMatrix.identity(m.rows), m)
 
@@ -739,15 +725,13 @@ class Presentation:
     def subquotient(numerator: IntMatrix, denominator: IntMatrix) -> "Presentation":
         """numerator, denominator: generating columns, denominator inside."""
         basis = lattice_basis(numerator)
-        rels = solve_columns(basis, denominator)
-        if rels is None:
+        lattice = Lattice(basis)
+        xs = lattice.solve(denominator)
+        if None in xs:
             raise PreconditionError("denominator is not inside the numerator lattice")
-        return Presentation(numerator.rows, basis, rels)
-
-    @staticmethod
-    def of_group(group: FgAbGroup) -> "Presentation":
-        n = group.n_generators
-        return Presentation(n, IntMatrix.identity(n), group.relations())
+        pres = Presentation(numerator.rows, basis, IntMatrix.from_columns(xs, rows=basis.cols))
+        pres._numerator = lattice  # the factorization every reduce uses
+        return pres
 
     @staticmethod
     def direct_sum(a: "Presentation", b: "Presentation") -> "Presentation":

@@ -3,14 +3,16 @@
 Provides verification of exactness (image = kernel at every node, as honest
 subgroup lattices), enumeration of all middle groups of an extension
 0 -> N -> G -> Q -> 0, and a solver for the standard cyclic six-term layout
-with two antipodal unknown nodes. Ambiguous extensions are a first-class
-outcome, never silently resolved.
+with two antipodal unknown nodes. The solver resolves each unknown node to
+a GroupOutcome, the same record the K-theory reports carry: one group, or
+every extension candidate. Ambiguous extensions are a first-class outcome,
+never silently resolved.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from math import gcd
 from typing import Optional
@@ -240,35 +242,53 @@ def extension_candidates(
 
 
 @dataclass(frozen=True)
-class NodeResolution:
-    position: int
-    status: str  # DETERMINED or AMBIGUOUS
-    candidates: tuple
-    certificate: ExtensionCertificate
+class GroupOutcome:
+    """One K-group, either pinned down or a list of extension candidates."""
+
+    status: str  # DETERMINED | AMBIGUOUS | UNDERDETERMINED
+    candidates: tuple = ()
+    certificate: Optional[ExtensionCertificate] = None
     assumed_split: bool = False
+    explanation: Optional[str] = None
+
+    @staticmethod
+    def of(group: FgAbGroup, certificate=None, assumed_split=False) -> "GroupOutcome":
+        return GroupOutcome(DETERMINED, (group,), certificate, assumed_split)
 
     @property
     def group(self) -> FgAbGroup:
         if self.status != DETERMINED:
-            raise PreconditionError("no single group on an ambiguous node")
+            raise PreconditionError(f"no single group available (status {self.status})")
         return self.candidates[0]
+
+    def describe(self) -> dict:
+        out = {"status": self.status, "candidates": [str(g) for g in self.candidates]}
+        if self.status == DETERMINED:
+            out["group"] = str(self.group)
+        if self.certificate is not None:
+            out["extension"] = {
+                "sub": str(self.certificate.sub),
+                "quotient": str(self.certificate.quotient),
+            }
+        if self.assumed_split:
+            out["assumption"] = "split-extension"
+        if self.explanation:
+            out["explanation"] = self.explanation
+        return out
 
 
 @dataclass(frozen=True)
 class SolveOutcome:
     status: str  # DETERMINED | AMBIGUOUS | UNDERDETERMINED
-    resolutions: tuple = ()
+    resolutions: dict = field(default_factory=dict)  # position -> GroupOutcome
     explanation: Optional[str] = None
 
     @property
     def groups(self) -> dict:
-        return {r.position: r.group for r in self.resolutions}
+        return {u: r.group for u, r in self.resolutions.items()}
 
-    def resolution_at(self, position: int) -> NodeResolution:
-        for r in self.resolutions:
-            if r.position == position:
-                return r
-        raise KeyError(position)
+    def resolution_at(self, position: int) -> GroupOutcome:
+        return self.resolutions[position]
 
 
 def solve_six_term(
@@ -294,7 +314,7 @@ def solve_six_term(
                 f"{unknown_nodes}"
             ),
         )
-    resolutions = []
+    resolutions = {}
     for u in unknown_nodes:
         for a in ((u - 1) % n, u):
             if seq.arrows[a] is not None:
@@ -318,14 +338,14 @@ def solve_six_term(
         quot = hom_kernel(h)
         cert = ExtensionCertificate(sub=sub, quotient=quot)
         if assume_split:
-            resolutions.append(
-                NodeResolution(u, DETERMINED, (sub.direct_sum(quot),), cert, True)
-            )
+            resolutions[u] = GroupOutcome.of(sub.direct_sum(quot), cert, True)
             continue
         cands = extension_candidates(sub, quot, bound)
         status = DETERMINED if len(cands) == 1 else AMBIGUOUS
-        resolutions.append(NodeResolution(u, status, tuple(cands), cert))
+        resolutions[u] = GroupOutcome(status, tuple(cands), cert)
     overall = (
-        DETERMINED if all(r.status == DETERMINED for r in resolutions) else AMBIGUOUS
+        DETERMINED
+        if all(r.status == DETERMINED for r in resolutions.values())
+        else AMBIGUOUS
     )
-    return SolveOutcome(overall, tuple(resolutions))
+    return SolveOutcome(overall, resolutions)

@@ -6,9 +6,12 @@ bimodule amplified over the first algebra), and the nine-corner diagram
 route with both six-term cross-check sequences.
 
 Degree-zero coefficients of a graph model are Z^V with the bimodule class
-acting by the transpose vertex matrix; the solver consumes 1 - [E]. Both
-bimodule orders are always computed and reconciled, and extension ambiguity
-is propagated as explicit candidate lists.
+acting by the transpose vertex matrix, and its degree-one coefficients are
+0; the solver consumes 1 - [E]. Graph specs and abstract K-data share one
+two-stage order: the presented cokernel and kernel of 1 - [E] on each
+coefficient degree, with the second class acting on them. Both bimodule
+orders are always computed and reconciled, and extension ambiguity is
+propagated as explicit candidate lists.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .exactseq import (
     UNDERDETERMINED,
     ExactSequence,
     ExtensionCertificate,
+    GroupOutcome,
     ResourceLimitError,
     all_exact,
     ext_trivial,
@@ -60,42 +64,6 @@ BimoduleModel = Union[FiniteGraph, TwoGraphSpec, AbstractKData]
 
 # ---------------------------------------------------------------------------
 # outcome containers
-
-
-@dataclass(frozen=True)
-class GroupOutcome:
-    """One K-group, either pinned down or a list of extension candidates."""
-
-    status: str  # DETERMINED | AMBIGUOUS | UNDERDETERMINED
-    candidates: tuple = ()
-    certificate: Optional[ExtensionCertificate] = None
-    assumed_split: bool = False
-    explanation: Optional[str] = None
-
-    @staticmethod
-    def of(group: FgAbGroup, certificate=None, assumed_split=False) -> "GroupOutcome":
-        return GroupOutcome(DETERMINED, (group,), certificate, assumed_split)
-
-    @property
-    def group(self) -> FgAbGroup:
-        if self.status != DETERMINED:
-            raise PreconditionError(f"no single group available (status {self.status})")
-        return self.candidates[0]
-
-    def describe(self) -> dict:
-        out = {"status": self.status, "candidates": [str(g) for g in self.candidates]}
-        if self.status == DETERMINED:
-            out["group"] = str(self.group)
-        if self.certificate is not None:
-            out["extension"] = {
-                "sub": str(self.certificate.sub),
-                "quotient": str(self.certificate.quotient),
-            }
-        if self.assumed_split:
-            out["assumption"] = "split-extension"
-        if self.explanation:
-            out["explanation"] = self.explanation
-        return out
 
 
 @dataclass(frozen=True)
@@ -196,15 +164,6 @@ def _pimsner_sequence(problem: PimsnerProblem) -> ExactSequence:
     )
 
 
-def _outcome_of(resolution) -> GroupOutcome:
-    return GroupOutcome(
-        resolution.status,
-        resolution.candidates,
-        resolution.certificate,
-        resolution.assumed_split,
-    )
-
-
 def cuntz_pimsner_ktheory(
     problem: PimsnerProblem, assume_split: bool = False, bound: Optional[int] = None
 ) -> KPair:
@@ -216,7 +175,7 @@ def cuntz_pimsner_ktheory(
     out = solve_six_term(_pimsner_sequence(problem), assume_split, bound)
     if out.status == UNDERDETERMINED:
         raise InternalError(f"the Pimsner sequence has a bad layout: {out.explanation}")
-    return KPair(_outcome_of(out.resolution_at(2)), _outcome_of(out.resolution_at(5)))
+    return KPair(out.resolution_at(2), out.resolution_at(5))
 
 
 # ---------------------------------------------------------------------------
@@ -232,22 +191,11 @@ class IteratedResult:
     notes: tuple = ()
 
 
-def _canonical_key(g: FgAbGroup):
-    return (g.free_rank, g.torsion)
-
-
 def _union_outcomes(outcomes) -> GroupOutcome:
-    for o in outcomes:
-        if o.status == UNDERDETERMINED:
-            return o
-    seen = {}
-    assumed = False
-    for o in outcomes:
-        assumed = assumed or o.assumed_split
-        for g in o.candidates:
-            seen[_canonical_key(g)] = g
-    cands = tuple(seen[k] for k in sorted(seen))
+    groups = {g for o in outcomes for g in o.candidates}
+    cands = tuple(sorted(groups, key=lambda g: (g.free_rank, g.torsion)))
     status = DETERMINED if len(cands) == 1 else AMBIGUOUS
+    assumed = any(o.assumed_split for o in outcomes)
     return GroupOutcome(status, cands, outcomes[0].certificate, assumed)
 
 
@@ -258,8 +206,7 @@ def _reconcile_outcome(x: GroupOutcome, y: GroupOutcome) -> GroupOutcome:
         return y if y.status != UNDERDETERMINED else x
     if y.status == UNDERDETERMINED:
         return x
-    keys = {_canonical_key(g) for g in y.candidates}
-    inter = tuple(g for g in x.candidates if _canonical_key(g) in keys)
+    inter = tuple(g for g in x.candidates if g in y.candidates)
     if not inter:
         raise InternalError("order symmetry violated: disjoint candidate sets")
     status = DETERMINED if len(inter) == 1 else AMBIGUOUS
@@ -301,23 +248,6 @@ def _layers(spec: Union[TwoGraphSpec, GraphLayers]) -> GraphLayers:
     return spec if isinstance(spec, GraphLayers) else GraphLayers(spec)
 
 
-def _graph_order(cok: Presentation, ker: Presentation, action: IntMatrix,
-                 assume_split, bound) -> KPair:
-    """One order of the two-stage computation for a two-layer graph spec:
-    the final K-groups from the stage-1 groups cok, ker of the first layer
-    and the second layer's transposed vertex matrix acting on them.
-
-    Stage-1 K-groups are kept as presented subquotients of Z^V so the second
-    vertex matrix can act on them; with trivial coefficient K1 they are pure
-    cokernel/kernel pieces and stage 1 is never ambiguous.
-    """
-    act0 = cok.hom_to(cok, action)
-    act1 = ker.hom_to(ker, action)
-    return cuntz_pimsner_ktheory(
-        PimsnerProblem(cok.group, ker.group, act0, act1), assume_split, bound
-    )
-
-
 def _hom_elements(quotient: FgAbGroup, sub: FgAbGroup):
     """All homomorphisms Q -> N as matrices (columns per Q generator).
 
@@ -347,25 +277,23 @@ def _hom_elements(quotient: FgAbGroup, sub: FgAbGroup):
         yield IntMatrix.from_columns(cols, rows=sub.n_generators)
 
 
-def _descended_actions(l_sub, l_quot, a_sub, a_quot, assume_split):
-    """A stage-one K-group G = ext(coker l_sub, ker l_quot) together with all
-    stage-two actions on G compatible with the induced actions on the pieces.
+def _descended_actions(sub_pres, quot_pres, a_sub, a_quot, assume_split):
+    """A stage-one K-group G in 0 -> sub -> G -> quot -> 0 together with all
+    stage-two actions on G compatible with the actions a_sub, a_quot (ambient
+    matrices) induced on the two pieces.
 
-    Returns (group, [GroupHom], assumed, None) or (None, [], False, reason)
-    when the action is genuinely not determined by the input.
+    Returns (group, [GroupHom], None), or (None, [], reason) when the action
+    is genuinely not determined by the input. When a piece is trivial, only
+    the other piece's action is computed.
     """
-    sub_pres = hom_cokernel_presentation(l_sub)
-    quot_pres = hom_kernel_presentation(l_quot)
-    act_sub = sub_pres.hom_to(sub_pres, a_sub.matrix)
-    act_quot = quot_pres.hom_to(quot_pres, a_quot.matrix)
     sub, quot = sub_pres.group, quot_pres.group
-    if quot.is_trivial:
-        return sub, [act_sub], False, None
-    if sub.is_trivial:
-        return quot, [act_quot], False, None
-
+    if quot.is_trivial or sub.is_trivial:
+        pres, action = (sub_pres, a_sub) if quot.is_trivial else (quot_pres, a_quot)
+        return pres.group, [pres.hom_to(pres, action)], None
+    act_sub = sub_pres.hom_to(sub_pres, a_sub)
+    act_quot = quot_pres.hom_to(quot_pres, a_quot)
     g_pres = Presentation.direct_sum(
-        Presentation.of_group(sub), Presentation.of_group(quot)
+        Presentation.cokernel_of(sub.relations()), Presentation.cokernel_of(quot.relations())
     )
     n_sub, n_quot = sub.n_generators, quot.n_generators
 
@@ -376,12 +304,11 @@ def _descended_actions(l_sub, l_quot, a_sub, a_quot, assume_split):
 
     if assume_split:
         action = g_pres.hom_to(g_pres, block(IntMatrix.zeros(n_sub, n_quot)))
-        return g_pres.group, [action], True, None
+        return g_pres.group, [action], None
     if not ext_trivial(quot, sub):
         return (
             None,
             [],
-            False,
             "stage-one K-group is an extension with nontrivial class group; "
             "the induced action on it is not determined by the input",
         )
@@ -389,26 +316,30 @@ def _descended_actions(l_sub, l_quot, a_sub, a_quot, assume_split):
         return (
             None,
             [],
-            False,
             "infinitely many couplings between the free quotient piece and the "
             "infinite subgroup piece are compatible with the input",
         )
     actions = [g_pres.hom_to(g_pres, block(c)) for c in _hom_elements(quot, sub)]
-    return g_pres.group, actions, False, None
+    return g_pres.group, actions, None
 
 
-def _abstract_order(data: AbstractKData, assume_split, bound) -> KPair:
-    l0 = one_minus(data.action1_k0)
-    l1 = one_minus(data.action1_k1)
-    g0, acts0, assumed0, why0 = _descended_actions(
-        l0, l1, data.action2_k0, data.action2_k1, assume_split
-    )
-    g1, acts1, assumed1, why1 = _descended_actions(
-        l1, l0, data.action2_k1, data.action2_k0, assume_split
-    )
+def _two_stage_order(pieces0, pieces1, action0: IntMatrix, action1: IntMatrix,
+                     assume_split, bound) -> KPair:
+    """One order of the two-stage computation: the final K-groups from the
+    first bimodule's stage-one K-groups and the second bimodule's class
+    acting on them.
+
+    pieces_d is the presented (cokernel, kernel) of 1 - [E] on coefficient
+    K_d, and action_d the second class on K_d as an ambient matrix. Stage-one
+    K0 sits in 0 -> coker_0 -> K0 -> ker_1 -> 0 and K1 in
+    0 -> coker_1 -> K1 -> ker_0 -> 0. Every action compatible with the
+    pieces is run through the Pimsner sequence and the outcomes are joined.
+    """
+    (cok0, ker0), (cok1, ker1) = pieces0, pieces1
+    g0, acts0, why0 = _descended_actions(cok0, ker1, action0, action1, assume_split)
+    g1, acts1, why1 = _descended_actions(cok1, ker0, action1, action0, assume_split)
     if why0 or why1:
-        why = why0 or why1
-        under = GroupOutcome(UNDERDETERMINED, (), None, False, why)
+        under = GroupOutcome(UNDERDETERMINED, (), None, False, why0 or why1)
         return KPair(under, under)
     if len(acts0) * len(acts1) > _COUPLING_CAP:
         raise ResourceLimitError(
@@ -424,13 +355,13 @@ def _abstract_order(data: AbstractKData, assume_split, bound) -> KPair:
             )
             k0_outs.append(pair.k0)
             k1_outs.append(pair.k1)
-    assumed = assumed0 or assumed1
-    k0 = _union_outcomes(k0_outs)
-    k1 = _union_outcomes(k1_outs)
-    if assumed:
-        k0 = GroupOutcome(k0.status, k0.candidates, k0.certificate, True, k0.explanation)
-        k1 = GroupOutcome(k1.status, k1.candidates, k1.certificate, True, k1.explanation)
-    return KPair(k0, k1)
+    return KPair(_union_outcomes(k0_outs), _union_outcomes(k1_outs))
+
+
+def _pieces(f: GroupHom) -> tuple:
+    """The presented cokernel and kernel of 1 - f."""
+    one_minus_f = one_minus(f)
+    return hom_cokernel_presentation(one_minus_f), hom_kernel_presentation(one_minus_f)
 
 
 def iterated_ktheory(
@@ -447,17 +378,26 @@ def iterated_ktheory(
         coeff = coefficient_ktheory(layers.spec)
         stage1 = KPair.of_groups(layers.cok1.group, layers.ker1.group)
         other = KPair.of_groups(layers.cok2.group, layers.ker2.group)
-        final_a = _graph_order(layers.cok1, layers.ker1, layers.m2t, assume_split, bound)
-        final_b = _graph_order(layers.cok2, layers.ker2, layers.m1t, assume_split, bound)
+        # coefficient K1 is 0: empty pieces, acted on by a 0 x 0 matrix
+        empty = (Presentation.cokernel_of(IntMatrix.zeros(0, 0)),) * 2
+        zero = IntMatrix.zeros(0, 0)
+        orders = [
+            ((layers.cok1, layers.ker1), empty, layers.m2t, zero),
+            ((layers.cok2, layers.ker2), empty, layers.m1t, zero),
+        ]
     elif isinstance(spec, AbstractKData):
         spec.validate().require()
         coeff = coefficient_ktheory(spec)
         stage1 = cuntz_pimsner_ktheory(pimsner_class_maps(spec, 1), assume_split, bound)
         other = cuntz_pimsner_ktheory(pimsner_class_maps(spec, 2), assume_split, bound)
-        final_a = _abstract_order(spec, assume_split, bound)
-        final_b = _abstract_order(spec.swapped(), assume_split, bound)
+        orders = [
+            (_pieces(d.action1_k0), _pieces(d.action1_k1),
+             d.action2_k0.matrix, d.action2_k1.matrix)
+            for d in (spec, spec.swapped())
+        ]
     else:
         raise PreconditionError(f"unsupported spec type {type(spec).__name__}")
+    final_a, final_b = (_two_stage_order(*o, assume_split, bound) for o in orders)
     final = _reconcile_pairs(final_a, final_b)
     if final_a.k0.status != final.k0.status or final_a.k1.status != final.k1.status:
         notes.append("order comparison narrowed the candidate list")
@@ -525,8 +465,8 @@ def diagram_report(
     cok1, ker1, cok2, ker2 = layers.cok1, layers.ker1, layers.cok2, layers.ker2
     cok_theta, ker_theta = layers.cok_theta, layers.ker_theta
 
-    free_v = Presentation.free(nv)
-    zero_pres = Presentation.free(0)
+    free_v = Presentation.cokernel_of(IntMatrix.zeros(nv, 0))
+    zero_pres = Presentation.cokernel_of(IntMatrix.zeros(0, 0))
     sum_corner = Presentation.direct_sum(cok1, cok2)
     ker_corner = Presentation.direct_sum(ker1, ker2)
 

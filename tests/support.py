@@ -20,14 +20,34 @@ from cpk.abelian import (
     hom_kernel_presentation,
     hom_well_defined,
     kernel_basis,
-    solve_columns,
 )
 from cpk.exactseq import DETERMINED, UNDERDETERMINED, ExactSequence, SolveOutcome
 from cpk.ktheory import KPair
-from cpk.model import FiniteGraph, TwoGraphSpec, UnitaryChi
+from cpk.model import AbstractKData, FiniteGraph, TwoGraphSpec, UnitaryChi, vertex_matrix
 
 # ---------------------------------------------------------------------------
 # lattices and induced maps
+
+
+def solve_columns(a: IntMatrix, b: IntMatrix):
+    """Solve a @ X = b over the integers; None when no solution exists."""
+    xs = Lattice(a).solve(b)
+    if None in xs:
+        return None
+    return IntMatrix.from_columns(xs, rows=a.cols)
+
+
+def in_relation_lattice(group: FgAbGroup, columns) -> bool:
+    """Do all the columns lie in the relation lattice of the group? Tested
+    by SNF membership in Lattice(group.relations())."""
+    columns = [c for c in columns if any(c)]
+    if not columns:
+        return True
+    rel = group.relations()
+    if rel.cols == 0:
+        return False
+    block = IntMatrix.from_columns(columns, rows=rel.rows)
+    return Lattice(rel).first_outside(block) is None
 
 
 def lattice_contains(gens: IntMatrix, vector) -> bool:
@@ -103,16 +123,16 @@ def substitute_solution(seq: ExactSequence, outcome: SolveOutcome) -> ExactSeque
     nodes = list(seq.nodes)
     arrows = list(seq.arrows)
     n = len(seq)
-    for res in outcome.resolutions:
+    for u, res in outcome.resolutions.items():
         if res.status != DETERMINED:
             raise PreconditionError("cannot substitute an ambiguous node")
-        u = res.position
         f = seq.arrows[(u - 2) % n]
         h = seq.arrows[(u + 1) % n]
         sub_pres = hom_cokernel_presentation(f)
         quot_pres = hom_kernel_presentation(h)
         middle = Presentation.direct_sum(
-            Presentation.of_group(sub_pres.group), Presentation.of_group(quot_pres.group)
+            Presentation.cokernel_of(sub_pres.group.relations()),
+            Presentation.cokernel_of(quot_pres.group.relations()),
         )
         big = middle.group
         assert big == res.certificate.sub.direct_sum(res.certificate.quotient)
@@ -237,6 +257,16 @@ def two_graph_specs(draw) -> TwoGraphSpec:
     return two_graph_from_matrices(
         m1.tolist(), m2.tolist(), lambda paths: draw(st.permutations(paths))
     )
+
+
+def as_abstract(spec: TwoGraphSpec) -> AbstractKData:
+    """A two-layer graph spec as abstract K-data: coefficient K-theory
+    (Z^V, 0), with [E_i] acting by the transposed vertex matrix M_i^T."""
+    k0, k1 = FgAbGroup.free(len(spec.vertices)), FgAbGroup.trivial()
+    zero = GroupHom.zero(k1, k1)
+    m1t = vertex_matrix(spec.graph1()).transpose()
+    m2t = vertex_matrix(spec.graph2()).transpose()
+    return AbstractKData(k0, k1, GroupHom(k0, k0, m1t), zero, GroupHom(k0, k0, m2t), zero)
 
 
 def evans_ktheory(m1: IntMatrix, m2: IntMatrix) -> KPair:

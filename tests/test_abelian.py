@@ -6,14 +6,14 @@ k x k minors (Laplace-expansion determinants), kernels via direct membership
 plus a saturation test on maximal minors.
 """
 
-import doctest
 import math
 import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cpk import abelian
 from cpk.abelian import (
     DimensionError,
     FgAbGroup,
@@ -30,13 +30,14 @@ from cpk.abelian import (
     kernel_basis,
     lattice_basis,
     smith_normal_form,
-    solve_columns,
 )
 from support import (
+    in_relation_lattice,
     induced_on_cokernel,
     induced_on_kernel,
     lattice_contains,
     lattices_equal,
+    solve_columns,
 )
 
 # ---------------------------------------------------------------------------
@@ -126,12 +127,6 @@ def test_invariant_factor_normalization():
     assert invariant_factors([12, 18]) == (6, 36)
     with pytest.raises(ValueError):
         FgAbGroup(0, (3, 2))  # not a chain
-
-
-def test_module_doctests_pass():
-    # covers the invariant_factors examples after the gcd/lcm rewrite
-    result = doctest.testmod(abelian)
-    assert result.attempted >= 8 and result.failed == 0
 
 
 def test_group_str():
@@ -351,3 +346,49 @@ def test_hom_kernel_cokernel_random_consistency():
         cok = hom_cokernel(f)
         image_order = cod.torsion_order // cok.torsion_order
         assert ker.torsion_order * image_order == dom.torsion_order
+
+
+@st.composite
+def hom_pairs(draw):
+    """Two homs between the same small groups: a matrix that may or may not
+    be well defined on torsion, and the same matrix shifted by codomain
+    relations and, sometimes, by a small perturbation."""
+    group = st.builds(
+        FgAbGroup.from_divisors,
+        st.integers(0, 2),
+        st.lists(st.integers(1, 12), max_size=3),
+    )
+    dom, cod = draw(group), draw(group)
+    entry = st.integers(-30, 30)
+
+    def matrix(rows, cols):
+        return IntMatrix([[draw(entry) for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+    f = matrix(cod.n_generators, dom.n_generators)
+    if draw(st.booleans()):
+        # make f well defined: d * f(g) must be a codomain relation
+        cols = []
+        for j, d in enumerate(dom.generator_orders()):
+            col = list(f.column(j))
+            for i, e in enumerate(cod.generator_orders()):
+                if d:
+                    col[i] *= e // math.gcd(d, e) if e else 0
+            cols.append(col)
+        f = IntMatrix.from_columns(cols, rows=cod.n_generators)
+    rel = cod.relations()
+    g = f + rel @ matrix(rel.cols, dom.n_generators)
+    if draw(st.booleans()):
+        g = g + matrix(cod.n_generators, dom.n_generators)
+    return GroupHom(dom, cod, f), GroupHom(dom, cod, g)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(hom_pairs())
+def test_relation_membership_agrees_with_lattice_reference(pair):
+    f, g = pair
+    torsion_images = [
+        [d * x for x in f.matrix.column(j)]
+        for j, d in enumerate(f.dom.generator_orders()) if d
+    ]
+    assert hom_well_defined(f) == in_relation_lattice(f.cod, torsion_images)
+    assert hom_equal(f, g) == in_relation_lattice(f.cod, (f.matrix - g.matrix).columns())

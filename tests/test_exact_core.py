@@ -24,9 +24,9 @@ from cpk.abelian import (
     hom_image_lattice,
     hom_kernel_lattice,
     smith_normal_form,
-    solve_columns,
 )
 from cpk.exactseq import ExactSequence, verify_exact
+from support import solve_columns
 
 PROPERTY = settings(max_examples=150, deadline=None, database=None, derandomize=True)
 

@@ -245,9 +245,8 @@ def test_solver_rotation_invariance():
     out = solve_six_term(seq)
     rotated = solve_six_term(rotate(seq, 3))
     assert out.status == rotated.status
-    by_pos = {r.position: r for r in out.resolutions}
-    for r in rotated.resolutions:
-        partner = by_pos[(r.position + 3) % 6]
+    for position, r in rotated.resolutions.items():
+        partner = out.resolutions[(position + 3) % 6]
         assert r.status == partner.status
         assert r.candidates == partner.candidates
 

@@ -8,13 +8,14 @@ the stage-one algebra, and the tensor/Tor oracle for single-vertex flips.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpk import ktheory
 from cpk.abelian import FgAbGroup, GroupHom, IntMatrix, InternalError, PreconditionError
-from cpk.exactseq import AMBIGUOUS, DETERMINED, UNDERDETERMINED, SolveOutcome
+from cpk.exactseq import AMBIGUOUS, DETERMINED, UNDERDETERMINED, GroupOutcome, SolveOutcome
 from cpk.ktheory import (
     DiagramReport,
-    GroupOutcome,
     coefficient_ktheory,
     cuntz_pimsner_ktheory,
     diagram_report,
@@ -29,7 +30,7 @@ from cpk.model import (
     single_vertex_two_graph,
     two_graph_from_permutations,
 )
-from support import kunneth_flip_oracle, permutation_bimodule
+from support import as_abstract, kunneth_flip_oracle, permutation_bimodule, two_graph_specs
 from test_model import commuting_layer_spec
 
 
@@ -332,6 +333,27 @@ class TestProperties:
             r0 = min(g.free_rank for g in res.final.k0.candidates)
             r1 = min(g.free_rank for g in res.final.k1.candidates)
             assert r0 == r1
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(
+        spec=st.one_of(
+            two_graph_specs(),
+            st.builds(commuting_layer_spec, st.randoms(use_true_random=False),
+                      st.just(4), st.just(2)),
+        ),
+    )
+    def test_graph_and_abstract_data_give_the_same_final_report(self, spec):
+        # a graph spec is abstract K-data (Z^V, 0) with [E_i] acting by M_i^T.
+        # A wrong split guess can make the two orders disagree, which both
+        # data kinds must then report with the same error.
+        def final(data, assume_split):
+            try:
+                return iterated_ktheory(data, assume_split).final.describe()
+            except InternalError as err:
+                return str(err)
+
+        for assume_split in (False, True):
+            assert final(spec, assume_split) == final(as_abstract(spec), assume_split)
 
     def test_oracle_values_frozen(self):
         assert names(kunneth_flip_oracle(2, 2).k0.group) == "0"
