@@ -400,6 +400,47 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     return result
 
 
+# Bound on the matrix entries the factor cache holds, counting each cached
+# input with its S, U, Uinv, V and Vinv: the n x 2n boundary of a 128-vertex
+# permutation pair (229376 cells) fits, and at 8 bytes a reference the cache
+# keeps at most about 2 MB of tuples alive.
+FACTOR_CACHE_CELLS = 1 << 18
+
+_factors: dict = {}
+_factor_cells = 0
+
+
+def factor(m: IntMatrix) -> SnfResult:
+    """The certified Smith form of m, factored once per distinct matrix.
+
+    Results are kept by content (IntMatrix and SnfResult are immutable, so
+    sharing one is safe) until clear_factors(), which cpk.cli.main calls on
+    entry, so a cache lives for one command. A miss calls smith_normal_form,
+    which checks every certificate. When the held entries would pass
+    FACTOR_CACHE_CELLS the cache is emptied first, and a result larger than
+    the bound on its own is not kept.
+    """
+    global _factor_cells
+    res = _factors.get(m)
+    if res is None:
+        res = smith_normal_form(m)
+        r, c = m.rows, m.cols
+        cells = 2 * (r * r + r * c + c * c)
+        if _factor_cells + cells > FACTOR_CACHE_CELLS:
+            clear_factors()
+        if cells <= FACTOR_CACHE_CELLS:
+            _factors[m] = res
+            _factor_cells += cells
+    return res
+
+
+def clear_factors() -> None:
+    """Forget every cached factorization."""
+    global _factor_cells
+    _factors.clear()
+    _factor_cells = 0
+
+
 # ---------------------------------------------------------------------------
 # lattices (subgroups of Z^n given by generating columns)
 
@@ -414,7 +455,7 @@ class Lattice:
     __slots__ = ("gens", "_u", "_v", "_diag")
 
     def __init__(self, gens: IntMatrix):
-        res = smith_normal_form(gens)
+        res = factor(gens)
         self.gens = gens
         self._u = res.U
         self._v = res.V
@@ -454,7 +495,7 @@ class Lattice:
 
 def lattice_basis(gens: IntMatrix) -> IntMatrix:
     """A basis (independent columns) of the lattice spanned by the columns."""
-    res = smith_normal_form(gens)
+    res = factor(gens)
     uinv = res.Uinv
     cols = [
         [uinv[i, j] * res.diagonal[j] for i in range(gens.rows)] for j in range(res.rank)
@@ -468,14 +509,14 @@ def cokernel(m: IntMatrix) -> "FgAbGroup":
     >>> cokernel(IntMatrix([[1, -1], [-1, 1]]))
     FgAbGroup(free_rank=1, torsion=())
     """
-    res = smith_normal_form(m)
+    res = factor(m)
     torsion = tuple(d for d in res.diagonal if d > 1)
     return FgAbGroup(m.rows - res.rank, torsion)
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
     """Columns form a basis of {x in Z^cols : m @ x = 0} (a saturated lattice)."""
-    res = smith_normal_form(m)
+    res = factor(m)
     rank = res.rank
     cols = [res.V.column(j) for j in range(rank, m.cols)]
     out = IntMatrix.from_columns(cols, rows=m.cols)
@@ -618,10 +659,6 @@ class GroupHom:
             )
 
     @staticmethod
-    def identity(group: FgAbGroup) -> "GroupHom":
-        return GroupHom(group, group, IntMatrix.identity(group.n_generators))
-
-    @staticmethod
     def zero(dom: FgAbGroup, cod: FgAbGroup) -> "GroupHom":
         return GroupHom(dom, cod, IntMatrix.zeros(cod.n_generators, dom.n_generators))
 
@@ -673,14 +710,14 @@ class Presentation:
     """A subquotient N/D of Z^ambient with explicit generator lifts.
 
     N is the column span of ``basis`` (independent columns), D the span of
-    ``basis @ rels``. The canonical isomorphism class is ``group``; for each
-    canonical generator, ``gen_lift`` returns a representative in Z^ambient
-    and ``reduce`` writes any element of N in canonical generator
-    coordinates. This is what makes induced maps on stage-one K-groups
-    computable instead of merely knowing their isomorphism class. The basis
-    is factored once, on the first reduce (or by ``subquotient``, which
-    needs it to write the denominator in basis coordinates), and that
-    factorization serves every later reduce for the lifetime of the
+    ``basis @ rels``. The canonical isomorphism class is ``group``; column j
+    of ``gen_lift_matrix`` is a representative in Z^ambient of the j-th
+    canonical generator, and ``reduce`` writes any element of N in canonical
+    generator coordinates. This is what makes induced maps on stage-one
+    K-groups computable instead of merely knowing their isomorphism class.
+    The basis is factored on the first reduce (through ``factor``, so a
+    basis that ``subquotient`` already factored is not factored again), and
+    that factorization serves every later reduce for the lifetime of the
     presentation.
     """
 
@@ -694,7 +731,7 @@ class Presentation:
         self.ambient = ambient
         self.basis = basis
         self.rels = rels
-        res = smith_normal_form(rels)
+        res = factor(rels)
         s = basis.cols
         diag = list(res.diagonal) + [0] * (s - min(rels.rows, rels.cols))
 
@@ -725,13 +762,10 @@ class Presentation:
     def subquotient(numerator: IntMatrix, denominator: IntMatrix) -> "Presentation":
         """numerator, denominator: generating columns, denominator inside."""
         basis = lattice_basis(numerator)
-        lattice = Lattice(basis)
-        xs = lattice.solve(denominator)
+        xs = Lattice(basis).solve(denominator)
         if None in xs:
             raise PreconditionError("denominator is not inside the numerator lattice")
-        pres = Presentation(numerator.rows, basis, IntMatrix.from_columns(xs, rows=basis.cols))
-        pres._numerator = lattice  # the factorization every reduce uses
-        return pres
+        return Presentation(numerator.rows, basis, IntMatrix.from_columns(xs, rows=basis.cols))
 
     @staticmethod
     def direct_sum(a: "Presentation", b: "Presentation") -> "Presentation":
@@ -742,11 +776,6 @@ class Presentation:
         )
 
     # -- generator bookkeeping
-
-    def gen_lift(self, j: int) -> tuple:
-        """Ambient representative of the j-th canonical generator."""
-        col = self._uinv.column(self._kept[j])
-        return self.basis.apply(col)
 
     def gen_lift_matrix(self) -> IntMatrix:
         return self.basis @ self._uinv.submatrix(range(self._uinv.rows), self._kept)

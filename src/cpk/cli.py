@@ -22,6 +22,7 @@ from .abelian import (
     IntMatrix,
     InternalError,
     PreconditionError,
+    clear_factors,
 )
 from .exactseq import ResourceLimitError, UsageError, ext_bound
 from .fixtures import (
@@ -560,6 +561,7 @@ def _error_report(command: str, status: str, message: str, fmt: str) -> int:
 
 
 def main(argv=None) -> int:
+    clear_factors()  # each command factors each distinct matrix once
     args = _build_parser().parse_args(argv)
     fmt = getattr(args, "format", "json")
     try:

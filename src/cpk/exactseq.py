@@ -283,10 +283,6 @@ class SolveOutcome:
     resolutions: dict = field(default_factory=dict)  # position -> GroupOutcome
     explanation: Optional[str] = None
 
-    @property
-    def groups(self) -> dict:
-        return {u: r.group for u, r in self.resolutions.items()}
-
     def resolution_at(self, position: int) -> GroupOutcome:
         return self.resolutions[position]
 

@@ -75,14 +75,6 @@ class KPair:
     def of_groups(g0: FgAbGroup, g1: FgAbGroup) -> "KPair":
         return KPair(GroupOutcome.of(g0), GroupOutcome.of(g1))
 
-    @property
-    def determined(self) -> bool:
-        return self.k0.status == DETERMINED and self.k1.status == DETERMINED
-
-    @property
-    def groups(self) -> tuple:
-        return (self.k0.group, self.k1.group)
-
     def describe(self) -> dict:
         return {"K0": self.k0.describe(), "K1": self.k1.describe()}
 
@@ -201,13 +193,22 @@ def _union_outcomes(outcomes) -> GroupOutcome:
 
 def _reconcile_outcome(x: GroupOutcome, y: GroupOutcome) -> GroupOutcome:
     """Merge the two bimodule orders: the true group lies in both candidate
-    sets, so intersect; disjoint sets would mean an internal error."""
+    sets, so intersect. Disjoint sets refute a split assumption when one was
+    made, and otherwise mean an internal error."""
     if x.status == UNDERDETERMINED:
         return y if y.status != UNDERDETERMINED else x
     if y.status == UNDERDETERMINED:
         return x
     inter = tuple(g for g in x.candidates if g in y.candidates)
     if not inter:
+        if x.assumed_split or y.assumed_split:
+            sets = " and ".join(
+                "{" + ", ".join(str(g) for g in o.candidates) + "}" for o in (x, y)
+            )
+            raise PreconditionError(
+                "the split assumption does not hold: the two bimodule orders "
+                f"give disjoint candidate sets {sets}"
+            )
         raise InternalError("order symmetry violated: disjoint candidate sets")
     status = DETERMINED if len(inter) == 1 else AMBIGUOUS
     return GroupOutcome(status, inter, x.certificate, x.assumed_split or y.assumed_split)

@@ -29,6 +29,15 @@ from cpk.model import AbstractKData, FiniteGraph, TwoGraphSpec, UnitaryChi, vert
 # lattices and induced maps
 
 
+def identity_hom(group: FgAbGroup) -> GroupHom:
+    return GroupHom(group, group, IntMatrix.identity(group.n_generators))
+
+
+def gen_lift(pres: Presentation, j: int) -> tuple:
+    """Ambient representative of the j-th canonical generator."""
+    return pres.gen_lift_matrix().column(j)
+
+
 def solve_columns(a: IntMatrix, b: IntMatrix):
     """Solve a @ X = b over the integers; None when no solution exists."""
     xs = Lattice(a).solve(b)
@@ -101,6 +110,11 @@ def induced_on_kernel(b: IntMatrix, m: IntMatrix) -> GroupHom:
 # exact sequences
 
 
+def solved_groups(outcome: SolveOutcome) -> dict:
+    """Position -> group of every resolved node."""
+    return {u: r.group for u, r in outcome.resolutions.items()}
+
+
 def rotate(seq: ExactSequence, k: int) -> ExactSequence:
     """The same cyclic sequence read from node k on."""
     n = len(seq.nodes)
@@ -151,7 +165,7 @@ def substitute_solution(seq: ExactSequence, outcome: SolveOutcome) -> ExactSeque
         lifts = quot_pres.gen_lift_matrix()
         proj_cols = []
         for t in range(big.n_generators):
-            ambient = middle.gen_lift(t)
+            ambient = gen_lift(middle, t)
             proj_cols.append(lifts.apply(ambient[n_sub:]))
         arrows[u] = GroupHom(
             big, nxt, IntMatrix.from_columns(proj_cols, rows=nxt.n_generators)
@@ -163,6 +177,14 @@ def substitute_solution(seq: ExactSequence, outcome: SolveOutcome) -> ExactSeque
 
 # ---------------------------------------------------------------------------
 # models and oracles
+
+
+def pair_determined(pair: KPair) -> bool:
+    return pair.k0.status == DETERMINED and pair.k1.status == DETERMINED
+
+
+def pair_groups(pair: KPair) -> tuple:
+    return (pair.k0.group, pair.k1.group)
 
 
 def permutation_bimodule(vertices, perm) -> FiniteGraph:

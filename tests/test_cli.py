@@ -255,6 +255,17 @@ class TestKtheory:
         assert rep["results"]["final"]["K1"]["group"] == "Z/2 + Z/2"
         assert rep["results"]["final"]["K1"]["assumption"] == "split-extension"
 
+    def test_refuted_split_assumption_exit_1(self, tmp_path, capsys):
+        # without --assume-split both bimodule orders give K0 = K1 = Z^2; a
+        # split guess that is wrong in one order makes their answers disjoint
+        doc = two_graph_document(two_graph_from_matrices([[1, 0], [1, 1]], [[1, 0], [2, 1]]))
+        path = write_doc(tmp_path, doc)
+        rc, rep = run(capsys, ["ktheory", path], expect=0)
+        assert final_groups(rep) == ("Z^2", "Z^2")
+        rc, rep = run(capsys, ["ktheory", path, "--assume-split"], expect=1)
+        assert rep["status"] == "invalid"
+        assert "split assumption does not hold" in rep["error"]
+
     def test_extension_bound_exit_4(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CPK_EXT_BOUND", "1")
         path = write_doc(tmp_path, two_graph_document(disjoint_flip_pair()))

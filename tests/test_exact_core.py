@@ -1,9 +1,10 @@
 """The factor-once exact core.
 
-Property tests for the Smith normal form with tracked inverse transforms,
-for block solves against one factorization (block reduce, generator round
-trips, verify_exact witnesses), and a deterministic guard on the number of
-Smith normal form calls a diagram run makes.
+Property tests for the Smith normal form with tracked inverse transforms
+and its per-command cache, for block solves against one factorization
+(block reduce, generator round trips, verify_exact witnesses), and
+deterministic guards on the number of Smith normal form calls a diagram
+run makes.
 """
 
 import json
@@ -14,19 +15,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cpk import cli
+from cpk import abelian, cli
 from cpk.abelian import (
     FgAbGroup,
     GroupHom,
     IntMatrix,
     PreconditionError,
     Presentation,
+    factor,
     hom_image_lattice,
     hom_kernel_lattice,
     smith_normal_form,
 )
 from cpk.exactseq import ExactSequence, verify_exact
-from support import solve_columns
+from support import gen_lift, solve_columns
 
 PROPERTY = settings(max_examples=150, deadline=None, database=None, derandomize=True)
 
@@ -64,6 +66,34 @@ def test_snf_certificates(m):
     assert all(d >= 0 for d in diag)
     for a, b in zip(diag, diag[1:]):
         assert (a == 0 and b == 0) or (a != 0 and b % a == 0)
+
+
+@PROPERTY
+@given(int_matrices())
+def test_cached_factorization_equals_a_fresh_one(m):
+    fresh = smith_normal_form(m)
+    first = factor(m)
+    for name in ("U", "S", "V", "Uinv", "Vinv", "diagonal"):
+        assert getattr(first, name) == getattr(fresh, name), name
+    assert factor(m) is first
+
+
+def cached_cells() -> int:
+    return sum(2 * (m.rows ** 2 + m.rows * m.cols + m.cols ** 2) for m in abelian._factors)
+
+
+def test_factor_cache_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(abelian, "FACTOR_CACHE_CELLS", 200)
+    abelian.clear_factors()
+    for k in range(1, 40):  # 24 cells each: the bound is passed several times
+        m = IntMatrix([[k, 1], [0, k]])
+        assert factor(m).diagonal == smith_normal_form(m).diagonal
+        assert abelian._factor_cells == cached_cells() <= 200
+        assert m in abelian._factors
+    big = IntMatrix.identity(6)  # 216 cells on its own
+    assert factor(big).diagonal == (1,) * 6
+    assert big not in abelian._factors
+    assert abelian._factor_cells == cached_cells() <= 200
 
 
 def test_is_inverse_of_rejects_non_inverses():
@@ -149,7 +179,7 @@ def test_gen_lift_reduce_round_trip(case):
     pres, _ = case
     n = pres.group.n_generators
     units = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
-    assert [pres.reduce(pres.gen_lift(j)) for j in range(n)] == units
+    assert [pres.reduce(gen_lift(pres, j)) for j in range(n)] == units
     assert pres.reduce_columns(pres.gen_lift_matrix()) == units
     den = pres.basis @ pres.rels
     assert all(not any(c) for c in pres.reduce_columns(den))
@@ -264,5 +294,15 @@ def test_snf_calls_per_cyclic_pair_stay_bounded(tmp_path, monkeypatch, capsys):
         path = tmp_path / f"cyclic-{n}.json"
         path.write_text(json.dumps(cyclic_pair_document(n, 2)))
         counts[n] = snf_calls(monkeypatch, capsys, str(path))
-    assert counts[16] <= 150, counts
+    assert counts[16] <= 40, counts
     assert counts[32] <= counts[16], counts
+
+
+def test_each_command_factors_afresh(tmp_path, monkeypatch, capsys):
+    # the factor cache lives for one cli.main call, so a repeated command
+    # repeats every factorization instead of reading the previous one's
+    path = tmp_path / "cyclic-16.json"
+    path.write_text(json.dumps(cyclic_pair_document(16, 2)))
+    first = snf_calls(monkeypatch, capsys, str(path))
+    assert first > 0
+    assert snf_calls(monkeypatch, capsys, str(path)) == first

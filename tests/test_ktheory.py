@@ -30,7 +30,16 @@ from cpk.model import (
     single_vertex_two_graph,
     two_graph_from_permutations,
 )
-from support import as_abstract, kunneth_flip_oracle, permutation_bimodule, two_graph_specs
+from support import (
+    as_abstract,
+    identity_hom,
+    kunneth_flip_oracle,
+    pair_determined,
+    pair_groups,
+    permutation_bimodule,
+    two_graph_from_matrices,
+    two_graph_specs,
+)
 from test_model import commuting_layer_spec
 
 
@@ -71,7 +80,7 @@ class TestSingleStage:
         # n loops on one vertex: K0 = Z/(n-1), K1 = 0
         for n in range(2, 13):
             pair = cuntz_pimsner_ktheory(pimsner_class_maps(rose(n)))
-            assert pair.determined
+            assert pair_determined(pair)
             assert pair.k0.group == FgAbGroup.from_divisors(0, [n - 1])
             assert pair.k1.group.is_trivial
 
@@ -113,8 +122,8 @@ class TestIteratedGraphs:
         for m, n in [(2, 2), (3, 3), (3, 5), (4, 6), (5, 3)]:
             res = iterated_ktheory(single_vertex_two_graph(m, n))
             oracle = kunneth_flip_oracle(m, n)
-            assert res.final.determined, (m, n)
-            assert res.final.groups == oracle.groups, (m, n)
+            assert pair_determined(res.final), (m, n)
+            assert pair_groups(res.final) == pair_groups(oracle), (m, n)
 
     def test_flip_3_3_frozen(self):
         res = iterated_ktheory(single_vertex_two_graph(3, 3))
@@ -209,16 +218,23 @@ class TestAbstractMode:
     def test_small_pairs_determined(self):
         for p1, p2 in [(2, 3), (2, 5), (2, 2)]:
             res = iterated_ktheory(degree_cover_data(p1, p2))
-            assert res.final.determined, (p1, p2)
+            assert pair_determined(res.final), (p1, p2)
             assert names(res.final.k0.group) == "Z^2"
             assert names(res.final.k1.group) == "Z^2"
 
     def test_assume_split_narrows_to_one(self):
         res = iterated_ktheory(degree_cover_data(3, 5), assume_split=True)
-        assert res.final.determined
+        assert pair_determined(res.final)
         assert res.final.k0.assumed_split
         assert names(res.final.k0.group) == "Z^2 + Z/2"
         assert names(res.final.k1.group) == "Z^2 + Z/2"
+
+    def test_refuted_split_assumption_is_invalid_input(self):
+        spec = two_graph_from_matrices([[1, 0], [1, 1]], [[1, 0], [2, 1]])
+        res = iterated_ktheory(spec)
+        assert (names(res.final.k0.group), names(res.final.k1.group)) == ("Z^2", "Z^2")
+        with pytest.raises(PreconditionError, match="split assumption does not hold"):
+            iterated_ktheory(spec, assume_split=True)
 
     def test_order_symmetry_of_candidates(self):
         a = iterated_ktheory(degree_cover_data(3, 5))
@@ -233,8 +249,8 @@ class TestAbstractMode:
         z2 = FgAbGroup.from_divisors(0, [2])
         data = AbstractKData(
             g, z2,
-            GroupHom.identity(g), GroupHom.identity(z2),
-            GroupHom.identity(g), GroupHom.identity(z2),
+            identity_hom(g), identity_hom(z2),
+            identity_hom(g), identity_hom(z2),
         )
         res = iterated_ktheory(data)
         assert res.final.k0.status == UNDERDETERMINED
@@ -307,7 +323,7 @@ class TestProperties:
         for m in range(2, 7):
             for n in range(2, 7):
                 res = iterated_ktheory(single_vertex_two_graph(m, n))
-                assert res.final.groups == kunneth_flip_oracle(m, n).groups
+                assert pair_groups(res.final) == pair_groups(kunneth_flip_oracle(m, n))
 
     def test_random_commuting_permutation_specs(self):
         rng = random.Random(20260815)
@@ -315,7 +331,7 @@ class TestProperties:
             spec = commuting_layer_spec(rng, max_vertices=4, max_powers=2)
             res = iterated_ktheory(spec)
             # permutation layers keep every stage free, so no ambiguity
-            assert res.final.determined
+            assert pair_determined(res.final)
             rep = diagram_report(spec)
             assert rep.consistent, rep.problems
             assert names(rep.final.k0.group) == names(res.final.k0.group)
@@ -349,7 +365,7 @@ class TestProperties:
         def final(data, assume_split):
             try:
                 return iterated_ktheory(data, assume_split).final.describe()
-            except InternalError as err:
+            except (InternalError, PreconditionError) as err:
                 return str(err)
 
         for assume_split in (False, True):
@@ -374,6 +390,13 @@ class TestInternalErrors:
         b = GroupOutcome.of(FgAbGroup(0, (2,)))
         with pytest.raises(InternalError, match="order symmetry"):
             ktheory._reconcile_outcome(a, b)
+
+    def test_disjoint_orders_refute_a_split_assumption(self):
+        a = GroupOutcome.of(FgAbGroup.free(1), assumed_split=True)
+        b = GroupOutcome.of(FgAbGroup(0, (2,)))
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(PreconditionError, match="split assumption does not hold"):
+                ktheory._reconcile_outcome(x, y)
 
     def test_underdetermined_pimsner_sequence(self, monkeypatch):
         def broken(seq, assume_split=False, bound=None):

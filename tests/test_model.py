@@ -23,6 +23,7 @@ from cpk.model import (
 from support import (
     chi_from_permutation,
     chi_same_index,
+    identity_hom,
     permutation_bimodule,
     permutation_unitary_chi,
 )
@@ -291,7 +292,7 @@ def test_random_commuting_layer_specs_validate():
 
 def kdata_cyclic(p1, p2):
     z = FgAbGroup(1)
-    one = GroupHom.identity(z)
+    one = identity_hom(z)
 
     def times(k):
         return GroupHom(z, z, IntMatrix([[k]]))
@@ -308,17 +309,17 @@ def test_abstract_kdata_bad_torsion_action():
     z4 = FgAbGroup(0, (4,))
     bad = GroupHom(z2, z2, IntMatrix([[1]]))
     data = AbstractKData(
-        z2, z2, bad, GroupHom.identity(z2), GroupHom.identity(z2), GroupHom.identity(z2)
+        z2, z2, bad, identity_hom(z2), identity_hom(z2), identity_hom(z2)
     )
     assert data.validate().valid  # identity is fine on Z/2
     shifted = AbstractKData(
-        z4, z4, GroupHom.identity(z4), GroupHom.identity(z4),
-        GroupHom.identity(z4), GroupHom.identity(z4),
+        z4, z4, identity_hom(z4), identity_hom(z4),
+        identity_hom(z4), identity_hom(z4),
     )
     assert shifted.validate().valid
     mismatched = AbstractKData(
-        z4, z4, GroupHom.identity(z2), GroupHom.identity(z4),
-        GroupHom.identity(z4), GroupHom.identity(z4),
+        z4, z4, identity_hom(z2), identity_hom(z4),
+        identity_hom(z4), identity_hom(z4),
     )
     assert not mismatched.validate().valid
 

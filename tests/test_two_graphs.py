@@ -19,7 +19,7 @@ from cpk.fixtures import two_graph_document
 from cpk.ktheory import GraphLayers, diagram_report
 from cpk.model import single_vertex_two_graph, vertex_matrix
 
-from support import evans_ktheory, two_graph_specs
+from support import evans_ktheory, pair_groups, two_graph_specs
 
 SECONDS_PER_SPEC = 2.0
 
@@ -45,7 +45,7 @@ def test_diagram_route_matches_evans_formula(tmp_path_factory, spec):
     assert diagram["consistent"]
     evans = evans_ktheory(vertex_matrix(spec.graph1()), vertex_matrix(spec.graph2()))
     assert (diagram["corners"]["33"]["K0"], diagram["corners"]["33"]["K1"]) == tuple(
-        str(g) for g in evans.groups
+        str(g) for g in pair_groups(evans)
     )
 
 
