@@ -204,9 +204,6 @@ class IntMatrix:
     def __neg__(self) -> "IntMatrix":
         return IntMatrix([[-x for x in r] for r in self._data], cols=self.cols)
 
-    def scale(self, k: int) -> "IntMatrix":
-        return IntMatrix([[k * x for x in r] for r in self._data], cols=self.cols)
-
     def transpose(self) -> "IntMatrix":
         return IntMatrix._of_rows(tuple(self.columns()), self.rows)
 
@@ -734,15 +731,11 @@ class Presentation:
         res = factor(rels)
         s = basis.cols
         diag = list(res.diagonal) + [0] * (s - min(rels.rows, rels.cols))
-
-        def order(i):
-            return diag[i] if i < len(diag) else 0
-
-        free = [i for i in range(s) if order(i) == 0]
-        tors = [i for i in range(s) if order(i) >= 2]
+        free = [i for i in range(s) if diag[i] == 0]
+        tors = [i for i in range(s) if diag[i] >= 2]
         self._kept = free + tors
-        self._orders = tuple([0] * len(free)) + tuple(order(i) for i in tors)
-        self.group = FgAbGroup(len(free), tuple(order(i) for i in tors))
+        self._orders = tuple([0] * len(free)) + tuple(diag[i] for i in tors)
+        self.group = FgAbGroup(len(free), tuple(diag[i] for i in tors))
         self._u = res.U
         self._uinv = res.Uinv
         self._numerator = None  # Lattice(basis), factored on the first reduce
@@ -794,17 +787,12 @@ class Presentation:
             out.append(tuple([y[i] % d if d else y[i] for i, d in zip(self._kept, self._orders)]))
         return out
 
-    def reduce_columns(self, vectors: IntMatrix) -> list:
-        """Canonical generator coordinates of the class of each column of an
-        ambient block, all solved against one factorization of the basis."""
-        out = self._coordinates(vectors)
-        if None in out:
-            raise PreconditionError(_OUTSIDE_NUMERATOR)
-        return out
-
     def reduce(self, vector) -> tuple:
         """Canonical generator coordinates of the class of an ambient vector."""
-        return self.reduce_columns(IntMatrix.column_vector(vector))[0]
+        (out,) = self._coordinates(IntMatrix.column_vector(vector))
+        if out is None:
+            raise PreconditionError(_OUTSIDE_NUMERATOR)
+        return out
 
     def hom_to(self, target: "Presentation", ambient_matrix: IntMatrix) -> GroupHom:
         """The induced map on subquotients of an ambient integer matrix.

@@ -259,16 +259,25 @@ def parse_document(doc):
 # report plumbing
 
 
-def _load_document(path: str):
+def _load_document(report: dict, path: str, role=None):
+    """Read, hash and decode one document.
+
+    Its input block (path, sha256, and the document's "kind" when it names
+    one of KINDS, else null) goes into the report as soon as the file is
+    read, under ``role`` when the command reads more than one document, so an
+    error report carries it too.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
-    digest = hashlib.sha256(raw).hexdigest()
+    block = {"path": str(path), "sha256": hashlib.sha256(raw).hexdigest(), "kind": None}
+    if role is None:
+        report["input"] = block
+    else:
+        report.setdefault("input", {})[role] = block
     doc = json.loads(raw.decode("utf-8"))
-    return doc, digest
-
-
-def _input_block(path: str, digest: str, kind) -> dict:
-    return {"path": str(path), "sha256": digest, "kind": kind}
+    if isinstance(doc, dict) and doc.get("kind") in KINDS:
+        block["kind"] = doc["kind"]
+    return doc
 
 
 def _report(command: str, options: dict) -> dict:
@@ -336,11 +345,10 @@ def _finish(report: dict, fmt: str) -> int:
 # commands
 
 
-def cmd_validate(args) -> int:
-    doc, digest = _load_document(args.file)
-    report = _report("validate", {"strict": bool(args.strict)})
+def cmd_validate(args, report: dict) -> int:
+    doc = _load_document(report, args.file)
     problems = []
-    kind = doc.get("kind") if isinstance(doc, dict) else None
+    kind = report["input"]["kind"]
     try:
         kind, model = parse_document(doc)
         if kind == "graph":
@@ -352,22 +360,16 @@ def cmd_validate(args) -> int:
         # cover documents carry no semantics of their own
     except (PreconditionError, DimensionError) as exc:
         problems = [str(exc)]
-    report["input"] = _input_block(args.file, digest, kind)
     report["results"] = {"kind": kind, "valid": not problems, "problems": problems}
     report["status"] = "ok" if not problems else "invalid"
     return _finish(report, args.format)
 
 
-def cmd_ktheory(args) -> int:
+def cmd_ktheory(args, report: dict) -> int:
     bound = ext_bound()  # read before any work, so a bad setting always exits 2
-    doc, digest = _load_document(args.file)
-    kind, model = parse_document(doc)
+    kind, model = parse_document(_load_document(report, args.file))
     if kind not in ("graph", "two_graph", "permutation", "abstract_kdata"):
         raise SchemaError(f"ktheory does not accept documents of kind {kind!r}")
-    report = _report(
-        "ktheory", {"route": args.route, "assume_split": bool(args.assume_split)}
-    )
-    report["input"] = _input_block(args.file, digest, kind)
     split = args.assume_split
     results = {"kind": kind}
     outcomes = []
@@ -423,19 +425,14 @@ def cmd_ktheory(args) -> int:
     return _finish(report, args.format)
 
 
-def cmd_fock_check(args) -> int:
+def cmd_fock_check(args, report: dict) -> int:
     if args.tol is not None and not 0 <= args.tol < math.inf:
         raise UsageError(f"--tol must be a finite non-negative number, got {args.tol}")
     if args.degree < 0:
         raise UsageError(f"--degree must be non-negative, got {args.degree}")
-    doc, digest = _load_document(args.file)
-    kind, model = parse_document(doc)
+    kind, model = parse_document(_load_document(report, args.file))
     if kind not in ("graph", "two_graph", "permutation", "unitary_chi"):
         raise SchemaError(f"fock-check does not accept documents of kind {kind!r}")
-    report = _report(
-        "fock-check", {"degree": args.degree, "tol": args.tol}
-    )
-    report["input"] = _input_block(args.file, digest, kind)
     rep = build_fock(model, args.degree)
     checks = fock_suite(rep, args.tol)
     all_passed = all(c.passed for c in checks)
@@ -451,13 +448,11 @@ def cmd_fock_check(args) -> int:
     return _finish(report, args.format)
 
 
-def cmd_pullback(args) -> int:
-    graph_doc, graph_digest = _load_document(args.graphfile)
-    kind, graph = parse_document(graph_doc)
+def cmd_pullback(args, report: dict) -> int:
+    kind, graph = parse_document(_load_document(report, args.graphfile, "graph"))
     if kind != "graph":
         raise SchemaError(f"pullback needs a base document of kind 'graph', got {kind!r}")
-    cover_doc, cover_digest = _load_document(args.coverfile)
-    ckind, cover_map = parse_document(cover_doc)
+    ckind, cover_map = parse_document(_load_document(report, args.coverfile, "cover"))
     if ckind != "cover":
         raise SchemaError(f"pullback needs a cover document of kind 'cover', got {ckind!r}")
     result = pullback_graph(graph, cover_map)
@@ -465,11 +460,6 @@ def cmd_pullback(args) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(out_doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    report = _report("pullback", {"out": str(args.out)})
-    report["input"] = {
-        "graph": _input_block(args.graphfile, graph_digest, "graph"),
-        "cover": _input_block(args.coverfile, cover_digest, "cover"),
-    }
     report["results"] = {
         "written": str(args.out),
         "vertices": len(result.vertices),
@@ -478,8 +468,7 @@ def cmd_pullback(args) -> int:
     return _finish(report, args.format)
 
 
-def cmd_examples(args) -> int:
-    report = _report("examples", {"write": args.write})
+def cmd_examples(args, report: dict) -> int:
     fixtures = [
         {
             "id": fid,
@@ -518,7 +507,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--strict", action="store_true",
                    help="for graph documents, also require no sinks and no sources")
-    p.set_defaults(func=cmd_validate)
+    p.set_defaults(func=cmd_validate, options=("strict",))
 
     p = sub.add_parser("ktheory", parents=[common],
                        help="K-groups of the algebras a document describes")
@@ -527,7 +516,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assume-split", action="store_true", dest="assume_split",
                    help="resolve extension ambiguity by assuming every "
                         "extension splits (watermarked in the report)")
-    p.set_defaults(func=cmd_ktheory)
+    p.set_defaults(func=cmd_ktheory, options=("route", "assume_split"))
 
     p = sub.add_parser("fock-check", parents=[common],
                        help="numerical relation defects on a truncated Fock module")
@@ -536,46 +525,55 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="total degree of the truncation (default 3)")
     p.add_argument("--tol", type=float, default=None,
                    help=f"defect tolerance (default {DEFAULT_TOL})")
-    p.set_defaults(func=cmd_fock_check)
+    p.set_defaults(func=cmd_fock_check, options=("degree", "tol"))
 
     p = sub.add_parser("pullback", parents=[common],
                        help="pull a graph back along a vertex cover map")
     p.add_argument("graphfile")
     p.add_argument("coverfile")
     p.add_argument("out")
-    p.set_defaults(func=cmd_pullback)
+    p.set_defaults(func=cmd_pullback, options=("out",))
 
     p = sub.add_parser("examples", parents=[common],
                        help="list the bundled fixtures")
     p.add_argument("--write", metavar="DIR", default=None,
                    help="also materialize every fixture as DIR/<id>.json")
-    p.set_defaults(func=cmd_examples)
+    p.set_defaults(func=cmd_examples, options=("write",))
     return parser
 
 
-def _error_report(command: str, status: str, message: str, fmt: str) -> int:
-    report = _report(command or "?", {})
-    report["status"] = status
-    report["error"] = message
+def _option(value):
+    """An option as a report shows it: a non-finite number (a refused --tol)
+    as text, so that the report stays valid JSON."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    return value
+
+
+def _error_report(report: dict, status: str, message: str, fmt: str) -> int:
+    """The command's report with the error in place of any results; it keeps
+    the options, and the input block of every document that was read."""
+    report.update(status=status, error=message, results={}, assumptions=[])
     return _finish(report, fmt)
 
 
 def main(argv=None) -> int:
     clear_factors()  # each command factors each distinct matrix once
     args = _build_parser().parse_args(argv)
-    fmt = getattr(args, "format", "json")
+    options = {name: _option(getattr(args, name)) for name in args.options}
+    report = _report(args.command, options)
     try:
-        return args.func(args)
+        return args.func(args, report)
     except (
         SchemaError, UsageError, json.JSONDecodeError, UnicodeDecodeError, OSError
     ) as exc:
-        return _error_report(args.command, "malformed", str(exc), fmt)
+        return _error_report(report, "malformed", str(exc), args.format)
     except ResourceLimitError as exc:
-        return _error_report(args.command, "resource-limit", str(exc), fmt)
+        return _error_report(report, "resource-limit", str(exc), args.format)
     except (PreconditionError, DimensionError) as exc:
-        return _error_report(args.command, "invalid", str(exc), fmt)
+        return _error_report(report, "invalid", str(exc), args.format)
     except InternalError as exc:
-        return _error_report(args.command, "internal-error", str(exc), fmt)
+        return _error_report(report, "internal-error", str(exc), args.format)
 
 
 if __name__ == "__main__":

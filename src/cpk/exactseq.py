@@ -2,9 +2,10 @@
 
 Provides verification of exactness (image = kernel at every node, as honest
 subgroup lattices), enumeration of all middle groups of an extension
-0 -> N -> G -> Q -> 0, and a solver for the standard cyclic six-term layout
-with two antipodal unknown nodes. The solver resolves each unknown node to
-a GroupOutcome, the same record the K-theory reports carry: one group, or
+0 -> N -> G -> Q -> 0, and a solver for the one six-term layout of Pimsner's
+sequence: A0 -f0-> B0 -> X0 -> A1 -f1-> B1 -> X1 -> A0 with the maps f0, f1
+known and the groups X0, X1 unknown. The solver resolves each unknown to a
+GroupOutcome, the same record the K-theory reports carry: one group, or
 every extension candidate. Ambiguous extensions are a first-class outcome,
 never silently resolved.
 """
@@ -12,7 +13,7 @@ never silently resolved.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from math import gcd
 from typing import Optional
@@ -20,6 +21,7 @@ from typing import Optional
 from .abelian import (
     DimensionError,
     FgAbGroup,
+    GroupHom,
     IntMatrix,
     Lattice,
     PreconditionError,
@@ -69,8 +71,7 @@ def ext_bound() -> int:
 class ExactSequence:
     """Cyclically ordered nodes with arrows nodes[i] -> nodes[(i+1) % n].
 
-    None marks an unknown node or arrow. Arrow endpoints are validated
-    against adjacent nodes whenever both are known.
+    Every arrow's endpoints are validated against its adjacent nodes.
     """
 
     nodes: tuple
@@ -85,22 +86,13 @@ class ExactSequence:
         if n < 2 or n % 2:
             raise DimensionError("cyclic sequence length must be even and >= 2")
         for i, f in enumerate(self.arrows):
-            if f is None:
-                continue
-            src, dst = self.nodes[i], self.nodes[(i + 1) % n]
-            if src is not None and f.dom != src:
+            if f.dom != self.nodes[i]:
                 raise DimensionError(f"arrow {i} domain does not match node {i}")
-            if dst is not None and f.cod != dst:
+            if f.cod != self.nodes[(i + 1) % n]:
                 raise DimensionError(f"arrow {i} codomain does not match node {(i + 1) % n}")
 
     def __len__(self):
         return len(self.nodes)
-
-    @property
-    def complete(self) -> bool:
-        return all(x is not None for x in self.nodes) and all(
-            x is not None for x in self.arrows
-        )
 
 
 def verify_exact(seq: ExactSequence) -> list:
@@ -111,8 +103,6 @@ def verify_exact(seq: ExactSequence) -> list:
     tested against all generators of the other. A failing node's report
     holds the first failing generator as witness and which inclusion broke.
     """
-    if not seq.complete:
-        raise PreconditionError("verify_exact needs all nodes and arrows known")
     n = len(seq)
     for i, f in enumerate(seq.arrows):
         if not hom_well_defined(f):
@@ -277,71 +267,29 @@ class GroupOutcome:
         return out
 
 
-@dataclass(frozen=True)
-class SolveOutcome:
-    status: str  # DETERMINED | AMBIGUOUS | UNDERDETERMINED
-    resolutions: dict = field(default_factory=dict)  # position -> GroupOutcome
-    explanation: Optional[str] = None
-
-    def resolution_at(self, position: int) -> GroupOutcome:
-        return self.resolutions[position]
-
-
 def solve_six_term(
-    seq: ExactSequence, assume_split: bool = False, bound: Optional[int] = None
-) -> SolveOutcome:
-    """Resolve the two antipodal unknown nodes of a cyclic sequence.
+    f0: GroupHom, f1: GroupHom, assume_split: bool = False, bound: Optional[int] = None
+) -> tuple:
+    """The unknown groups (X0, X1) of the cyclic exact sequence
 
-    Each unknown G sits in 0 -> coker(f) -> G -> ker(h) -> 0 where f is the
-    known arrow two steps upstream and h the known arrow just downstream.
-    The node is Determined exactly when one candidate middle group exists
-    (in particular whenever the quotient is free); otherwise every candidate
-    is reported. A layout violation yields an Underdetermined outcome with
-    an explanation rather than an exception.
+        A0 -f0-> B0 -> X0 -> A1 -f1-> B1 -> X1 -> A0.
+
+    X0 sits in 0 -> coker(f0) -> X0 -> ker(f1) -> 0 and X1 in
+    0 -> coker(f1) -> X1 -> ker(f0) -> 0. Each is Determined exactly when one
+    candidate middle group exists (in particular whenever the quotient is
+    free); otherwise every candidate is reported. X0 is solved first.
     """
-    n = len(seq)
-    half = n // 2
-    unknown_nodes = [i for i, g in enumerate(seq.nodes) if g is None]
-    if len(unknown_nodes) != 2 or unknown_nodes[1] - unknown_nodes[0] != half:
-        return SolveOutcome(
-            UNDERDETERMINED,
-            explanation=(
-                f"need exactly two antipodal unknown nodes, got positions "
-                f"{unknown_nodes}"
-            ),
-        )
-    resolutions = {}
-    for u in unknown_nodes:
-        for a in ((u - 1) % n, u):
-            if seq.arrows[a] is not None:
-                return SolveOutcome(
-                    UNDERDETERMINED,
-                    explanation=f"arrow {a} touches the unknown node {u} but is marked known",
-                )
-        f = seq.arrows[(u - 2) % n]
-        h = seq.arrows[(u + 1) % n]
-        if f is None or h is None:
-            return SolveOutcome(
-                UNDERDETERMINED,
-                explanation=(
-                    f"unknown node {u} needs known arrows at positions "
-                    f"{(u - 2) % n} and {(u + 1) % n}"
-                ),
-            )
-        if not hom_well_defined(f) or not hom_well_defined(h):
-            raise PreconditionError("flanking arrow is not well defined on torsion")
+    if not hom_well_defined(f0) or not hom_well_defined(f1):
+        raise PreconditionError("flanking arrow is not well defined on torsion")
+    outcomes = []
+    for f, h in ((f0, f1), (f1, f0)):
         sub = hom_cokernel(f)
         quot = hom_kernel(h)
         cert = ExtensionCertificate(sub=sub, quotient=quot)
         if assume_split:
-            resolutions[u] = GroupOutcome.of(sub.direct_sum(quot), cert, True)
+            outcomes.append(GroupOutcome.of(sub.direct_sum(quot), cert, True))
             continue
         cands = extension_candidates(sub, quot, bound)
         status = DETERMINED if len(cands) == 1 else AMBIGUOUS
-        resolutions[u] = GroupOutcome(status, tuple(cands), cert)
-    overall = (
-        DETERMINED
-        if all(r.status == DETERMINED for r in resolutions.values())
-        else AMBIGUOUS
-    )
-    return SolveOutcome(overall, resolutions)
+        outcomes.append(GroupOutcome(status, tuple(cands), cert))
+    return tuple(outcomes)

@@ -5,9 +5,11 @@ two-stage computation for the algebra of a commuting pair (the second
 bimodule amplified over the first algebra), and the nine-corner diagram
 route with both six-term cross-check sequences.
 
-Degree-zero coefficients of a graph model are Z^V with the bimodule class
-acting by the transpose vertex matrix, and its degree-one coefficients are
-0; the solver consumes 1 - [E]. Graph specs and abstract K-data share one
+Every single-stage K-pair comes from Pimsner's six-term sequence
+K0(A) -(1-[E])-> K0(A) -> K0(O_E) -> K1(A) -(1-[E])-> K1(A) -> K1(O_E) -> K0(A),
+solved from its two maps 1 - [E]. Degree-zero coefficients of a graph model
+are Z^V with the bimodule class acting by the transpose vertex matrix, and
+its degree-one coefficients are 0. Graph specs and abstract K-data share one
 two-stage order: the presented cokernel and kernel of 1 - [E] on each
 coefficient degree, with the second class acting on them. Both bimodule
 orders are always computed and reconciled, and extension ambiguity is
@@ -113,29 +115,20 @@ def coefficient_ktheory(model: BimoduleModel) -> KPair:
     return KPair.of_groups(FgAbGroup.free(len(model.vertices)), FgAbGroup.trivial())
 
 
-def pimsner_class_maps(model: Union[FiniteGraph, AbstractKData],
-                       bimodule: int = 1) -> PimsnerProblem:
-    """The class of the bimodule acting on the coefficient K-groups.
-
-    Graph models: [E] acts on K0 = Z^V by the transpose vertex matrix and by
-    zero on the trivial K1. Abstract mode: the stored actions of bimodule 1
-    or 2. Strict graph validity (no sinks, no sources) is required.
+def pimsner_class_maps(graph: FiniteGraph) -> PimsnerProblem:
+    """The class of a graph bimodule acting on the coefficient K-groups: [E]
+    acts on K0 = Z^V by the transpose vertex matrix and by zero on the
+    trivial K1. Strict graph validity (no sinks, no sources) is required.
     """
-    if isinstance(model, AbstractKData):
-        if bimodule == 1:
-            return PimsnerProblem(model.k0, model.k1, model.action1_k0, model.action1_k1)
-        if bimodule == 2:
-            return PimsnerProblem(model.k0, model.k1, model.action2_k0, model.action2_k1)
-        raise PreconditionError("bimodule selector must be 1 or 2")
-    if not isinstance(model, FiniteGraph):
-        raise PreconditionError(f"unsupported bimodule type {type(model).__name__}")
-    validate_graph(model, strict=True).require()
-    k0 = FgAbGroup.free(len(model.vertices))
+    if not isinstance(graph, FiniteGraph):
+        raise PreconditionError(f"unsupported bimodule type {type(graph).__name__}")
+    validate_graph(graph, strict=True).require()
+    k0 = FgAbGroup.free(len(graph.vertices))
     k1 = FgAbGroup.trivial()
     return PimsnerProblem(
         k0,
         k1,
-        GroupHom(k0, k0, vertex_matrix(model).transpose()),
+        GroupHom(k0, k0, vertex_matrix(graph).transpose()),
         GroupHom.zero(k1, k1),
     )
 
@@ -147,27 +140,17 @@ def one_minus(f: GroupHom) -> GroupHom:
     return GroupHom(f.dom, f.cod, eye - f.matrix)
 
 
-def _pimsner_sequence(problem: PimsnerProblem) -> ExactSequence:
-    return ExactSequence(
-        nodes=(problem.coeff_k0, problem.coeff_k0, None,
-               problem.coeff_k1, problem.coeff_k1, None),
-        arrows=(one_minus(problem.class_map0), None, None,
-                one_minus(problem.class_map1), None, None),
-    )
-
-
 def cuntz_pimsner_ktheory(
     problem: PimsnerProblem, assume_split: bool = False, bound: Optional[int] = None
 ) -> KPair:
-    """K-groups of the Cuntz-Pimsner algebra from the six-term layout.
+    """K-groups of the Cuntz-Pimsner algebra from Pimsner's six-term sequence.
 
     K0 sits in 0 -> coker(1-[E]_0) -> K0 -> ker(1-[E]_1) -> 0 and K1 in the
     degree-swapped extension; ambiguity propagates as candidates.
     """
-    out = solve_six_term(_pimsner_sequence(problem), assume_split, bound)
-    if out.status == UNDERDETERMINED:
-        raise InternalError(f"the Pimsner sequence has a bad layout: {out.explanation}")
-    return KPair(out.resolution_at(2), out.resolution_at(5))
+    return KPair(*solve_six_term(
+        one_minus(problem.class_map0), one_minus(problem.class_map1), assume_split, bound
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -389,12 +372,17 @@ def iterated_ktheory(
     elif isinstance(spec, AbstractKData):
         spec.validate().require()
         coeff = coefficient_ktheory(spec)
-        stage1 = cuntz_pimsner_ktheory(pimsner_class_maps(spec, 1), assume_split, bound)
-        other = cuntz_pimsner_ktheory(pimsner_class_maps(spec, 2), assume_split, bound)
+        data = (spec, spec.swapped())  # the first bimodule, then the second
+        stage1, other = (
+            cuntz_pimsner_ktheory(
+                PimsnerProblem(d.k0, d.k1, d.action1_k0, d.action1_k1), assume_split, bound
+            )
+            for d in data
+        )
         orders = [
             (_pieces(d.action1_k0), _pieces(d.action1_k1),
              d.action2_k0.matrix, d.action2_k1.matrix)
-            for d in (spec, spec.swapped())
+            for d in data
         ]
     else:
         raise PreconditionError(f"unsupported spec type {type(spec).__name__}")

@@ -21,7 +21,7 @@ from cpk.abelian import (
     hom_well_defined,
     kernel_basis,
 )
-from cpk.exactseq import DETERMINED, UNDERDETERMINED, ExactSequence, SolveOutcome
+from cpk.exactseq import DETERMINED, ExactSequence
 from cpk.ktheory import KPair
 from cpk.model import AbstractKData, FiniteGraph, TwoGraphSpec, UnitaryChi, vertex_matrix
 
@@ -110,38 +110,20 @@ def induced_on_kernel(b: IntMatrix, m: IntMatrix) -> GroupHom:
 # exact sequences
 
 
-def solved_groups(outcome: SolveOutcome) -> dict:
-    """Position -> group of every resolved node."""
-    return {u: r.group for u, r in outcome.resolutions.items()}
+def substitute_solution(f0: GroupHom, f1: GroupHom, outcomes) -> ExactSequence:
+    """The sequence A0 -f0-> B0 -> X0 -> A1 -f1-> B1 -> X1 -> A0 with the
+    solved groups X0, X1 filled in, together with canonical maps.
 
-
-def rotate(seq: ExactSequence, k: int) -> ExactSequence:
-    """The same cyclic sequence read from node k on."""
-    n = len(seq.nodes)
-    return ExactSequence(
-        tuple(seq.nodes[(i + k) % n] for i in range(n)),
-        tuple(seq.arrows[(i + k) % n] for i in range(n)),
-    )
-
-
-def substitute_solution(seq: ExactSequence, outcome: SolveOutcome) -> ExactSequence:
-    """Fill the unknown nodes with the resolved groups and canonical maps.
-
-    Only valid for Determined (or assume-split) outcomes; the substituted
+    Only valid for Determined (or assume-split) outcomes; each substituted
     node is the split model coker(f) + ker(h) with the inclusion and
     projection written out in canonical generator coordinates, so the result
     can be fed to verify_exact.
     """
-    if outcome.status == UNDERDETERMINED:
-        raise PreconditionError("nothing to substitute on an underdetermined outcome")
-    nodes = list(seq.nodes)
-    arrows = list(seq.arrows)
-    n = len(seq)
-    for u, res in outcome.resolutions.items():
+    nodes = []
+    arrows = []
+    for (f, h), res in zip(((f0, f1), (f1, f0)), outcomes):
         if res.status != DETERMINED:
             raise PreconditionError("cannot substitute an ambiguous node")
-        f = seq.arrows[(u - 2) % n]
-        h = seq.arrows[(u + 1) % n]
         sub_pres = hom_cokernel_presentation(f)
         quot_pres = hom_kernel_presentation(h)
         middle = Presentation.direct_sum(
@@ -150,28 +132,23 @@ def substitute_solution(seq: ExactSequence, outcome: SolveOutcome) -> ExactSeque
         )
         big = middle.group
         assert big == res.certificate.sub.direct_sum(res.certificate.quotient)
-        nodes[u] = big
         n_sub = sub_pres.group.n_generators
         n_quot = quot_pres.group.n_generators
-        prev = seq.nodes[(u - 1) % n]
         incl_cols = []
-        for k in range(prev.n_generators):
-            unit = [1 if i == k else 0 for i in range(prev.n_generators)]
+        for k in range(f.cod.n_generators):
+            unit = [1 if i == k else 0 for i in range(f.cod.n_generators)]
             incl_cols.append(middle.reduce(list(sub_pres.reduce(unit)) + [0] * n_quot))
-        arrows[(u - 1) % n] = GroupHom(
-            prev, big, IntMatrix.from_columns(incl_cols, rows=big.n_generators)
-        )
-        nxt = seq.nodes[(u + 1) % n]
+        incl = GroupHom(f.cod, big, IntMatrix.from_columns(incl_cols, rows=big.n_generators))
         lifts = quot_pres.gen_lift_matrix()
         proj_cols = []
         for t in range(big.n_generators):
             ambient = gen_lift(middle, t)
             proj_cols.append(lifts.apply(ambient[n_sub:]))
-        arrows[u] = GroupHom(
-            big, nxt, IntMatrix.from_columns(proj_cols, rows=nxt.n_generators)
-        )
-        assert hom_well_defined(arrows[(u - 1) % n])
-        assert hom_well_defined(arrows[u])
+        proj = GroupHom(big, h.dom, IntMatrix.from_columns(proj_cols, rows=h.dom.n_generators))
+        assert hom_well_defined(incl)
+        assert hom_well_defined(proj)
+        nodes += [f.dom, f.cod, big]
+        arrows += [f, incl, proj]
     return ExactSequence(tuple(nodes), tuple(arrows))
 
 

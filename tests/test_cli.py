@@ -1,5 +1,6 @@
 """Exit-code contract, report shape and fixture round trips for the CLI."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -578,6 +579,78 @@ class TestExamples:
         assert len(rep["results"]["written"]) == len(fixture_ids())
         for path in rep["results"]["written"]:
             assert json.loads(open(path).read())["kind"]
+
+
+def input_block(path, kind):
+    with open(path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    return {"path": str(path), "sha256": digest, "kind": kind}
+
+
+class TestErrorReports:
+    """An error report keeps the command's options, and the input block of
+    every document that was read; its results stay empty."""
+
+    def test_exit_1_keeps_options_and_input(self, tmp_path, capsys):
+        doc = {
+            "kind": "graph",
+            "vertices": ["a", "b"],
+            "edges": [{"id": "e", "src": "a", "rng": "b"}],
+        }
+        path = write_doc(tmp_path, doc)
+        rc, rep = run(capsys, ["ktheory", path, "--route", "diagram"], expect=1)
+        assert rep["status"] == "invalid"
+        assert rep["options"] == {"route": "diagram", "assume_split": False}
+        assert rep["input"] == input_block(path, "graph")
+        assert rep["results"] == {} and rep["assumptions"] == []
+
+    def test_exit_2_keeps_options_and_input(self, fixdir, capsys):
+        path = str(fixdir / "ex3.5-unitary-chi.json")
+        rc, rep = run(capsys, ["ktheory", path], expect=2)
+        assert "does not accept" in rep["error"]
+        assert rep["options"] == {"route": "both", "assume_split": False}
+        assert rep["input"] == input_block(path, "unitary_chi")
+
+    def test_exit_2_before_reading_has_options_only(self, fixdir, capsys, monkeypatch):
+        monkeypatch.setenv("CPK_EXT_BOUND", "0")
+        argv = ["ktheory", str(fixdir / "ex4.5-torus.json"), "--route", "iterated"]
+        rc, rep = run(capsys, argv, expect=2)
+        assert rep["options"] == {"route": "iterated", "assume_split": False}
+        assert "input" not in rep
+
+    def test_undecodable_document_keeps_its_digest(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
+        rc, rep = run(capsys, ["fock-check", str(path), "--degree", "2"], expect=2)
+        assert rep["options"] == {"degree": 2, "tol": None}
+        assert rep["input"] == input_block(path, None)
+
+    def test_refused_tolerance_is_shown_as_text(self, fixdir, capsys):
+        argv = ["fock-check", str(fixdir / "ex4.6-flip-3-3.json"), "--tol", "inf"]
+        rc = cli.main(argv)
+        rep = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+        assert rc == 2
+        assert rep["options"] == {"degree": 3, "tol": "inf"}
+
+    def test_pullback_keeps_the_documents_it_read(self, fixdir, tmp_path, capsys):
+        graph = str(fixdir / "ex2.2-two-cycle.json")
+        out = str(tmp_path / "out.json")
+        argv = ["pullback", graph, graph, out]
+        rc, rep = run(capsys, argv, expect=2)
+        assert rep["options"] == {"out": out}
+        assert rep["input"] == {
+            "graph": input_block(graph, "graph"),
+            "cover": input_block(graph, "graph"),
+        }
+
+    def test_exit_4_keeps_options_and_input(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CPK_EXT_BOUND", "1")
+        path = write_doc(tmp_path, two_graph_document(disjoint_flip_pair()))
+        rc, rep = run(capsys, ["ktheory", path, "--route", "iterated"], expect=4)
+        assert rep["status"] == "resource-limit"
+        assert rep["options"] == {"route": "iterated", "assume_split": False}
+        assert rep["input"] == input_block(path, "two_graph")
+        assert rep["results"] == {}
 
 
 class TestReports:
