@@ -8,7 +8,13 @@ the index of its suffix, the word one letter shorter; the basis is sorted
 shortest first, so each word's crossings are one chi step from those of its
 suffix, computed once, and memory follows the basis size, not its letters.
 Relations are checked on sub-blocks strictly below the truncation boundary,
-where they hold exactly up to rounding.
+where they hold exactly up to rounding: Toeplitz and covariance on degrees
+<= N-1, chi commutation and the adjoint on degrees <= N-2, reordering on
+degrees <= N-3. Since the basis is sorted shortest first, each block is a
+leading prefix of the basis, so a check multiplies only the leading columns
+of its rightmost factor. Where a block is empty (N <= 2 for reordering,
+N <= 1 for chi commutation and the adjoint, N = 0 for all) the relation
+is reported as defect 0.0, a vacuous pass.
 """
 
 from __future__ import annotations
@@ -53,12 +59,13 @@ class DefectReport:
         }
 
 
-def _subblock_norm(mat: sp.spmatrix, rows, cols) -> float:
-    """A certified upper bound on the operator norm of a sub-block A:
+def _norm_bound(block: sp.spmatrix) -> float:
+    """A certified upper bound on the operator norm of a sparse matrix A:
     min(sqrt(|A|_1 |A|_inf), |A|_F), both of which dominate the spectral
     norm. It equals the norm when A has at most one nonzero per row and
-    column, and it is 0.0 when A has no nonzero entry."""
-    sub = abs(mat.tocsr()[rows, :][:, cols])
+    column, and it is 0.0 when A has no nonzero entry. A stores each
+    position at most once, as sparse products, sums and slices leave it."""
+    sub = abs(block)
     if not sub.count_nonzero():
         return 0.0
     one_inf = np.sqrt(sub.sum(axis=0).max()) * np.sqrt(sub.sum(axis=1).max())
@@ -99,8 +106,8 @@ class FockRep:
         self.totals = self.bidegrees.sum(axis=1)
         crossed, self._pulled = self._cross_basis(prepend, by_rng)
         self.creators = {
-            x: self._operator((k, j, c) for j, terms in crossed[x].items()
-                              for k, c in terms.items() if c != 0)
+            x: _matrix(((k, j, c) for j, terms in crossed[x].items()
+                        for k, c in terms.items() if c != 0), self.dimension)
             for x in self.layer_of
         }
         self.projections = {
@@ -191,7 +198,7 @@ class FockRep:
 
         Returns crossed and pulled.
         """
-        short = np.count_nonzero(self.degree_mask(self.degree - 1))
+        short = self.leading(self.degree - 1)
         crossed = {x: {} for x in self.layer_of}
         pulled = []
         for j, (x, t) in enumerate(zip(self.first, self.suffix)):
@@ -219,32 +226,23 @@ class FockRep:
                 crossed[y.id][j] = terms
         return crossed, pulled
 
-    def _operator(self, entries) -> sp.csr_matrix:
-        """The matrix with coeff at (row, column) for each (row, column,
-        coeff) triple; repeated positions sum."""
-        rows, cols, vals = [], [], []
-        for row, col, coeff in entries:
-            rows.append(row)
-            cols.append(col)
-            vals.append(coeff)
-        dim = self.dimension
-        return sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=complex).tocsr()
-
-    def annihilator(self, edge_id) -> sp.csr_matrix:
-        """The adjoint built combinatorially, without transposing anything,
-        from the table of pulled fronts.
+    def annihilator(self, n: int) -> dict:
+        """Every edge's adjoint on the leading n x n block, built
+        combinatorially, without transposing anything, in one pass over the
+        table of pulled fronts. A pulled remainder is shorter than its word,
+        so every nonzero of the block's columns lies in its rows.
 
         Layer 1 strips a leading letter. Layer 2 pulls the first layer-2
         letter back to the front using chi in the forward direction; the two
         directions are mutually inverse exactly when chi is unitary, which is
         what check_left_action_adjoint exploits.
         """
-        return self._operator(
-            (k, j, coeff)
-            for j, terms in enumerate(self._pulled)
-            for (front, k), coeff in terms.items()
-            if front == edge_id and coeff != 0
-        )
+        entries = {x: [] for x in self.layer_of}
+        for j, terms in enumerate(self._pulled[:n]):
+            for (front, k), coeff in terms.items():
+                if coeff != 0:
+                    entries[front].append((k, j, coeff))
+        return {x: _matrix(triples, n) for x, triples in entries.items()}
 
     def normal_order(self, letters):
         """Formal normal ordering of a generator word via chi inverse.
@@ -263,12 +261,25 @@ class FockRep:
                 return out
         return {letters: 1.0 + 0j}
 
-    def degree_mask(self, max_total: int) -> np.ndarray:
-        return self.totals <= max_total
+    def leading(self, max_total: int) -> int:
+        """The number of words of total degree <= max_total: the basis is
+        sorted shortest first, so they are words [0, n)."""
+        return int(np.count_nonzero(self.totals <= max_total))
 
     @property
     def dimension(self) -> int:
         return len(self.first)
+
+
+def _matrix(entries, size: int) -> sp.csr_matrix:
+    """The size x size matrix with coeff at (row, column) for each (row,
+    column, coeff) triple; repeated positions sum."""
+    rows, cols, vals = [], [], []
+    for row, col, coeff in entries:
+        rows.append(row)
+        cols.append(col)
+        vals.append(coeff)
+    return sp.coo_matrix((vals, (rows, cols)), shape=(size, size), dtype=complex).tocsr()
 
 
 def _permutation_crossing(spec: TwoGraphSpec):
@@ -337,26 +348,23 @@ def check_toeplitz(rep: FockRep, tol: Optional[float] = None):
     """T_e* T_f = delta P_rng(e) within each layer, and P_src(e) T_e = T_e,
     on the sub-block of degrees <= N-1."""
     tol = _resolve(tol)
-    mask = rep.degree_mask(rep.degree - 1)
-    idx = np.where(mask)[0]
-    everything = np.arange(rep.dimension)
+    n = rep.leading(rep.degree - 1)
     reports = []
     for layer, edges in ((1, rep.edges1), (2, rep.edges2)):
         if not edges:
             continue
+        cols = {e.id: rep.creators[e.id][:, :n] for e in edges}
         inner = 0.0
         for e in edges:
-            te = rep.creators[e.id]
             for f in edges:
-                d = te.getH() @ rep.creators[f.id]
+                d = cols[e.id].getH() @ cols[f.id]
                 if e.id == f.id:
-                    d = d - rep.projections[e.rng]
-                inner = max(inner, _subblock_norm(d, idx, idx))
+                    d = d - rep.projections[e.rng][:n, :n]
+                inner = max(inner, _norm_bound(d))
         compat = 0.0
         for e in edges:
-            te = rep.creators[e.id]
-            d = rep.projections[e.src] @ te - te
-            compat = max(compat, _subblock_norm(d, everything, idx))
+            d = rep.projections[e.src] @ cols[e.id] - cols[e.id]
+            compat = max(compat, _norm_bound(d))
         reports.append(_report(f"inner product, layer {layer}", inner, tol))
         reports.append(_report(f"source compatibility, layer {layer}", compat, tol))
     return reports
@@ -370,17 +378,16 @@ def check_covariance_defect(rep: FockRep, layer: int = 1,
     edges = rep.edges1 if layer == 1 else rep.edges2
     if not edges:
         raise PreconditionError(f"layer {layer} has no edges")
-    dim = rep.dimension
-    total = sp.csr_matrix((dim, dim), dtype=complex)
+    n = rep.leading(rep.degree - 1)
+    total = sp.csr_matrix((n, n), dtype=complex)
     for e in edges:
-        te = rep.creators[e.id]
-        total = total + te @ te.getH()
-    vacuum = (rep.bidegrees[:, layer - 1] == 0).astype(float)
-    expected = sp.eye(dim, dtype=complex, format="csr") - sp.diags(
+        rows = rep.creators[e.id][:n]
+        total = total + rows @ rows.getH()
+    vacuum = (rep.bidegrees[:n, layer - 1] == 0).astype(float)
+    expected = sp.eye(n, dtype=complex, format="csr") - sp.diags(
         vacuum, format="csr", dtype=complex
     )
-    idx = np.where(rep.degree_mask(rep.degree - 1))[0]
-    defect = _subblock_norm(total - expected, idx, idx)
+    defect = _norm_bound(total - expected)
     return _report(f"covariance, layer {layer}", defect, tol)
 
 
@@ -390,15 +397,15 @@ def check_chi_commutation(rep: FockRep, tol: Optional[float] = None) -> DefectRe
     tol = _resolve(tol)
     if not rep.edges2:
         raise PreconditionError("single-layer representation has no chi")
-    idx = np.where(rep.degree_mask(rep.degree - 2))[0]
-    everything = np.arange(rep.dimension)
+    n = rep.leading(rep.degree - 2)
+    cols = {x: m[:, :n] for x, m in rep.creators.items()}
     worst = 0.0
     for e in rep.edges1:
         for f in rep.edges2:
-            d = rep.creators[e.id] @ rep.creators[f.id]
+            d = rep.creators[e.id] @ cols[f.id]
             for f2, e2, c in rep.crossing_fwd.get((e.id, f.id), ()):
-                d = d - c * (rep.creators[f2] @ rep.creators[e2])
-            worst = max(worst, _subblock_norm(d, everything, idx))
+                d = d - c * (rep.creators[f2] @ cols[e2])
+            worst = max(worst, _norm_bound(d))
     return _report("chi commutation", worst, tol)
 
 
@@ -408,24 +415,26 @@ def check_left_action_adjoint(rep: FockRep, tol: Optional[float] = None) -> Defe
     while the creator used the inverse, so agreement certifies unitarity of
     the crossing, not just consistent bookkeeping."""
     tol = _resolve(tol)
-    idx = np.where(rep.degree_mask(rep.degree - 2))[0]
+    n = rep.leading(rep.degree - 2)
     worst = 0.0
-    for edge_id, te in rep.creators.items():
-        d = rep.annihilator(edge_id) - te.getH()
-        worst = max(worst, _subblock_norm(d, idx, idx))
+    for edge_id, adjoint in rep.annihilator(n).items():
+        d = adjoint - rep.creators[edge_id][:n, :n].getH()
+        worst = max(worst, _norm_bound(d))
     return _report("left action adjoint", worst, tol)
 
 
 def check_reordering(rep: FockRep, tol: Optional[float] = None) -> DefectReport:
     """Associativity of normal ordering: for every mixed length-3 generator
     word, the direct operator product equals the symbolically normal-ordered
-    combination, on degrees <= N-3."""
+    combination, on degrees <= N-3. Each pair product T_a T_b on that block
+    is formed once and shared by every word ending in it."""
     tol = _resolve(tol)
     if not rep.edges2:
         raise PreconditionError("single-layer representation has no chi")
-    idx = np.where(rep.degree_mask(rep.degree - 3))[0]
-    everything = np.arange(rep.dimension)
+    n = rep.leading(rep.degree - 3)
     gens = [e.id for e in rep.edges1] + [f.id for f in rep.edges2]
+    cols = {x: m[:, :n] for x, m in rep.creators.items()}
+    pairs = {(a, b): rep.creators[a] @ cols[b] for a in gens for b in gens}
     worst = 0.0
     for g1 in gens:
         for g2 in gens:
@@ -433,11 +442,10 @@ def check_reordering(rep: FockRep, tol: Optional[float] = None) -> DefectReport:
                 layers = {rep.layer_of[g] for g in (g1, g2, g3)}
                 if layers != {1, 2}:
                     continue
-                d = rep.creators[g1] @ rep.creators[g2] @ rep.creators[g3]
+                d = rep.creators[g1] @ pairs[g2, g3]
                 for (h1, h2, h3), c in rep.normal_order((g1, g2, g3)).items():
-                    d = d - c * (rep.creators[h1] @ rep.creators[h2]
-                                 @ rep.creators[h3])
-                worst = max(worst, _subblock_norm(d, everything, idx))
+                    d = d - c * (rep.creators[h1] @ pairs[h2, h3])
+                worst = max(worst, _norm_bound(d))
     return _report("normal ordering associativity", worst, tol)
 
 

@@ -22,6 +22,7 @@ from cpk.abelian import (
     kernel_basis,
 )
 from cpk.exactseq import DETERMINED, ExactSequence
+from cpk.fock import DEFAULT_TOL, DefectReport, _norm_bound
 from cpk.ktheory import KPair
 from cpk.model import AbstractKData, FiniteGraph, TwoGraphSpec, UnitaryChi, vertex_matrix
 
@@ -407,3 +408,94 @@ def reference_operators(rep):
                     entries.append(((rest, vertex), j, coeff))
         annihilators[x] = operator(entries)
     return creators, annihilators
+
+
+# ---------------------------------------------------------------------------
+# Fock relation checks on whole operators
+
+
+def _subblock_norm(mat, rows, cols) -> float:
+    return _norm_bound(mat.tocsr()[rows, :][:, cols])
+
+
+def reference_fock_suite(rep, tol=DEFAULT_TOL):
+    """fock_suite's reports, each check forming full dim x dim products and
+    only then cutting its block out with index arrays: degrees <= N-1 for
+    Toeplitz and covariance, <= N-2 for chi commutation and the adjoint,
+    <= N-3 for reordering."""
+    dim = rep.dimension
+    everything = np.arange(dim)
+    below = {k: np.where(rep.bidegrees.sum(axis=1) <= rep.degree - k)[0]
+             for k in (1, 2, 3)}
+    reports = []
+
+    def report(name, defect):
+        reports.append(DefectReport(name, defect, tol, defect <= tol))
+
+    idx = below[1]
+    for layer, edges in ((1, rep.edges1), (2, rep.edges2)):
+        if not edges:
+            continue
+        inner = 0.0
+        for e in edges:
+            te = rep.creators[e.id]
+            for f in edges:
+                d = te.getH() @ rep.creators[f.id]
+                if e.id == f.id:
+                    d = d - rep.projections[e.rng]
+                inner = max(inner, _subblock_norm(d, idx, idx))
+        compat = 0.0
+        for e in edges:
+            te = rep.creators[e.id]
+            d = rep.projections[e.src] @ te - te
+            compat = max(compat, _subblock_norm(d, everything, idx))
+        report(f"inner product, layer {layer}", inner)
+        report(f"source compatibility, layer {layer}", compat)
+
+    for layer, edges in ((1, rep.edges1), (2, rep.edges2)):
+        if not edges:
+            continue
+        total = sp.csr_matrix((dim, dim), dtype=complex)
+        for e in edges:
+            te = rep.creators[e.id]
+            total = total + te @ te.getH()
+        vacuum = (rep.bidegrees[:, layer - 1] == 0).astype(float)
+        expected = sp.eye(dim, dtype=complex, format="csr") - sp.diags(
+            vacuum, format="csr", dtype=complex
+        )
+        report(f"covariance, layer {layer}", _subblock_norm(total - expected, idx, idx))
+
+    if rep.edges2:
+        idx = below[2]
+        worst = 0.0
+        for e in rep.edges1:
+            for f in rep.edges2:
+                d = rep.creators[e.id] @ rep.creators[f.id]
+                for f2, e2, c in rep.crossing_fwd.get((e.id, f.id), ()):
+                    d = d - c * (rep.creators[f2] @ rep.creators[e2])
+                worst = max(worst, _subblock_norm(d, everything, idx))
+        report("chi commutation", worst)
+
+        idx = below[3]
+        gens = [e.id for e in rep.edges1] + [f.id for f in rep.edges2]
+        worst = 0.0
+        for g1 in gens:
+            for g2 in gens:
+                for g3 in gens:
+                    if {rep.layer_of[g] for g in (g1, g2, g3)} != {1, 2}:
+                        continue
+                    d = rep.creators[g1] @ rep.creators[g2] @ rep.creators[g3]
+                    for (h1, h2, h3), c in rep.normal_order((g1, g2, g3)).items():
+                        d = d - c * (rep.creators[h1] @ rep.creators[h2]
+                                     @ rep.creators[h3])
+                    worst = max(worst, _subblock_norm(d, everything, idx))
+        report("normal ordering associativity", worst)
+
+    idx = below[2]
+    worst = 0.0
+    adjoints = rep.annihilator(dim)
+    for edge_id, te in rep.creators.items():
+        d = adjoints[edge_id] - te.getH()
+        worst = max(worst, _subblock_norm(d, idx, idx))
+    report("left action adjoint", worst)
+    return reports

@@ -20,7 +20,7 @@ from cpk.fock import (
     check_reordering,
     check_toeplitz,
     fock_suite,
-    _subblock_norm,
+    _norm_bound,
 )
 from cpk.model import (
     FiniteGraph,
@@ -29,7 +29,13 @@ from cpk.model import (
     single_vertex_two_graph,
     two_graph_from_permutations,
 )
-from support import basis_words, chi_same_index, reference_basis, reference_operators
+from support import (
+    basis_words,
+    chi_same_index,
+    reference_basis,
+    reference_fock_suite,
+    reference_operators,
+)
 
 
 def rose(n: int) -> FiniteGraph:
@@ -259,7 +265,7 @@ class TestNorm:
     @given(sub_blocks())
     def test_bound_lies_between_spectral_and_frobenius(self, block):
         mat, rows, cols = block
-        bound = _subblock_norm(mat, rows, cols)
+        bound = _norm_bound(mat[rows, :][:, cols])
         dense = mat.toarray()[np.ix_(rows, cols)]
         assert bound >= spectral(dense) * (1 - 1e-12)
         top = np.abs(dense).max(initial=0.0)
@@ -273,7 +279,7 @@ class TestNorm:
     @given(sub_blocks(monomial=True))
     def test_bound_is_the_norm_on_monomial_blocks(self, block):
         mat, rows, cols = block
-        bound = _subblock_norm(mat, rows, cols)
+        bound = _norm_bound(mat[rows, :][:, cols])
         dense = mat.toarray()[np.ix_(rows, cols)]
         assert bound == pytest.approx(spectral(dense), rel=1e-12, abs=0.0)
 
@@ -282,9 +288,9 @@ class TestNorm:
             (np.zeros(3, dtype=complex), ([0, 1, 2], [2, 0, 1])), shape=(3, 3)
         )
         everything = np.arange(3)
-        assert _subblock_norm(explicit, everything, everything) == 0.0
-        assert _subblock_norm(explicit, everything, everything[:0]) == 0.0
-        assert _subblock_norm(explicit, everything[:0], everything) == 0.0
+        assert _norm_bound(explicit[everything, :][:, everything]) == 0.0
+        assert _norm_bound(explicit[everything, :][:, everything[:0]]) == 0.0
+        assert _norm_bound(explicit[everything[:0], :][:, everything]) == 0.0
 
 
 @st.composite
@@ -324,6 +330,25 @@ def two_layer_specs(draw):
     return two_graph_from_permutations(range(n), p1, p2)
 
 
+class TestLeadingBlocks:
+    # each example runs the suite twice, and the reference is cubic in the
+    # generators, so fewer examples than the crossing property
+    @settings(max_examples=50, deadline=None, database=None, derandomize=True)
+    @given(two_layer_specs(), st.integers(0, 5), st.data())
+    def test_checks_match_whole_operator_products(self, spec, degree, data):
+        rep = build_fock(spec, degree)
+        # a creator rescaled more on longer words gives defects that grow
+        # with the degree, so a block one degree short changes the report
+        victim = data.draw(st.sampled_from(sorted(rep.layer_of)))
+        slope = data.draw(st.sampled_from([0.0, 0.25, 1e-12]))
+        rep.creators[victim] = rep.creators[victim] @ sp.diags(1.0 + slope * rep.totals)
+        got, want = fock_suite(rep), reference_fock_suite(rep)
+        assert [r.relation for r in got] == [r.relation for r in want]
+        for r, ref in zip(got, want):
+            assert abs(r.defect - ref.defect) <= 1e-12, r.relation
+            assert r.passed == ref.passed, r.relation
+
+
 class CountingDict(dict):
     """A crossing table that counts its lookups."""
 
@@ -348,9 +373,10 @@ class TestCrossings:
         # the order itself is pinned, since the reference reads the rep's own
         assert basis_words(rep) == reference_basis(rep)
         creators, annihilators = reference_operators(rep)
+        adjoints = rep.annihilator(rep.dimension)
         for x in rep.layer_of:
             assert (rep.creators[x] != creators[x]).nnz == 0, x
-            assert (rep.annihilator(x) != annihilators[x]).nnz == 0, x
+            assert (adjoints[x] != annihilators[x]).nnz == 0, x
         # annihilators cross with chi and creators with its derived inverse
         assert check_left_action_adjoint(rep).defect <= 1e-12
 
