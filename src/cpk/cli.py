@@ -6,6 +6,10 @@ same content under --format text. Exit codes: 0 success, 1 semantic problem
 or failed relation check, 2 malformed input or a bad environment setting,
 3 the two K-theory routes disagree, 4 a resource cap tripped, 5 an internal
 certificate check failed.
+
+ktheory runs the two-stage route once on every two-layer document. Under
+--route both (the default) the nine-corner diagram of a graph pair then
+cross-checks that answer; --route iterated leaves the diagram out.
 """
 
 import argparse
@@ -35,10 +39,10 @@ from .fixtures import (
 from .fock import DEFAULT_TOL, build_fock, fock_suite
 from .ktheory import (
     GraphLayers,
+    KPair,
     coefficient_ktheory,
     cuntz_pimsner_ktheory,
     diagram_report,
-    ideal_sum_ktheory,
     iterated_ktheory,
     pimsner_class_maps,
 )
@@ -373,22 +377,14 @@ def cmd_ktheory(args, report: dict) -> int:
     split = args.assume_split
     results = {"kind": kind}
     outcomes = []
-    diag = None
 
     if kind == "graph":
         coeff = coefficient_ktheory(model)
-        final = cuntz_pimsner_ktheory(pimsner_class_maps(model), split, bound)
+        final = cuntz_pimsner_ktheory(*pimsner_class_maps(model), split, bound)
         results["toeplitz_note"] = "KK-equivalent to the coefficients"
     else:
-        if kind == "abstract_kdata":
-            iterated = iterated_ktheory(model, split, bound)
-        elif args.route == "iterated":
-            layers = GraphLayers(model)
-            iterated = iterated_ktheory(layers, split, bound)
-            results["ideal_sum"] = ideal_sum_ktheory(layers).describe()
-        else:
-            diag = diagram_report(GraphLayers(model), split, bound)
-            iterated = diag.iterated
+        data = model if kind == "abstract_kdata" else GraphLayers(model)
+        iterated = iterated_ktheory(data, split, bound)
         coeff, final = iterated.coefficient, iterated.final
         results["toeplitz_note"] = "all three Toeplitz corners are KK-equivalent to the coefficients"
         results["stage1"] = {
@@ -396,30 +392,34 @@ def cmd_ktheory(args, report: dict) -> int:
             "layer2": iterated.stage1_other.describe(),
         }
         results["notes"] = list(iterated.notes)
+        for pair in (iterated.stage1, iterated.stage1_other):
+            outcomes += [pair.k0, pair.k1]
         if kind == "abstract_kdata":
             results["notes"].append(
                 "ideal-sum K-groups need boundary data the abstract form does not "
                 "carry; only the two-stage route is available"
             )
-        for pair in (iterated.stage1, iterated.stage1_other):
-            outcomes += [pair.k0, pair.k1]
+        elif args.route == "iterated":
+            ideal_sum = KPair.of_groups(data.cok_theta.group, data.ker_theta.group)
+            results["ideal_sum"] = ideal_sum.describe()
+        else:
+            diag = diagram_report(data, final)
+            results["ideal_sum"] = {"K0": diag.ij_k0.describe(), "K1": diag.ij_k1.describe()}
+            results["diagram"] = {
+                "final": diag.final.describe(),
+                "corners": diag.corners,
+                "exactness_sum": diag.sum_sequence,
+                "exactness_quotient": diag.quotient_sequence,
+                "consistent": diag.consistent,
+                "problems": list(diag.problems),
+            }
+            outcomes += [diag.ij_k0, diag.ij_k1]
+            if diag.problems:
+                report["status"] = "route-inconsistency"
     results["coefficient"] = coeff.describe()
     results["toeplitz_corner"] = coeff.describe()
     results["final"] = final.describe()
     outcomes += [final.k0, final.k1]
-    if diag is not None:
-        results["ideal_sum"] = {"K0": diag.ij_k0.describe(), "K1": diag.ij_k1.describe()}
-        results["diagram"] = {
-            "final": diag.final.describe(),
-            "corners": diag.corners,
-            "exactness_sum": diag.sum_sequence,
-            "exactness_quotient": diag.quotient_sequence,
-            "consistent": diag.consistent,
-            "problems": list(diag.problems),
-        }
-        outcomes += [diag.ij_k0, diag.ij_k1]
-        if diag.problems or not diag.all_verdicts_pass:
-            report["status"] = "route-inconsistency"
     report["results"] = results
     report["assumptions"] = sorted({"split-extension" for o in outcomes if o.assumed_split})
     return _finish(report, args.format)
@@ -512,7 +512,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ktheory", parents=[common],
                        help="K-groups of the algebras a document describes")
     p.add_argument("file")
-    p.add_argument("--route", choices=("iterated", "diagram", "both"), default="both")
+    p.add_argument("--route", choices=("iterated", "both"), default="both",
+                   help="two-layer graphs: the two-stage route alone, or also "
+                        "the nine-corner diagram cross-check (default)")
     p.add_argument("--assume-split", action="store_true", dest="assume_split",
                    help="resolve extension ambiguity by assuming every "
                         "extension splits (watermarked in the report)")

@@ -137,10 +137,6 @@ def verify_exact(seq: ExactSequence) -> list:
     return reports
 
 
-def all_exact(reports) -> bool:
-    return all(r["exact"] for r in reports)
-
-
 # ---------------------------------------------------------------------------
 # extensions
 

@@ -3,7 +3,8 @@
 Single-stage K-groups of the Cuntz-Pimsner algebra of a bimodule, the
 two-stage computation for the algebra of a commuting pair (the second
 bimodule amplified over the first algebra), and the nine-corner diagram
-route with both six-term cross-check sequences.
+with both six-term sequences, which cross-checks a two-stage answer for a
+pair of graph layers.
 
 Every single-stage K-pair comes from Pimsner's six-term sequence
 K0(A) -(1-[E])-> K0(A) -> K0(O_E) -> K1(A) -(1-[E])-> K1(A) -> K1(O_E) -> K0(A),
@@ -34,7 +35,6 @@ from .abelian import (
     hom_cokernel_presentation,
     hom_kernel,
     hom_kernel_presentation,
-    hom_well_defined,
     kernel_basis,
 )
 from .exactseq import (
@@ -45,7 +45,6 @@ from .exactseq import (
     ExtensionCertificate,
     GroupOutcome,
     ResourceLimitError,
-    all_exact,
     ext_trivial,
     solve_six_term,
     verify_exact,
@@ -81,26 +80,6 @@ class KPair:
         return {"K0": self.k0.describe(), "K1": self.k1.describe()}
 
 
-@dataclass(frozen=True)
-class PimsnerProblem:
-    """Coefficient K-groups plus the bimodule class acting on each degree."""
-
-    coeff_k0: FgAbGroup
-    coeff_k1: FgAbGroup
-    class_map0: GroupHom
-    class_map1: GroupHom
-
-    def __post_init__(self):
-        for name, f, g in (
-            ("class_map0", self.class_map0, self.coeff_k0),
-            ("class_map1", self.class_map1, self.coeff_k1),
-        ):
-            if f.dom != g or f.cod != g:
-                raise PreconditionError(f"{name} is not an endomorphism of {g}")
-            if not hom_well_defined(f):
-                raise PreconditionError(f"{name} is not well defined on torsion")
-
-
 # ---------------------------------------------------------------------------
 # single stage
 
@@ -115,22 +94,18 @@ def coefficient_ktheory(model: BimoduleModel) -> KPair:
     return KPair.of_groups(FgAbGroup.free(len(model.vertices)), FgAbGroup.trivial())
 
 
-def pimsner_class_maps(graph: FiniteGraph) -> PimsnerProblem:
-    """The class of a graph bimodule acting on the coefficient K-groups: [E]
-    acts on K0 = Z^V by the transpose vertex matrix and by zero on the
-    trivial K1. Strict graph validity (no sinks, no sources) is required.
+def pimsner_class_maps(graph: FiniteGraph) -> tuple:
+    """The class of a graph bimodule acting on the coefficient K-groups, as
+    the pair of homs (on K0, on K1): [E] acts on K0 = Z^V by the transpose
+    vertex matrix and by zero on the trivial K1. Strict graph validity (no
+    sinks, no sources) is required.
     """
     if not isinstance(graph, FiniteGraph):
         raise PreconditionError(f"unsupported bimodule type {type(graph).__name__}")
     validate_graph(graph, strict=True).require()
     k0 = FgAbGroup.free(len(graph.vertices))
     k1 = FgAbGroup.trivial()
-    return PimsnerProblem(
-        k0,
-        k1,
-        GroupHom(k0, k0, vertex_matrix(graph).transpose()),
-        GroupHom.zero(k1, k1),
-    )
+    return GroupHom(k0, k0, vertex_matrix(graph).transpose()), GroupHom.zero(k1, k1)
 
 
 def one_minus(f: GroupHom) -> GroupHom:
@@ -141,15 +116,21 @@ def one_minus(f: GroupHom) -> GroupHom:
 
 
 def cuntz_pimsner_ktheory(
-    problem: PimsnerProblem, assume_split: bool = False, bound: Optional[int] = None
+    class_map0: GroupHom,
+    class_map1: GroupHom,
+    assume_split: bool = False,
+    bound: Optional[int] = None,
 ) -> KPair:
-    """K-groups of the Cuntz-Pimsner algebra from Pimsner's six-term sequence.
+    """K-groups of the Cuntz-Pimsner algebra from Pimsner's six-term sequence,
+    given the bimodule class acting on coefficient K0 and on K1.
 
     K0 sits in 0 -> coker(1-[E]_0) -> K0 -> ker(1-[E]_1) -> 0 and K1 in the
-    degree-swapped extension; ambiguity propagates as candidates.
+    degree-swapped extension; ambiguity propagates as candidates. A class map
+    that is not an endomorphism (one_minus) or not well defined on torsion
+    (solve_six_term) is refused.
     """
     return KPair(*solve_six_term(
-        one_minus(problem.class_map0), one_minus(problem.class_map1), assume_split, bound
+        one_minus(class_map0), one_minus(class_map1), assume_split, bound
     ))
 
 
@@ -226,10 +207,6 @@ class GraphLayers:
         self.ker2 = Presentation.kernel_of(self.l2)
         self.cok_theta = Presentation.cokernel_of(self.theta)
         self.ker_theta = Presentation.kernel_of(self.theta)
-
-
-def _layers(spec: Union[TwoGraphSpec, GraphLayers]) -> GraphLayers:
-    return spec if isinstance(spec, GraphLayers) else GraphLayers(spec)
 
 
 def _hom_elements(quotient: FgAbGroup, sub: FgAbGroup):
@@ -334,9 +311,7 @@ def _two_stage_order(pieces0, pieces1, action0: IntMatrix, action1: IntMatrix,
     k1_outs = []
     for a0 in acts0:
         for a1 in acts1:
-            pair = cuntz_pimsner_ktheory(
-                PimsnerProblem(g0, g1, a0, a1), assume_split, bound
-            )
+            pair = cuntz_pimsner_ktheory(a0, a1, assume_split, bound)
             k0_outs.append(pair.k0)
             k1_outs.append(pair.k1)
     return KPair(_union_outcomes(k0_outs), _union_outcomes(k1_outs))
@@ -349,7 +324,7 @@ def _pieces(f: GroupHom) -> tuple:
 
 
 def iterated_ktheory(
-    spec: Union[TwoGraphSpec, GraphLayers, AbstractKData],
+    spec: Union[GraphLayers, AbstractKData],
     assume_split: bool = False,
     bound: Optional[int] = None,
 ) -> IteratedResult:
@@ -357,26 +332,23 @@ def iterated_ktheory(
     first algebra. Both orders are computed; Determined answers must agree
     and candidate lists are intersected (the truth lies in both)."""
     notes = []
-    if isinstance(spec, (TwoGraphSpec, GraphLayers)):
-        layers = _layers(spec)
-        coeff = coefficient_ktheory(layers.spec)
-        stage1 = KPair.of_groups(layers.cok1.group, layers.ker1.group)
-        other = KPair.of_groups(layers.cok2.group, layers.ker2.group)
+    if isinstance(spec, GraphLayers):
+        coeff = coefficient_ktheory(spec.spec)
+        stage1 = KPair.of_groups(spec.cok1.group, spec.ker1.group)
+        other = KPair.of_groups(spec.cok2.group, spec.ker2.group)
         # coefficient K1 is 0: empty pieces, acted on by a 0 x 0 matrix
         empty = (Presentation.cokernel_of(IntMatrix.zeros(0, 0)),) * 2
         zero = IntMatrix.zeros(0, 0)
         orders = [
-            ((layers.cok1, layers.ker1), empty, layers.m2t, zero),
-            ((layers.cok2, layers.ker2), empty, layers.m1t, zero),
+            ((spec.cok1, spec.ker1), empty, spec.m2t, zero),
+            ((spec.cok2, spec.ker2), empty, spec.m1t, zero),
         ]
     elif isinstance(spec, AbstractKData):
         spec.validate().require()
         coeff = coefficient_ktheory(spec)
         data = (spec, spec.swapped())  # the first bimodule, then the second
         stage1, other = (
-            cuntz_pimsner_ktheory(
-                PimsnerProblem(d.k0, d.k1, d.action1_k0, d.action1_k1), assume_split, bound
-            )
+            cuntz_pimsner_ktheory(d.action1_k0, d.action1_k1, assume_split, bound)
             for d in data
         )
         orders = [
@@ -394,13 +366,6 @@ def iterated_ktheory(
     return IteratedResult(coeff, stage1, other, final, tuple(notes))
 
 
-def ideal_sum_ktheory(spec: Union[TwoGraphSpec, GraphLayers]) -> KPair:
-    """K of the ideal sum I + J inside the iterated algebra: the cokernel and
-    kernel of the stacked map Theta = (l1; -l2) on the vertex lattice."""
-    layers = _layers(spec)
-    return KPair.of_groups(layers.cok_theta.group, layers.ker_theta.group)
-
-
 # ---------------------------------------------------------------------------
 # the nine-corner diagram route
 
@@ -413,13 +378,8 @@ class DiagramReport:
     ij_k0: GroupOutcome
     ij_k1: GroupOutcome
     final: KPair
-    iterated: IteratedResult
     consistent: bool
-    problems: tuple
-
-    @property
-    def all_verdicts_pass(self) -> bool:
-        return all_exact(self.sum_sequence) and all_exact(self.quotient_sequence)
+    problems: tuple  # every non-exact node and every disagreement with two_stage
 
 
 def _presented_sequence(nodes, matrices) -> ExactSequence:
@@ -430,11 +390,7 @@ def _presented_sequence(nodes, matrices) -> ExactSequence:
     return ExactSequence(tuple(p.group for p in nodes), tuple(homs))
 
 
-def diagram_report(
-    spec: Union[TwoGraphSpec, GraphLayers],
-    assume_split: bool = False,
-    bound: Optional[int] = None,
-) -> DiagramReport:
+def diagram_report(layers: GraphLayers, two_stage: KPair) -> DiagramReport:
     """Fill the nine corners and verify both six-term cross-check sequences.
 
     The ideal-sum K-groups are presented directly as the cokernel and kernel
@@ -442,12 +398,11 @@ def diagram_report(
     presentations come from candidate boundary maps (simplest signs). Both
     sequences are verified exact node by node. Exactness of the sum sequence
     is what certifies each ideal-sum group as an extension of the flanking
-    cokernel by the flanking kernel, so those groups are never enumerated;
-    `bound` only reaches the two-stage route. The final groups are
-    cross-checked against the two-stage route; any mismatch or non-exact
-    node is reported as a problem, never silent.
+    cokernel by the flanking kernel, so no group is enumerated here. The
+    final groups are cross-checked against `two_stage`, the final K-pair the
+    two-stage route already computed; any mismatch or non-exact node is
+    reported as a problem, never silent.
     """
-    layers = _layers(spec)
     nv = len(layers.spec.vertices)
     eye = IntMatrix.identity(nv)
     l1, l2, theta = layers.l1, layers.l2, layers.theta
@@ -510,11 +465,10 @@ def diagram_report(
                     f"({r['group']}): {r['reason']}, witness {r['witness']}"
                 )
 
-    iterated = iterated_ktheory(layers, assume_split, bound)
     diagram_final = KPair.of_groups(k0_final_pres.group, k1_final_pres.group)
     for degree, mine, theirs in (
-        (0, diagram_final.k0, iterated.final.k0),
-        (1, diagram_final.k1, iterated.final.k1),
+        (0, diagram_final.k0, two_stage.k0),
+        (1, diagram_final.k1, two_stage.k1),
     ):
         if theirs.status == DETERMINED and mine.group != theirs.group:
             problems.append(
@@ -555,7 +509,6 @@ def diagram_report(
         ij_k0=ij_k0,
         ij_k1=ij_k1,
         final=diagram_final,
-        iterated=iterated,
         consistent=not problems,
         problems=tuple(problems),
     )

@@ -111,6 +111,10 @@ def induced_on_kernel(b: IntMatrix, m: IntMatrix) -> GroupHom:
 # exact sequences
 
 
+def all_exact(reports) -> bool:
+    return all(r["exact"] for r in reports)
+
+
 def substitute_solution(f0: GroupHom, f1: GroupHom, outcomes) -> ExactSequence:
     """The sequence A0 -f0-> B0 -> X0 -> A1 -f1-> B1 -> X1 -> A0 with the
     solved groups X0, X1 filled in, together with canonical maps.

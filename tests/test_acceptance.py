@@ -31,7 +31,7 @@ from cpk.exactseq import (
 )
 from cpk.fixtures import fixture_document, fixture_ids, two_graph_document
 from cpk.fock import build_fock, fock_suite
-from cpk.ktheory import iterated_ktheory
+from cpk.ktheory import GraphLayers, iterated_ktheory
 from cpk.model import rotation_unitary_chi, single_vertex_two_graph
 
 from support import kunneth_flip_oracle
@@ -180,8 +180,8 @@ def test_criterion_6_order_symmetry_on_random_pairs(capsys):
         rng = random.Random(20260815)
         for i in range(100):
             spec = commuting_layer_spec(rng, max_vertices=5, max_powers=3)
-            a = iterated_ktheory(spec)
-            b = iterated_ktheory(spec.swapped())
+            a = iterated_ktheory(GraphLayers(spec))
+            b = iterated_ktheory(GraphLayers(spec.swapped()))
             for degree, x, y in (("K0", a.final.k0, b.final.k0),
                                  ("K1", a.final.k1, b.final.k1)):
                 assert x.status == y.status, f"case {i} {degree}"

@@ -347,11 +347,21 @@ class TestKtheory:
         assert rep["results"]["ideal_sum"]["K0"]["group"] == "Z^2"
         assert rep["results"]["ideal_sum"]["K1"]["group"] == "Z"
 
+    def test_removed_diagram_route_is_a_usage_error(self, fixdir):
+        # a script that still passes the removed value gets a usage error,
+        # not a crash
+        path = str(fixdir / "ex4.5-torus.json")
+        done = run_subprocess(["-m", "cpk.cli", "ktheory", path, "--route", "diagram"])
+        assert done.returncode == 2
+        assert "invalid choice: 'diagram'" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stdout == ""
+
     def test_route_inconsistency_exits_3(self, fixdir, capsys, monkeypatch):
         real = cli.diagram_report
 
-        def tampered(spec, assume_split=False, bound=None):
-            diag = real(spec, assume_split=assume_split, bound=bound)
+        def tampered(layers, two_stage):
+            diag = real(layers, two_stage)
             return types.SimpleNamespace(
                 **{**diag.__dict__, "problems": ("injected mismatch",)}
             )
@@ -598,9 +608,9 @@ class TestErrorReports:
             "edges": [{"id": "e", "src": "a", "rng": "b"}],
         }
         path = write_doc(tmp_path, doc)
-        rc, rep = run(capsys, ["ktheory", path, "--route", "diagram"], expect=1)
+        rc, rep = run(capsys, ["ktheory", path, "--route", "iterated"], expect=1)
         assert rep["status"] == "invalid"
-        assert rep["options"] == {"route": "diagram", "assume_split": False}
+        assert rep["options"] == {"route": "iterated", "assume_split": False}
         assert rep["input"] == input_block(path, "graph")
         assert rep["results"] == {} and rep["assumptions"] == []
 

@@ -14,12 +14,11 @@ from cpk.exactseq import (
     DETERMINED,
     ExactSequence,
     ResourceLimitError,
-    all_exact,
     extension_candidates,
     solve_six_term,
     verify_exact,
 )
-from support import substitute_solution
+from support import all_exact, substitute_solution
 
 Z = FgAbGroup(1)
 Z2 = FgAbGroup(0, (2,))

@@ -27,7 +27,6 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 # variant name -> (command, options after the document path)
 VARIANTS = {
     "iterated": ("ktheory", ["--route", "iterated"]),
-    "diagram": ("ktheory", ["--route", "diagram"]),
     "both": ("ktheory", ["--route", "both"]),
     "assume-split": ("ktheory", ["--route", "both", "--assume-split"]),
     "text": ("ktheory", ["--route", "both", "--format", "text"]),
@@ -76,6 +75,19 @@ def test_report_matches_golden(fixdir, fid, variant):
         want = _DEFECT.sub('"defect": #', want)
         got = _DEFECT.sub('"defect": #', got)
     assert got == want
+
+
+@pytest.mark.parametrize("fid", fixture_ids())
+def test_golden_directory_holds_exactly_the_variants(fid):
+    # a removed variant must take its references with it
+    want = {golden_name(fid, v) for v in VARIANTS}
+    directory = os.path.join(GOLDEN, fid)
+    got = {os.path.join(directory, name) for name in os.listdir(directory)}
+    assert got == want
+
+
+def test_golden_holds_only_fixture_directories():
+    assert sorted(os.listdir(GOLDEN)) == sorted(fixture_ids())
 
 
 def write_golden() -> None:

@@ -5,17 +5,23 @@ cokernel/kernel of 1 - M^t, two-stage groups from the extension problem over
 the stage-one algebra, and the tensor/Tor oracle for single-vertex flips.
 """
 
+import contextlib
+import io
+import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpk import ktheory
+from cpk import cli, ktheory
 from cpk.abelian import FgAbGroup, GroupHom, IntMatrix, InternalError, PreconditionError
 from cpk.exactseq import AMBIGUOUS, DETERMINED, UNDERDETERMINED, GroupOutcome
+from cpk.fixtures import fixture_document, fixture_ids, two_graph_document, write_fixtures
 from cpk.ktheory import (
     DiagramReport,
+    GraphLayers,
     coefficient_ktheory,
     cuntz_pimsner_ktheory,
     diagram_report,
@@ -79,20 +85,20 @@ class TestSingleStage:
     def test_rose_k_groups(self):
         # n loops on one vertex: K0 = Z/(n-1), K1 = 0
         for n in range(2, 13):
-            pair = cuntz_pimsner_ktheory(pimsner_class_maps(rose(n)))
+            pair = cuntz_pimsner_ktheory(*pimsner_class_maps(rose(n)))
             assert pair_determined(pair)
             assert pair.k0.group == FgAbGroup.from_divisors(0, [n - 1])
             assert pair.k1.group.is_trivial
 
     def test_single_loop(self):
         # one loop: the circle algebra, K0 = K1 = Z
-        pair = cuntz_pimsner_ktheory(pimsner_class_maps(rose(1)))
+        pair = cuntz_pimsner_ktheory(*pimsner_class_maps(rose(1)))
         assert names(pair.k0.group) == "Z"
         assert names(pair.k1.group) == "Z"
 
     def test_swap_bimodule(self):
         swap = permutation_bimodule(("0", "1"), {"0": "1", "1": "0"})
-        pair = cuntz_pimsner_ktheory(pimsner_class_maps(swap))
+        pair = cuntz_pimsner_ktheory(*pimsner_class_maps(swap))
         assert names(pair.k0.group) == "Z"
         assert names(pair.k1.group) == "Z"
 
@@ -115,20 +121,20 @@ class TestSingleStage:
 class TestIteratedGraphs:
     def test_flip_matches_tensor_tor_oracle(self):
         for m, n in [(2, 2), (3, 3), (3, 5), (4, 6), (5, 3)]:
-            res = iterated_ktheory(single_vertex_two_graph(m, n))
+            res = iterated_ktheory(GraphLayers(single_vertex_two_graph(m, n)))
             oracle = kunneth_flip_oracle(m, n)
             assert pair_determined(res.final), (m, n)
             assert pair_groups(res.final) == pair_groups(oracle), (m, n)
 
     def test_flip_3_3_frozen(self):
-        res = iterated_ktheory(single_vertex_two_graph(3, 3))
+        res = iterated_ktheory(GraphLayers(single_vertex_two_graph(3, 3)))
         assert names(res.stage1.k0.group) == "Z/2"
         assert res.stage1.k1.group.is_trivial
         assert names(res.final.k0.group) == "Z/2"
         assert names(res.final.k1.group) == "Z/2"
 
     def test_torus(self):
-        res = iterated_ktheory(single_vertex_two_graph(1, 1))
+        res = iterated_ktheory(GraphLayers(single_vertex_two_graph(1, 1)))
         assert names(res.final.k0.group) == "Z^2"
         assert names(res.final.k1.group) == "Z^2"
 
@@ -136,7 +142,7 @@ class TestIteratedGraphs:
         spec = two_graph_from_permutations(
             ("0", "1"), {"0": "1", "1": "0"}, {"0": "1", "1": "0"}
         )
-        res = iterated_ktheory(spec)
+        res = iterated_ktheory(GraphLayers(spec))
         assert names(res.final.k0.group) == "Z^2"
         assert names(res.final.k1.group) == "Z^2"
 
@@ -144,7 +150,7 @@ class TestIteratedGraphs:
         verts = tuple(f"{i}{j}" for i in range(2) for j in range(3))
         p1 = {f"{i}{j}": f"{(i + 1) % 2}{j}" for i in range(2) for j in range(3)}
         p2 = {f"{i}{j}": f"{i}{(j + 1) % 3}" for i in range(2) for j in range(3)}
-        res = iterated_ktheory(two_graph_from_permutations(verts, p1, p2))
+        res = iterated_ktheory(GraphLayers(two_graph_from_permutations(verts, p1, p2)))
         assert names(res.final.k0.group) == "Z^2"
         assert names(res.final.k1.group) == "Z^2"
 
@@ -152,7 +158,13 @@ class TestIteratedGraphs:
         spec = single_vertex_two_graph(2, 2)
         broken = type(spec)(spec.vertices, spec.edges1, spec.edges2, spec.chi[:-1])
         with pytest.raises(PreconditionError):
-            iterated_ktheory(broken)
+            iterated_ktheory(GraphLayers(broken))
+
+
+def diagram_of(spec: TwoGraphSpec) -> DiagramReport:
+    """The diagram cross-check of a graph pair against its two-stage answer."""
+    layers = GraphLayers(spec)
+    return diagram_report(layers, iterated_ktheory(layers).final)
 
 
 def disjoint_flip_pair() -> "TwoGraphSpec":
@@ -173,19 +185,19 @@ def disjoint_flip_pair() -> "TwoGraphSpec":
 
 class TestAmbiguity:
     def test_iterated_reports_candidates(self):
-        res = iterated_ktheory(disjoint_flip_pair())
+        res = iterated_ktheory(GraphLayers(disjoint_flip_pair()))
         assert res.final.k0.status == DETERMINED
         assert names(res.final.k0.group) == "Z/2 + Z/2"
         assert res.final.k1.status == AMBIGUOUS
         assert candidate_names(res.final.k1) == {"Z/2 + Z/2", "Z/4"}
 
     def test_diagram_selects_a_candidate(self):
-        rep = diagram_report(disjoint_flip_pair())
+        rep = diagram_of(disjoint_flip_pair())
         assert rep.consistent
         assert names(rep.final.k1.group) == "Z/2 + Z/2"
 
     def test_assume_split_watermark(self):
-        res = iterated_ktheory(disjoint_flip_pair(), assume_split=True)
+        res = iterated_ktheory(GraphLayers(disjoint_flip_pair()), assume_split=True)
         assert res.final.k1.status == DETERMINED
         assert res.final.k1.assumed_split
         assert names(res.final.k1.group) == "Z/2 + Z/2"
@@ -225,7 +237,7 @@ class TestAbstractMode:
         assert names(res.final.k1.group) == "Z^2 + Z/2"
 
     def test_refuted_split_assumption_is_invalid_input(self):
-        spec = two_graph_from_matrices([[1, 0], [1, 1]], [[1, 0], [2, 1]])
+        spec = GraphLayers(two_graph_from_matrices([[1, 0], [1, 1]], [[1, 0], [2, 1]]))
         res = iterated_ktheory(spec)
         assert (names(res.final.k0.group), names(res.final.k1.group)) == ("Z^2", "Z^2")
         with pytest.raises(PreconditionError, match="split assumption does not hold"):
@@ -272,25 +284,25 @@ class TestAbstractMode:
 
 class TestDiagram:
     def test_flip_2_2_ideal_sum(self):
-        rep = diagram_report(single_vertex_two_graph(2, 2))
+        rep = diagram_of(single_vertex_two_graph(2, 2))
         assert names(rep.ij_k0.group) == "Z"
         assert rep.ij_k1.group.is_trivial
-        assert rep.consistent and rep.all_verdicts_pass
+        assert rep.consistent and not rep.problems
 
     def test_flip_3_3_ideal_sum(self):
-        rep = diagram_report(single_vertex_two_graph(3, 3))
+        rep = diagram_of(single_vertex_two_graph(3, 3))
         assert names(rep.ij_k0.group) == "Z + Z/2"
         assert rep.ij_k1.group.is_trivial
 
     def test_torus_ideal_sum(self):
-        rep = diagram_report(single_vertex_two_graph(1, 1))
+        rep = diagram_of(single_vertex_two_graph(1, 1))
         assert names(rep.ij_k0.group) == "Z^2"
         assert names(rep.ij_k1.group) == "Z"
         assert names(rep.final.k0.group) == "Z^2"
         assert names(rep.final.k1.group) == "Z^2"
 
     def test_corner_table(self):
-        rep = diagram_report(single_vertex_two_graph(3, 4))
+        rep = diagram_of(single_vertex_two_graph(3, 4))
         assert rep.corners["11"]["K0"] == "Z"
         assert rep.corners["13"]["K0"] == "Z/2"
         assert rep.corners["31"]["K0"] == "Z/3"
@@ -302,7 +314,7 @@ class TestDiagram:
         }
 
     def test_exactness_reports_cover_all_nodes(self):
-        rep = diagram_report(single_vertex_two_graph(4, 4))
+        rep = diagram_of(single_vertex_two_graph(4, 4))
         assert len(rep.sum_sequence) == 6
         assert len(rep.quotient_sequence) == 6
         assert all(r["exact"] for r in rep.sum_sequence)
@@ -317,17 +329,18 @@ class TestProperties:
     def test_oracle_agreement_sweep(self):
         for m in range(2, 7):
             for n in range(2, 7):
-                res = iterated_ktheory(single_vertex_two_graph(m, n))
+                res = iterated_ktheory(GraphLayers(single_vertex_two_graph(m, n)))
                 assert pair_groups(res.final) == pair_groups(kunneth_flip_oracle(m, n))
 
     def test_random_commuting_permutation_specs(self):
         rng = random.Random(20260815)
         for _ in range(30):
             spec = commuting_layer_spec(rng, max_vertices=4, max_powers=2)
-            res = iterated_ktheory(spec)
+            layers = GraphLayers(spec)
+            res = iterated_ktheory(layers)
             # permutation layers keep every stage free, so no ambiguity
             assert pair_determined(res.final)
-            rep = diagram_report(spec)
+            rep = diagram_report(layers, res.final)
             assert rep.consistent, rep.problems
             assert names(rep.final.k0.group) == names(res.final.k0.group)
             assert names(rep.final.k1.group) == names(res.final.k1.group)
@@ -340,7 +353,7 @@ class TestProperties:
         specs += [single_vertex_two_graph(m, n) for m, n in [(2, 5), (3, 3)]]
         specs.append(disjoint_flip_pair())
         for spec in specs:
-            res = iterated_ktheory(spec)
+            res = iterated_ktheory(GraphLayers(spec))
             r0 = min(g.free_rank for g in res.final.k0.candidates)
             r1 = min(g.free_rank for g in res.final.k1.candidates)
             assert r0 == r1
@@ -364,7 +377,9 @@ class TestProperties:
                 return str(err)
 
         for assume_split in (False, True):
-            assert final(spec, assume_split) == final(as_abstract(spec), assume_split)
+            assert final(GraphLayers(spec), assume_split) == final(
+                as_abstract(spec), assume_split
+            )
 
     def test_oracle_values_frozen(self):
         assert names(kunneth_flip_oracle(2, 2).k0.group) == "0"
@@ -402,3 +417,129 @@ class TestInternalErrors:
         assert [m.column(0) for m in homs] == [
             (0, 0, 0), (0, 0, 4), (0, 2, 0), (0, 2, 4)
         ]
+
+
+# ---------------------------------------------------------------------------
+# the two routes of `cpk ktheory`
+
+# the parts of a ktheory report that come from the two-stage route alone
+TWO_STAGE_KEYS = ("coefficient", "toeplitz_corner", "stage1", "final", "notes")
+KTHEORY_KINDS = ("graph", "two_graph", "permutation", "abstract_kdata")
+
+
+@pytest.fixture(scope="module")
+def fixdir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fixtures")
+    write_fixtures(str(d))
+    return d
+
+
+def ktheory_report(path, *options):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["ktheory", str(path), *options])
+    return code, json.loads(out.getvalue())
+
+
+def routes_agree(path, *options):
+    """Run `--route iterated` and `--route both` on one document and check
+    that the diagram cross-check adds to the report but changes nothing the
+    two-stage route computed; returns the exit code and the both-route report."""
+    code_i, it = ktheory_report(path, "--route", "iterated", *options)
+    code_b, both = ktheory_report(path, "--route", "both", *options)
+    assert code_i == code_b, (it, both)
+    assert it["assumptions"] == both["assumptions"]
+    assert it.get("error") == both.get("error")
+    for key in TWO_STAGE_KEYS:
+        assert it["results"].get(key) == both["results"].get(key), key
+    return code_b, both
+
+
+class TestRoutes:
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(
+        spec=st.builds(commuting_layer_spec, st.randoms(use_true_random=False),
+                       st.just(4), st.just(2)),
+    )
+    def test_routes_agree_on_random_commuting_permutation_specs(
+        self, tmp_path_factory, spec
+    ):
+        path = tmp_path_factory.getbasetemp() / "routes.json"
+        path.write_text(json.dumps(two_graph_document(spec)))
+        code, both = routes_agree(path)
+        assert code == 0, both
+        assert both["results"]["diagram"]["consistent"]
+
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize(
+        "fid", [f for f in fixture_ids() if fixture_document(f)["kind"] in KTHEORY_KINDS]
+    )
+    def test_routes_agree_on_every_fixture(self, fixdir, fid, split):
+        options = ["--assume-split"] if split else []
+        code, both = routes_agree(fixdir / f"{fid}.json", *options)
+        assert code == 0, both
+        assert "final" in both["results"]
+
+    def test_routes_agree_when_the_split_assumption_is_refuted(self, tmp_path):
+        path = tmp_path / "refuted.json"
+        spec = two_graph_from_matrices([[1, 0], [1, 1]], [[1, 0], [2, 1]])
+        path.write_text(json.dumps(two_graph_document(spec)))
+        code, both = routes_agree(path, "--assume-split")
+        assert code == 1
+        assert "split assumption does not hold" in both["error"]
+
+    def test_routes_agree_on_a_tripped_extension_bound(self, tmp_path, monkeypatch):
+        # the two-stage route runs before the diagram sequences, so under
+        # both routes the bound trips at the same point with the same error
+        monkeypatch.setenv("CPK_EXT_BOUND", "1")
+        path = tmp_path / "flips.json"
+        path.write_text(json.dumps(two_graph_document(disjoint_flip_pair())))
+        code, both = routes_agree(path)
+        assert code == 4
+        assert both["status"] == "resource-limit"
+        assert both["results"] == {}
+
+
+def pipeline_calls(monkeypatch, argv) -> dict:
+    """iterated_ktheory and diagram_report calls made by one `cpk` command,
+    counted at every cpk module that binds the names."""
+    calls = {}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    targets = []
+    for name in ("iterated_ktheory", "diagram_report"):
+        calls[name] = 0
+        fn = getattr(ktheory, name)
+        targets.append((fn, counting(name, fn)))
+    with monkeypatch.context() as patch:
+        for name, module in sorted(sys.modules.items()):
+            if module is None or not (name == "cpk" or name.startswith("cpk.")):
+                continue
+            for attr, value in list(vars(module).items()):
+                for fn, wrapper in targets:
+                    if value is fn:
+                        patch.setattr(module, attr, wrapper)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+    assert code == 0, out.getvalue()
+    return calls
+
+
+@pytest.mark.parametrize("route", ["iterated", "both"])
+@pytest.mark.parametrize(
+    "fid", ["ex3.4-z2xz3", "ex4.6-flip-3-3", "ex4.7-abstract-p2"]
+)
+def test_one_two_stage_run_per_command(fixdir, monkeypatch, fid, route):
+    kind = fixture_document(fid)["kind"]
+    calls = pipeline_calls(
+        monkeypatch, ["ktheory", str(fixdir / f"{fid}.json"), "--route", route]
+    )
+    # abstract K-data has no diagram, whatever the route
+    diagrams = 1 if route == "both" and kind != "abstract_kdata" else 0
+    assert calls == {"iterated_ktheory": 1, "diagram_report": diagrams}, kind

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from cpk import cli
 from cpk.abelian import IntMatrix, Presentation, kernel_basis
 from cpk.fixtures import two_graph_document
-from cpk.ktheory import GraphLayers, diagram_report
+from cpk.ktheory import GraphLayers, diagram_report, iterated_ktheory
 from cpk.model import single_vertex_two_graph, vertex_matrix
 
 from support import evans_ktheory, pair_groups, two_graph_specs
@@ -71,8 +71,8 @@ def test_tampered_ideal_sum_fails_exactness():
     tampered = TamperedLayers(spec)
     assert str(honest.cok_theta.group) == "Z + Z/2"
     assert str(tampered.cok_theta.group) == "Z/2"
-    assert diagram_report(honest).consistent
-    report = diagram_report(tampered)
+    assert diagram_report(honest, iterated_ktheory(honest).final).consistent
+    report = diagram_report(tampered, iterated_ktheory(tampered).final)
     assert not report.consistent
     assert any(p.startswith("sum sequence fails exactness") for p in report.problems)
 
