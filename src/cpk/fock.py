@@ -15,10 +15,29 @@ leading prefix of the basis, so a check multiplies only the leading columns
 of its rightmost factor. Where a block is empty (N <= 2 for reordering,
 N <= 1 for chi commutation and the adjoint, N = 0 for all) the relation
 is reported as defect 0.0, a vacuous pass.
+
+Each check batches its products over generators instead of forming one
+small sparse matrix per relation. With L creators stacked vertically, L @ X
+holds T_a X for every stacked generator a as a D-row block, so one scipy
+call gives a whole family of products: T_e T_f for every layer-1 e, and
+T_f T_e for every layer-2 f (chi commutation), T_a T_b T_c for all a
+(reordering, one call per pair b, c). The Toeplitz inner products take
+the conjugate transpose of the layer's creators side by side, covariance
+one product per layer, and the adjoint compares each creator's leading
+block with a row range of the annihilators side by side, conjugate
+transposed. A residual is a signed sum of row ranges of such stacks,
+read straight from their CSR arrays; residuals are stacked vertically with
+duplicate positions summed, and _block_bounds bounds every block of a
+stack in one numpy pass. Memory: the residuals are gathered in chunks of
+at most as many entries as all the creators hold (a larger residual is a
+chunk of its own), and the triple products a chunk reads are made for it
+and dropped after it, so a check holds L, the chunk and the few stacks it
+reads, never all k^3 products.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -59,18 +78,43 @@ class DefectReport:
         }
 
 
-def _norm_bound(block: sp.spmatrix) -> float:
-    """A certified upper bound on the operator norm of a sparse matrix A:
-    min(sqrt(|A|_1 |A|_inf), |A|_F), both of which dominate the spectral
-    norm. It equals the norm when A has at most one nonzero per row and
-    column, and it is 0.0 when A has no nonzero entry. A stores each
-    position at most once, as sparse products, sums and slices leave it."""
-    sub = abs(block)
-    if not sub.count_nonzero():
-        return 0.0
-    one_inf = np.sqrt(sub.sum(axis=0).max()) * np.sqrt(sub.sum(axis=1).max())
+def _block_bounds(stack: sp.csr_matrix, rows: int) -> np.ndarray:
+    """For each block of `rows` consecutive rows of a CSR stack, a certified
+    upper bound on its operator norm: min(sqrt(|A|_1 |A|_inf), |A|_F), both
+    of which dominate the spectral norm. A bound equals the norm when its
+    block has at most one nonzero per row and column, and it is exactly 0.0
+    when the block has no nonzero entry. A stack of no rows has no blocks.
+
+    Precondition: the stack stores each position at most once, as sparse
+    products, sums and slices leave it; a position stored twice would have
+    its parts' magnitudes added, not the parts themselves.
+
+    One numpy pass over the stored entries: row sums by add.reduceat over
+    the row pointers, column sums by bincount keyed by (block, column),
+    Frobenius norms by hypot.reduceat. The largest array has one slot per
+    (block, column), no more than the stack has rows when blocks are no
+    wider than tall, as every residual of the relation checks is; nothing
+    is sized by rows times columns."""
+    bounds = np.zeros(stack.shape[0] // rows if rows else 0)
+    indptr, cols = stack.indptr, stack.shape[1]
+    mags = np.abs(stack.data[:indptr[-1]])
+    lengths = np.diff(indptr)
+    filled = np.flatnonzero(lengths)
+    if not len(filled):
+        return bounds
+    # every row between two filled rows is empty, so the sums stop in time
+    row_sums = np.add.reduceat(mags, indptr[filled])
+    row_block = filled // rows
+    firsts = np.flatnonzero(np.diff(row_block, prepend=-1))
+    blocks = row_block[firsts]
+    key = np.repeat(row_block, lengths[filled]) * cols + stack.indices[:indptr[-1]]
+    col_sums = np.bincount(key, weights=mags, minlength=len(bounds) * cols)
+    one_inf = (np.sqrt(col_sums.reshape(len(bounds), cols).max(axis=1)[blocks])
+               * np.sqrt(np.maximum.reduceat(row_sums, firsts)))
     # hypot squares nothing, so tiny entries cannot underflow to a zero bound
-    return float(min(one_inf, np.hypot.reduce(sub.data)))
+    frobenius = np.hypot.reduceat(mags, indptr[blocks * rows])
+    bounds[blocks] = np.minimum(one_inf, frobenius)
+    return bounds
 
 
 class FockRep:
@@ -344,108 +388,213 @@ def _report(name, defect, tol) -> DefectReport:
     return DefectReport(name, defect, tol, defect <= tol)
 
 
+def _left_stack(rep: FockRep, gens):
+    """The creators of gens stacked vertically, and the first row of each
+    generator's block: the D rows of stack @ X from at[a] on are T_a X."""
+    at = {x: i * rep.dimension for i, x in enumerate(gens)}
+    return sp.vstack([rep.creators[x] for x in gens], format="csr"), at
+
+
+def _budget(rep: FockRep) -> int:
+    """The most entries a chunk of residuals gathers: as many as all the
+    creators hold, so a check's memory stays of the order of the rep's."""
+    return sum(m.nnz for m in rep.creators.values())
+
+
+def _stack_residuals(chunk, rows: int, cols: int) -> sp.csr_matrix:
+    """The residuals of a chunk stacked vertically in CSR, rows x cols
+    each, duplicate positions summed. Layer j holds the j-th term of every
+    residual, copied straight from its stack's arrays (empty rows where a
+    residual has fewer terms), and scipy adds the layers."""
+    total = None
+    for j in range(max(map(len, chunk))):
+        spans = [terms[j][0].indptr[terms[j][1]:terms[j][1] + rows + 1] if j < len(terms)
+                 else None for terms in chunk]
+        size = sum(int(ptr[-1] - ptr[0]) for ptr in spans if ptr is not None)
+        # the index type scipy itself would choose, so that it copies nothing
+        index = np.int32 if max(size, len(chunk) * rows, cols) < 2**31 else np.int64
+        data = np.empty(size, dtype=complex)
+        indices = np.empty(size, dtype=index)
+        indptr = np.zeros(len(chunk) * rows + 1, dtype=index)
+        filled = 0
+        for i, (terms, ptr) in enumerate(zip(chunk, spans)):
+            if ptr is not None:
+                stack, _, coeff = terms[j]
+                lo, hi = ptr[0], ptr[-1]
+                np.multiply(stack.data[lo:hi], coeff, out=data[filled:filled + hi - lo])
+                indices[filled:filled + hi - lo] = stack.indices[lo:hi]
+                indptr[i * rows + 1:(i + 1) * rows + 1] = ptr[1:] + (filled - lo)
+                filled += hi - lo
+            else:
+                indptr[i * rows + 1:(i + 1) * rows + 1] = filled
+        layer = sp.csr_matrix((data, indices, indptr), shape=(len(chunk) * rows, cols))
+        total = layer if total is None else total + layer
+    return total
+
+
+def _worst(residuals, rows: int, cols: int, budget: int, made=None) -> float:
+    """The largest _block_bounds over a stream of rows x cols residuals.
+
+    Each residual is a list of (stack, first, coeff) terms: coeff times rows
+    [first, first + rows) of a CSR stack, read straight from its arrays.
+    Residuals are stacked vertically, one block each, with duplicate
+    positions summed before any magnitude is taken, in chunks of at most
+    `budget` entries (a residual larger than that is a chunk of its own).
+    When a chunk is bounded, the products in `made` that the next residual
+    does not read are dropped. A residual without entries has bound 0.0
+    and takes no block."""
+    worst, chunk, size = 0.0, [], 0
+    for terms in residuals:
+        terms = [(stack, first, coeff) for stack, first, coeff in terms
+                 if stack.indptr[first] < stack.indptr[first + rows]]
+        if not terms:
+            continue
+        entries = sum(int(stack.indptr[first + rows] - stack.indptr[first])
+                      for stack, first, _ in terms)
+        if chunk and size + entries > budget:
+            worst = max(worst, _block_bounds(_stack_residuals(chunk, rows, cols), rows).max())
+            chunk, size = [], 0
+            if made is not None:
+                reads = {id(stack) for stack, _, _ in terms}
+                for key in [k for k, stack in made.items() if id(stack) not in reads]:
+                    del made[key]
+        chunk.append(terms)
+        size += entries
+    if chunk:
+        worst = max(worst, _block_bounds(_stack_residuals(chunk, rows, cols), rows).max())
+    return float(worst)
+
+
 def check_toeplitz(rep: FockRep, tol: Optional[float] = None):
     """T_e* T_f = delta P_rng(e) within each layer, and P_src(e) T_e = T_e,
-    on the sub-block of degrees <= N-1."""
+    on the sub-block of degrees <= N-1. Per layer, the creators' leading
+    columns stacked vertically give every source residual in one product,
+    and side by side, conjugate transposed, times one creator's leading
+    columns, every inner product T_e* T_f with that f."""
     tol = _resolve(tol)
     n = rep.leading(rep.degree - 1)
+    dim, budget = rep.dimension, _budget(rep)
     reports = []
     for layer, edges in ((1, rep.edges1), (2, rep.edges2)):
         if not edges:
             continue
-        cols = {e.id: rep.creators[e.id][:, :n] for e in edges}
-        inner = 0.0
-        for e in edges:
-            for f in edges:
-                d = cols[e.id].getH() @ cols[f.id]
-                if e.id == f.id:
-                    d = d - rep.projections[e.rng][:n, :n]
-                inner = max(inner, _norm_bound(d))
-        compat = 0.0
-        for e in edges:
-            d = rep.projections[e.src] @ cols[e.id] - cols[e.id]
-            compat = max(compat, _norm_bound(d))
+        blocks = [rep.creators[e.id][:, :n] for e in edges]
+        adjoint = sp.hstack(blocks, format="csr").getH().tocsr()
+        grams = [adjoint @ block for block in blocks]
+        inner = _worst(
+            ([(grams[j], i * n, 1.0)]
+             + ([(rep.projections[e.rng], 0, -1.0)] if i == j else [])
+             for j in range(len(edges)) for i, e in enumerate(edges)),
+            n, n, budget,
+        )
+        cols = sp.vstack(blocks, format="csr")
+        sources = sp.diags(np.concatenate([rep.projections[e.src].diagonal() for e in edges]))
+        compat = _block_bounds((sources @ cols - cols).tocsr(), dim).max(initial=0.0)
         reports.append(_report(f"inner product, layer {layer}", inner, tol))
-        reports.append(_report(f"source compatibility, layer {layer}", compat, tol))
+        reports.append(_report(f"source compatibility, layer {layer}", float(compat), tol))
     return reports
 
 
 def check_covariance_defect(rep: FockRep, layer: int = 1,
                             tol: Optional[float] = None) -> DefectReport:
     """Sum of T_e T_e* over the layer equals 1 minus the projection onto
-    words with no letter from that layer, on degrees <= N-1."""
+    words with no letter from that layer, on degrees <= N-1. The creators'
+    leading rows side by side, times their conjugate transpose, give the
+    sum in one product."""
     tol = _resolve(tol)
     edges = rep.edges1 if layer == 1 else rep.edges2
     if not edges:
         raise PreconditionError(f"layer {layer} has no edges")
     n = rep.leading(rep.degree - 1)
-    total = sp.csr_matrix((n, n), dtype=complex)
-    for e in edges:
-        rows = rep.creators[e.id][:n]
-        total = total + rows @ rows.getH()
+    rows = sp.hstack([rep.creators[e.id] for e in edges], format="csr")[:n]
+    total = rows @ rows.getH()
     vacuum = (rep.bidegrees[:n, layer - 1] == 0).astype(float)
     expected = sp.eye(n, dtype=complex, format="csr") - sp.diags(
         vacuum, format="csr", dtype=complex
     )
-    defect = _norm_bound(total - expected)
-    return _report(f"covariance, layer {layer}", defect, tol)
+    defect = _block_bounds((total - expected).tocsr(), n).max(initial=0.0)
+    return _report(f"covariance, layer {layer}", float(defect), tol)
 
 
 def check_chi_commutation(rep: FockRep, tol: Optional[float] = None) -> DefectReport:
     """T_e T_f = sum of chi coefficients times T_f' T_e' on degrees <= N-2;
-    non-composable products must vanish."""
+    non-composable products must vanish. One layer's creators stacked
+    vertically, times one creator of the other layer (its leading columns),
+    give every product of the two layers ending in it, one scipy call per
+    generator."""
     tol = _resolve(tol)
     if not rep.edges2:
         raise PreconditionError("single-layer representation has no chi")
     n = rep.leading(rep.degree - 2)
-    cols = {x: m[:, :n] for x, m in rep.creators.items()}
-    worst = 0.0
-    for e in rep.edges1:
-        for f in rep.edges2:
-            d = rep.creators[e.id] @ cols[f.id]
-            for f2, e2, c in rep.crossing_fwd.get((e.id, f.id), ()):
-                d = d - c * (rep.creators[f2] @ cols[e2])
-            worst = max(worst, _norm_bound(d))
-    return _report("chi commutation", worst, tol)
+    left1, at1 = _left_stack(rep, [e.id for e in rep.edges1])
+    left2, at2 = _left_stack(rep, [f.id for f in rep.edges2])
+    ef = {f.id: left1 @ rep.creators[f.id][:, :n] for f in rep.edges2}
+    fe = {e.id: left2 @ rep.creators[e.id][:, :n] for e in rep.edges1}
+    residuals = (
+        [(ef[f.id], at1[e.id], 1.0)]
+        + [(fe[e2], at2[f2], -c) for f2, e2, c in rep.crossing_fwd.get((e.id, f.id), ())]
+        for e in rep.edges1 for f in rep.edges2
+    )
+    return _report("chi commutation",
+                   _worst(residuals, rep.dimension, n, _budget(rep)), tol)
 
 
 def check_left_action_adjoint(rep: FockRep, tol: Optional[float] = None) -> DefectReport:
     """Compare each conjugate-transposed creator against the combinatorial
     annihilator on degrees <= N-2. The annihilator crosses with forward chi
     while the creator used the inverse, so agreement certifies unitarity of
-    the crossing, not just consistent bookkeeping."""
+    the crossing, not just consistent bookkeeping. The bound is the same for
+    a matrix and its conjugate transpose, so each residual is taken as the
+    creator's leading block minus a row range of the annihilators side by
+    side, conjugate transposed in one call."""
     tol = _resolve(tol)
     n = rep.leading(rep.degree - 2)
-    worst = 0.0
-    for edge_id, adjoint in rep.annihilator(n).items():
-        d = adjoint - rep.creators[edge_id][:n, :n].getH()
-        worst = max(worst, _norm_bound(d))
-    return _report("left action adjoint", worst, tol)
+    adjoints = rep.annihilator(n)
+    conj = sp.hstack(list(adjoints.values()), format="csr").getH().tocsr()
+    residuals = ([(rep.creators[x][:n, :n], 0, 1.0), (conj, i * n, -1.0)]
+                 for i, x in enumerate(adjoints))
+    return _report("left action adjoint", _worst(residuals, n, n, _budget(rep)), tol)
 
 
 def check_reordering(rep: FockRep, tol: Optional[float] = None) -> DefectReport:
     """Associativity of normal ordering: for every mixed length-3 generator
     word, the direct operator product equals the symbolically normal-ordered
-    combination, on degrees <= N-3. Each pair product T_a T_b on that block
-    is formed once and shared by every word ending in it."""
+    combination, on degrees <= N-3. A word already in normal order is its
+    own normal form, so its residual is identically zero and is skipped.
+
+    L times one pair product T_b T_c (on the leading columns) gives every
+    triple product T_a T_b T_c with that pair, so the products take at most
+    2k^2 scipy calls per chunk, not a few per word; each residual is a
+    signed sum of row ranges of these triple stacks. A triple stack is made
+    for the chunk of residuals that reads it and dropped once the chunk is
+    bounded, and no pair product outlives the triple stack made from it."""
     tol = _resolve(tol)
     if not rep.edges2:
         raise PreconditionError("single-layer representation has no chi")
     n = rep.leading(rep.degree - 3)
-    gens = [e.id for e in rep.edges1] + [f.id for f in rep.edges2]
-    cols = {x: m[:, :n] for x, m in rep.creators.items()}
-    pairs = {(a, b): rep.creators[a] @ cols[b] for a in gens for b in gens}
-    worst = 0.0
-    for g1 in gens:
-        for g2 in gens:
-            for g3 in gens:
-                layers = {rep.layer_of[g] for g in (g1, g2, g3)}
-                if layers != {1, 2}:
-                    continue
-                d = rep.creators[g1] @ pairs[g2, g3]
-                for (h1, h2, h3), c in rep.normal_order((g1, g2, g3)).items():
-                    d = d - c * (rep.creators[h1] @ pairs[h2, h3])
-                worst = max(worst, _norm_bound(d))
+    dim = rep.dimension
+    left, at = _left_stack(rep, rep.layer_of)
+    cols = {c: rep.creators[c][:, :n] for c in rep.layer_of}
+    triples = {}
+
+    def triple(b, c):
+        if (b, c) not in triples:
+            triples[b, c] = left @ (rep.creators[b] @ cols[c])
+        return triples[b, c]
+
+    def residuals():
+        # words sharing their last two letters are adjacent, so a chunk
+        # reads few triple stacks
+        for b, c, a in itertools.product(rep.layer_of, repeat=3):
+            layers = [rep.layer_of[g] for g in (a, b, c)]
+            if layers == sorted(layers):
+                continue
+            terms = [(triple(b, c), at[a], 1.0)]
+            for (h1, h2, h3), coeff in rep.normal_order((a, b, c)).items():
+                terms.append((triple(h2, h3), at[h1], -coeff))
+            yield terms
+
+    worst = _worst(residuals(), dim, n, _budget(rep), triples)
     return _report("normal ordering associativity", worst, tol)
 
 

@@ -22,7 +22,7 @@ from cpk.abelian import (
     kernel_basis,
 )
 from cpk.exactseq import DETERMINED, ExactSequence
-from cpk.fock import DEFAULT_TOL, DefectReport, _norm_bound
+from cpk.fock import DEFAULT_TOL, DefectReport
 from cpk.ktheory import KPair
 from cpk.model import AbstractKData, FiniteGraph, TwoGraphSpec, UnitaryChi, vertex_matrix
 
@@ -418,8 +418,19 @@ def reference_operators(rep):
 # Fock relation checks on whole operators
 
 
+def norm_bound(block) -> float:
+    """The bound of cpk.fock._block_bounds on one sparse matrix A, by whole
+    matrix sums: min(sqrt(|A|_1 |A|_inf), |A|_F), or 0.0 when A has no
+    nonzero entry. A stores each position at most once."""
+    sub = abs(block)
+    if not sub.count_nonzero():
+        return 0.0
+    one_inf = np.sqrt(sub.sum(axis=0).max()) * np.sqrt(sub.sum(axis=1).max())
+    return float(min(one_inf, np.hypot.reduce(sub.data)))
+
+
 def _subblock_norm(mat, rows, cols) -> float:
-    return _norm_bound(mat.tocsr()[rows, :][:, cols])
+    return norm_bound(mat.tocsr()[rows, :][:, cols])
 
 
 def reference_fock_suite(rep, tol=DEFAULT_TOL):

@@ -1,6 +1,8 @@
 """Fock representation tests: basis bookkeeping, relation defects on honest
 builds, and corrupted negative controls."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -20,7 +22,8 @@ from cpk.fock import (
     check_reordering,
     check_toeplitz,
     fock_suite,
-    _norm_bound,
+    _block_bounds,
+    _worst,
 )
 from cpk.model import (
     FiniteGraph,
@@ -32,6 +35,7 @@ from cpk.model import (
 from support import (
     basis_words,
     chi_same_index,
+    norm_bound,
     reference_basis,
     reference_fock_suite,
     reference_operators,
@@ -219,6 +223,62 @@ class TestNegativeControls:
         rep.creators["f0"] = sp.csr_matrix((dim, dim), dtype=complex)
         assert check_reordering(rep).defect > DEFAULT_TOL
 
+    @pytest.mark.parametrize("victim", ["f0", "f1"])
+    def test_one_corrupted_entry_breaks_one_block(self, victim, monkeypatch):
+        # T_f at a pure layer-1 word w of degree N-1 enters one inner product
+        # (f, f), one chi commutation term T_f T_e with e w' = w, and one
+        # triple T_f T_e T_e', which is the direct product of a word out of
+        # normal order; so each check has a single nonzero residual
+        bounds, block_bounds = [], fock._block_bounds
+
+        def recorded(stack, rows):
+            found = block_bounds(stack, rows)
+            bounds.extend(found)
+            return found
+
+        monkeypatch.setattr(fock, "_block_bounds", recorded)
+        degree = 4
+        base = build_fock(single_vertex_two_graph(2, 2), degree)
+        words = np.flatnonzero((base.bidegrees == (degree - 1, 0)).all(axis=1))
+        assert len(words) == 8
+        for word in words:
+            rep = build_fock(single_vertex_two_graph(2, 2), degree)
+            entries = rep.creators[victim].tocoo()
+            entries.data[entries.col == word] *= 1.5
+            assert np.count_nonzero(entries.col == word) == 1
+            rep.creators[victim] = entries.tocsr()
+            for check in (check_toeplitz, check_chi_commutation, check_reordering):
+                bounds.clear()
+                reports = check(rep)
+                if isinstance(reports, DefectReport):
+                    reports = [reports]
+                assert sum(not r.passed for r in reports) == 1, (check.__name__, word)
+                assert np.count_nonzero(bounds) == 1, (check.__name__, word)
+            want = reference_fock_suite(rep)
+            for r, ref in zip(fock_suite(rep), want):
+                assert abs(r.defect - ref.defect) <= 1e-12, (r.relation, word)
+
+    def test_several_chunks_match_the_reference(self, monkeypatch):
+        # the rotation unitary at degree 6 bounds its chi commutation and
+        # reordering residuals in more than one chunk each
+        chunks, block_bounds = [], fock._block_bounds
+
+        def counted(stack, rows):
+            chunks.append(stack.shape)
+            return block_bounds(stack, rows)
+
+        monkeypatch.setattr(fock, "_block_bounds", counted)
+        rep = build_fock(rotation_unitary_chi(np.pi / 6, np.pi / 5), 6)
+        rep.creators["f1"] = rep.creators["f1"] @ sp.diags(1.0 + 1e-9 * rep.totals)
+        for check in (check_chi_commutation, check_reordering):
+            chunks.clear()
+            assert check(rep).defect > DEFAULT_TOL
+            assert len(chunks) > 1, check.__name__
+        got, want = fock_suite(rep), reference_fock_suite(rep)
+        for r, ref in zip(got, want):
+            assert abs(r.defect - ref.defect) <= 1e-12, r.relation
+            assert r.passed == ref.passed, r.relation
+
 
 PROPERTY = settings(max_examples=200, deadline=None, database=None, derandomize=True)
 ENTRY = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
@@ -260,37 +320,99 @@ def spectral(dense) -> float:
     return float(np.linalg.norm(dense, 2)) if dense.size else 0.0
 
 
+@st.composite
+def block_stacks(draw, monomial=False):
+    """A vertical CSR stack of 0-6 sub-blocks drawn by sub_blocks, each
+    padded with zero rows and columns to the largest block's shape (which
+    changes no bound), and that common number of rows."""
+    blocks = [mat[rows, :][:, cols]
+              for mat, rows, cols in draw(st.lists(sub_blocks(monomial), max_size=6))]
+    n_rows = max((b.shape[0] for b in blocks), default=draw(st.integers(0, 3)))
+    n_cols = max((b.shape[1] for b in blocks), default=draw(st.integers(0, 3)))
+    padded = [
+        sp.csr_matrix(
+            (b.data, b.indices,
+             np.concatenate([b.indptr, np.full(n_rows - b.shape[0], b.indptr[-1])])),
+            shape=(n_rows, n_cols),
+        )
+        for b in blocks
+    ]
+    if padded:
+        stack = sp.vstack(padded, format="csr")
+    else:
+        stack = sp.csr_matrix((0, n_cols), dtype=complex)
+    return stack, n_rows, [b.toarray() for b in padded]
+
+
 class TestNorm:
     @PROPERTY
-    @given(sub_blocks())
-    def test_bound_lies_between_spectral_and_frobenius(self, block):
-        mat, rows, cols = block
-        bound = _norm_bound(mat[rows, :][:, cols])
-        dense = mat.toarray()[np.ix_(rows, cols)]
-        assert bound >= spectral(dense) * (1 - 1e-12)
-        top = np.abs(dense).max(initial=0.0)
-        # scaled by the largest entry, so that tiny entries do not underflow
-        frobenius = top * np.linalg.norm(dense / top) if top else 0.0
-        assert bound <= frobenius * (1 + 1e-12)
-        if not np.any(dense):
-            assert bound == 0.0
+    @given(block_stacks())
+    def test_bound_lies_between_spectral_and_frobenius(self, drawn):
+        stack, rows, dense_blocks = drawn
+        bounds = _block_bounds(stack, rows)
+        assert len(bounds) == (len(dense_blocks) if rows else 0)
+        for bound, dense in zip(bounds, dense_blocks):
+            assert bound >= spectral(dense) * (1 - 1e-12)
+            top = np.abs(dense).max(initial=0.0)
+            # scaled by the largest entry, so that tiny entries do not underflow
+            frobenius = top * np.linalg.norm(dense / top) if top else 0.0
+            assert bound <= frobenius * (1 + 1e-12)
+            if not np.any(dense):
+                assert bound == 0.0
+            assert bound == pytest.approx(norm_bound(sp.csr_matrix(dense)), rel=1e-12, abs=0.0)
 
     @PROPERTY
-    @given(sub_blocks(monomial=True))
-    def test_bound_is_the_norm_on_monomial_blocks(self, block):
-        mat, rows, cols = block
-        bound = _norm_bound(mat[rows, :][:, cols])
-        dense = mat.toarray()[np.ix_(rows, cols)]
-        assert bound == pytest.approx(spectral(dense), rel=1e-12, abs=0.0)
+    @given(block_stacks(monomial=True))
+    def test_bound_is_the_norm_on_monomial_blocks(self, drawn):
+        stack, rows, dense_blocks = drawn
+        for bound, dense in zip(_block_bounds(stack, rows), dense_blocks):
+            assert bound == pytest.approx(spectral(dense), rel=1e-12, abs=0.0)
 
     def test_zero_blocks(self):
         explicit = sp.csr_matrix(
-            (np.zeros(3, dtype=complex), ([0, 1, 2], [2, 0, 1])), shape=(3, 3)
+            (np.zeros(6, dtype=complex), ([0, 1, 2, 3, 4, 5], [2, 0, 1, 0, 1, 2])),
+            shape=(6, 3),
         )
-        everything = np.arange(3)
-        assert _norm_bound(explicit[everything, :][:, everything]) == 0.0
-        assert _norm_bound(explicit[everything, :][:, everything[:0]]) == 0.0
-        assert _norm_bound(explicit[everything[:0], :][:, everything]) == 0.0
+        assert explicit.nnz == 6
+        assert list(_block_bounds(explicit, 3)) == [0.0, 0.0]
+        assert list(_block_bounds(explicit[:, :0], 3)) == [0.0, 0.0]
+        assert list(_block_bounds(sp.csr_matrix((0, 3), dtype=complex), 0)) == []
+
+    def test_huge_shape_with_few_entries(self):
+        # one block's rows x columns is past 2**31, as on the torus at degree
+        # 629 (198765 x 196878), and blocks x rows x columns far past it; a
+        # position flattened to 32 bits would overflow, and an array sized
+        # by rows times columns would not fit in memory
+        n_blocks, rows, cols = 3, 200_000, 200_000
+        at_rows = np.array([0, rows - 1, rows, 2 * rows + 5, 2 * rows + 5, 3 * rows - 1])
+        at_cols = np.array([cols - 1, 0, 7, cols - 1, 3, cols - 1])
+        vals = np.array([3, 4j, -2, 1e-200, 1, 5], dtype=complex)
+        stack = sp.csr_matrix((vals, (at_rows, at_cols)), shape=(n_blocks * rows, cols))
+        tracemalloc.start()
+        try:
+            bounds = _block_bounds(stack, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the stack's own row pointers take 2.4 MB, one dense block 320 GB
+        assert peak < 16 << 20
+        want = [norm_bound(stack[i * rows:(i + 1) * rows]) for i in range(n_blocks)]
+        assert list(bounds) == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert list(bounds) == pytest.approx([4.0, 2.0, 5.0], rel=1e-12)
+
+
+class TestChunks:
+    @pytest.mark.parametrize("budget", [0, 1, 2, 5, 100])
+    def test_one_nonzero_residual_is_found_at_any_position(self, budget):
+        # whether the residual ends a chunk, starts one, sits inside one or
+        # is alone in the last one, the worst bound is its own
+        unit = sp.csr_matrix(np.ones((1, 1), dtype=complex))
+        cancelled, empty, hit = [(unit, 0, 1.0), (unit, 0, -1.0)], [], [(unit, 0, -2.0)]
+        others = [cancelled, empty, cancelled, cancelled, empty, cancelled]
+        assert _worst(others, 1, 1, budget) == 0.0
+        for at in range(len(others) + 1):
+            residuals = others[:at] + [hit] + others[at:]
+            assert _worst(residuals, 1, 1, budget) == 2.0, at
 
 
 @st.composite
