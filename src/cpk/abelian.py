@@ -87,7 +87,8 @@ class IntMatrix:
             rows = len(cols[0])
         elif rows is None:
             rows = 0
-        return IntMatrix([[c[i] for c in cols] for i in range(rows)], cols=len(cols))
+        data = tuple(zip(*cols, strict=True)) if cols else ((),) * rows
+        return IntMatrix._of_rows(data, len(cols))
 
     @staticmethod
     def column_vector(entries: Iterable[int]) -> "IntMatrix":

@@ -45,6 +45,7 @@ from .ktheory import (
     diagram_report,
     iterated_ktheory,
     pimsner_class_maps,
+    pimsner_cut,
 )
 from .model import (
     AbstractKData,
@@ -380,7 +381,7 @@ def cmd_ktheory(args, report: dict) -> int:
 
     if kind == "graph":
         coeff = coefficient_ktheory(model)
-        final = cuntz_pimsner_ktheory(*pimsner_class_maps(model), split, bound)
+        final = cuntz_pimsner_ktheory(*map(pimsner_cut, pimsner_class_maps(model)), split, bound)
         results["toeplitz_note"] = "KK-equivalent to the coefficients"
     else:
         data = model if kind == "abstract_kdata" else GraphLayers(model)

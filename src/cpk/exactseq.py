@@ -3,11 +3,12 @@
 Provides verification of exactness (image = kernel at every node, as honest
 subgroup lattices), enumeration of all middle groups of an extension
 0 -> N -> G -> Q -> 0, and a solver for the one six-term layout of Pimsner's
-sequence: A0 -f0-> B0 -> X0 -> A1 -f1-> B1 -> X1 -> A0 with the maps f0, f1
-known and the groups X0, X1 unknown. The solver resolves each unknown to a
-GroupOutcome, the same record the K-theory reports carry: one group, or
-every extension candidate. Ambiguous extensions are a first-class outcome,
-never silently resolved.
+sequence: A0 -f0-> B0 -> X0 -> A1 -f1-> B1 -> X1 -> A0 with the groups X0, X1
+unknown. The solver reads only the cut (coker f_d, ker f_d) of each known
+map, never the map itself, and resolves each unknown to a GroupOutcome, the
+same record the K-theory reports carry: one group, or every extension
+candidate. Ambiguous extensions are a first-class outcome, never silently
+resolved.
 """
 
 from __future__ import annotations
@@ -21,14 +22,11 @@ from typing import Optional
 from .abelian import (
     DimensionError,
     FgAbGroup,
-    GroupHom,
     IntMatrix,
     Lattice,
     PreconditionError,
     cokernel,
-    hom_cokernel,
     hom_image_lattice,
-    hom_kernel,
     hom_kernel_lattice,
     hom_well_defined,
 )
@@ -166,19 +164,20 @@ def _class_reps(n_group: FgAbGroup, q: int):
     return product(*ranges)
 
 
-def _middle_group(n_group: FgAbGroup, q_group: FgAbGroup, nus) -> FgAbGroup:
-    """Middle group of the extension with class data nus (one rep per
-    torsion factor of Q); the free part of Q splits off."""
+def _middle_groups(n_group: FgAbGroup, q_group: FgAbGroup):
+    """(free rank, torsion) of the middle group of every extension class,
+    one class datum per torsion factor of Q; the free part of Q splits off."""
     n_gens = n_group.n_generators
     t = len(q_group.torsion)
-    cols = [list(c) + [0] * t for c in n_group.relations().columns()]
-    for j, q in enumerate(q_group.torsion):
-        col = [-x for x in nus[j]] + [0] * t
-        col[n_gens + j] = q
-        cols.append(col)
-    rel = IntMatrix.from_columns(cols, rows=n_gens + t)
-    g = cokernel(rel)
-    return FgAbGroup.from_divisors(g.free_rank + q_group.free_rank, g.torsion)
+    base = [list(c) + [0] * t for c in n_group.relations().columns()]
+    for nus in product(*[_class_reps(n_group, q) for q in q_group.torsion]):
+        cols = list(base)
+        for j, q in enumerate(q_group.torsion):
+            col = [-x for x in nus[j]] + [0] * t
+            col[n_gens + j] = q
+            cols.append(col)
+        g = cokernel(IntMatrix.from_columns(cols, rows=n_gens + t))
+        yield g.free_rank + q_group.free_rank, g.torsion
 
 
 def extension_candidates(
@@ -216,11 +215,7 @@ def extension_candidates(
         raise ResourceLimitError(
             f"extension enumeration would scan {total} classes (cap {_ENUM_CAP})"
         )
-    seen = {}
-    for nus in product(*[_class_reps(n_group, q) for q in q_group.torsion]):
-        g = _middle_group(n_group, q_group, nus)
-        seen[(g.free_rank, g.torsion)] = g
-    return [seen[k] for k in sorted(seen)]
+    return [FgAbGroup(*k) for k in sorted(set(_middle_groups(n_group, q_group)))]
 
 
 # ---------------------------------------------------------------------------
@@ -264,23 +259,20 @@ class GroupOutcome:
 
 
 def solve_six_term(
-    f0: GroupHom, f1: GroupHom, assume_split: bool = False, bound: Optional[int] = None
+    cut0: tuple, cut1: tuple, assume_split: bool = False, bound: Optional[int] = None
 ) -> tuple:
     """The unknown groups (X0, X1) of the cyclic exact sequence
 
-        A0 -f0-> B0 -> X0 -> A1 -f1-> B1 -> X1 -> A0.
+        A0 -f0-> B0 -> X0 -> A1 -f1-> B1 -> X1 -> A0,
 
-    X0 sits in 0 -> coker(f0) -> X0 -> ker(f1) -> 0 and X1 in
+    given cut_d = (coker f_d, ker f_d) as groups. X0 sits in
+    0 -> coker(f0) -> X0 -> ker(f1) -> 0 and X1 in
     0 -> coker(f1) -> X1 -> ker(f0) -> 0. Each is Determined exactly when one
     candidate middle group exists (in particular whenever the quotient is
     free); otherwise every candidate is reported. X0 is solved first.
     """
-    if not hom_well_defined(f0) or not hom_well_defined(f1):
-        raise PreconditionError("flanking arrow is not well defined on torsion")
     outcomes = []
-    for f, h in ((f0, f1), (f1, f0)):
-        sub = hom_cokernel(f)
-        quot = hom_kernel(h)
+    for (sub, _), (_, quot) in ((cut0, cut1), (cut1, cut0)):
         cert = ExtensionCertificate(sub=sub, quotient=quot)
         if assume_split:
             outcomes.append(GroupOutcome.of(sub.direct_sum(quot), cert, True))

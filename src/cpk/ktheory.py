@@ -14,7 +14,8 @@ its degree-one coefficients are 0. Graph specs and abstract K-data share one
 two-stage order: the presented cokernel and kernel of 1 - [E] on each
 coefficient degree, with the second class acting on them. Both bimodule
 orders are always computed and reconciled, and extension ambiguity is
-propagated as explicit candidate lists.
+propagated as explicit candidate lists. Each map 1 - [E] is cut once, by
+pimsner_cut, into the presented cokernel and kernel that the solvers read.
 """
 
 from __future__ import annotations
@@ -115,22 +116,32 @@ def one_minus(f: GroupHom) -> GroupHom:
     return GroupHom(f.dom, f.cod, eye - f.matrix)
 
 
+def pimsner_cut(f: GroupHom) -> tuple:
+    """The cut of 1 - f: its presented cokernel and kernel.
+
+    A map that is not an endomorphism (one_minus) or not well defined on
+    torsion (hom_kernel_presentation) is refused with PreconditionError.
+    """
+    one_minus_f = one_minus(f)
+    return hom_cokernel_presentation(one_minus_f), hom_kernel_presentation(one_minus_f)
+
+
 def cuntz_pimsner_ktheory(
-    class_map0: GroupHom,
-    class_map1: GroupHom,
+    cut0: tuple,
+    cut1: tuple,
     assume_split: bool = False,
     bound: Optional[int] = None,
 ) -> KPair:
     """K-groups of the Cuntz-Pimsner algebra from Pimsner's six-term sequence,
-    given the bimodule class acting on coefficient K0 and on K1.
+    given the cuts (pimsner_cut) of the class on coefficient K0 and on K1.
 
     K0 sits in 0 -> coker(1-[E]_0) -> K0 -> ker(1-[E]_1) -> 0 and K1 in the
     degree-swapped extension; ambiguity propagates as candidates. A class map
-    that is not an endomorphism (one_minus) or not well defined on torsion
-    (solve_six_term) is refused.
+    that is not an endomorphism or not well defined on torsion never gets
+    here: pimsner_cut refuses it.
     """
     return KPair(*solve_six_term(
-        one_minus(class_map0), one_minus(class_map1), assume_split, bound
+        *((cok.group, ker.group) for cok, ker in (cut0, cut1)), assume_split, bound
     ))
 
 
@@ -284,19 +295,20 @@ def _descended_actions(sub_pres, quot_pres, a_sub, a_quot, assume_split):
     return g_pres.group, actions, None
 
 
-def _two_stage_order(pieces0, pieces1, action0: IntMatrix, action1: IntMatrix,
+def _two_stage_order(cut0, cut1, action0: IntMatrix, action1: IntMatrix,
                      assume_split, bound) -> KPair:
     """One order of the two-stage computation: the final K-groups from the
     first bimodule's stage-one K-groups and the second bimodule's class
     acting on them.
 
-    pieces_d is the presented (cokernel, kernel) of 1 - [E] on coefficient
+    cut_d is the presented (cokernel, kernel) of 1 - [E] on coefficient
     K_d, and action_d the second class on K_d as an ambient matrix. Stage-one
     K0 sits in 0 -> coker_0 -> K0 -> ker_1 -> 0 and K1 in
     0 -> coker_1 -> K1 -> ker_0 -> 0. Every action compatible with the
-    pieces is run through the Pimsner sequence and the outcomes are joined.
+    pieces is cut once, every pair of cuts is run through the Pimsner
+    sequence, and the outcomes are joined.
     """
-    (cok0, ker0), (cok1, ker1) = pieces0, pieces1
+    (cok0, ker0), (cok1, ker1) = cut0, cut1
     g0, acts0, why0 = _descended_actions(cok0, ker1, action0, action1, assume_split)
     g1, acts1, why1 = _descended_actions(cok1, ker0, action1, action0, assume_split)
     if why0 or why1:
@@ -307,20 +319,15 @@ def _two_stage_order(pieces0, pieces1, action0: IntMatrix, action1: IntMatrix,
             f"{len(acts0) * len(acts1)} coupling combinations exceed the cap "
             f"{_COUPLING_CAP}"
         )
+    cuts1 = [pimsner_cut(a1) for a1 in acts1]
     k0_outs = []
     k1_outs = []
-    for a0 in acts0:
-        for a1 in acts1:
-            pair = cuntz_pimsner_ktheory(a0, a1, assume_split, bound)
+    for c0 in map(pimsner_cut, acts0):
+        for c1 in cuts1:
+            pair = cuntz_pimsner_ktheory(c0, c1, assume_split, bound)
             k0_outs.append(pair.k0)
             k1_outs.append(pair.k1)
     return KPair(_union_outcomes(k0_outs), _union_outcomes(k1_outs))
-
-
-def _pieces(f: GroupHom) -> tuple:
-    """The presented cokernel and kernel of 1 - f."""
-    one_minus_f = one_minus(f)
-    return hom_cokernel_presentation(one_minus_f), hom_kernel_presentation(one_minus_f)
 
 
 def iterated_ktheory(
@@ -347,15 +354,9 @@ def iterated_ktheory(
         spec.validate().require()
         coeff = coefficient_ktheory(spec)
         data = (spec, spec.swapped())  # the first bimodule, then the second
-        stage1, other = (
-            cuntz_pimsner_ktheory(d.action1_k0, d.action1_k1, assume_split, bound)
-            for d in data
-        )
-        orders = [
-            (_pieces(d.action1_k0), _pieces(d.action1_k1),
-             d.action2_k0.matrix, d.action2_k1.matrix)
-            for d in data
-        ]
+        cuts = [(pimsner_cut(d.action1_k0), pimsner_cut(d.action1_k1)) for d in data]
+        stage1, other = (cuntz_pimsner_ktheory(*c, assume_split, bound) for c in cuts)
+        orders = [(*c, d.action2_k0.matrix, d.action2_k1.matrix) for c, d in zip(cuts, data)]
     else:
         raise PreconditionError(f"unsupported spec type {type(spec).__name__}")
     final_a, final_b = (_two_stage_order(*o, assume_split, bound) for o in orders)

@@ -16,14 +16,33 @@ from cpk.abelian import (
     PreconditionError,
     Presentation,
     cokernel,
+    hom_cokernel,
     hom_cokernel_presentation,
+    hom_kernel,
     hom_kernel_presentation,
     hom_well_defined,
     kernel_basis,
 )
-from cpk.exactseq import DETERMINED, ExactSequence
+from cpk.exactseq import (
+    DETERMINED,
+    UNDERDETERMINED,
+    ExactSequence,
+    GroupOutcome,
+    ResourceLimitError,
+    solve_six_term,
+)
 from cpk.fock import DEFAULT_TOL, DefectReport
-from cpk.ktheory import KPair
+from cpk.ktheory import (
+    _COUPLING_CAP,
+    IteratedResult,
+    KPair,
+    _descended_actions,
+    _reconcile_pairs,
+    _union_outcomes,
+    coefficient_ktheory,
+    one_minus,
+    pimsner_cut,
+)
 from cpk.model import AbstractKData, FiniteGraph, TwoGraphSpec, UnitaryChi, vertex_matrix
 
 # ---------------------------------------------------------------------------
@@ -115,6 +134,11 @@ def all_exact(reports) -> bool:
     return all(r["exact"] for r in reports)
 
 
+def cut(f: GroupHom) -> tuple:
+    """(coker f, ker f) as groups: what solve_six_term reads of a map."""
+    return hom_cokernel(f), hom_kernel(f)
+
+
 def substitute_solution(f0: GroupHom, f1: GroupHom, outcomes) -> ExactSequence:
     """The sequence A0 -f0-> B0 -> X0 -> A1 -f1-> B1 -> X1 -> A0 with the
     solved groups X0, X1 filled in, together with canonical maps.
@@ -159,6 +183,49 @@ def substitute_solution(f0: GroupHom, f1: GroupHom, outcomes) -> ExactSequence:
 
 # ---------------------------------------------------------------------------
 # models and oracles
+
+
+def per_pair_iterated_ktheory(data: AbstractKData, assume_split=False, bound=None):
+    """iterated_ktheory on abstract K-data in the per-pair formulation: each
+    single-stage K-pair is solved from the class maps themselves, cutting
+    1 - a with ``cut`` inside the coupling loop, so both maps of every
+    (a0, a1) pair are cut again. A reference for the package, which cuts
+    each map once.
+    """
+
+    def single_stage(a0: GroupHom, a1: GroupHom) -> KPair:
+        return KPair(*solve_six_term(
+            cut(one_minus(a0)), cut(one_minus(a1)), assume_split, bound
+        ))
+
+    data.validate().require()
+    both = (data, data.swapped())
+    stage1, other = (single_stage(d.action1_k0, d.action1_k1) for d in both)
+    finals = []
+    for d in both:
+        (cok0, ker0), (cok1, ker1) = pimsner_cut(d.action1_k0), pimsner_cut(d.action1_k1)
+        m0, m1 = d.action2_k0.matrix, d.action2_k1.matrix
+        _, acts0, why0 = _descended_actions(cok0, ker1, m0, m1, assume_split)
+        _, acts1, why1 = _descended_actions(cok1, ker0, m1, m0, assume_split)
+        if why0 or why1:
+            under = GroupOutcome(UNDERDETERMINED, (), None, False, why0 or why1)
+            finals.append(KPair(under, under))
+            continue
+        if len(acts0) * len(acts1) > _COUPLING_CAP:
+            raise ResourceLimitError(
+                f"{len(acts0) * len(acts1)} coupling combinations exceed the cap "
+                f"{_COUPLING_CAP}"
+            )
+        pairs = [single_stage(a0, a1) for a0 in acts0 for a1 in acts1]
+        finals.append(KPair(
+            _union_outcomes([p.k0 for p in pairs]), _union_outcomes([p.k1 for p in pairs])
+        ))
+    final = _reconcile_pairs(*finals)
+    notes = []
+    if finals[0].k0.status != final.k0.status or finals[0].k1.status != final.k1.status:
+        notes.append("order comparison narrowed the candidate list")
+    notes.append("both bimodule orders computed and reconciled")
+    return IteratedResult(coefficient_ktheory(data), stage1, other, final, tuple(notes))
 
 
 def pair_determined(pair: KPair) -> bool:

@@ -10,14 +10,21 @@ import io
 import json
 import random
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpk import cli, ktheory
+from cpk import abelian, cli, ktheory
 from cpk.abelian import FgAbGroup, GroupHom, IntMatrix, InternalError, PreconditionError
-from cpk.exactseq import AMBIGUOUS, DETERMINED, UNDERDETERMINED, GroupOutcome
+from cpk.exactseq import (
+    AMBIGUOUS,
+    DETERMINED,
+    UNDERDETERMINED,
+    GroupOutcome,
+    ResourceLimitError,
+)
 from cpk.fixtures import fixture_document, fixture_ids, two_graph_document, write_fixtures
 from cpk.ktheory import (
     DiagramReport,
@@ -28,6 +35,7 @@ from cpk.ktheory import (
     iterated_ktheory,
     one_minus,
     pimsner_class_maps,
+    pimsner_cut,
 )
 from cpk.model import (
     AbstractKData,
@@ -42,11 +50,22 @@ from support import (
     kunneth_flip_oracle,
     pair_determined,
     pair_groups,
+    per_pair_iterated_ktheory,
     permutation_bimodule,
     two_graph_from_matrices,
     two_graph_specs,
 )
 from test_model import commuting_layer_spec
+
+
+SCALAR_GROUPS = (
+    FgAbGroup.free(1),
+    FgAbGroup(0, (2,)),
+    FgAbGroup(1, (2,)),
+    FgAbGroup(0, (4,)),
+    FgAbGroup.free(2),
+    FgAbGroup(0, (2, 4)),
+)
 
 
 def rose(n: int) -> FiniteGraph:
@@ -85,20 +104,20 @@ class TestSingleStage:
     def test_rose_k_groups(self):
         # n loops on one vertex: K0 = Z/(n-1), K1 = 0
         for n in range(2, 13):
-            pair = cuntz_pimsner_ktheory(*pimsner_class_maps(rose(n)))
+            pair = cuntz_pimsner_ktheory(*map(pimsner_cut, pimsner_class_maps(rose(n))))
             assert pair_determined(pair)
             assert pair.k0.group == FgAbGroup.from_divisors(0, [n - 1])
             assert pair.k1.group.is_trivial
 
     def test_single_loop(self):
         # one loop: the circle algebra, K0 = K1 = Z
-        pair = cuntz_pimsner_ktheory(*pimsner_class_maps(rose(1)))
+        pair = cuntz_pimsner_ktheory(*map(pimsner_cut, pimsner_class_maps(rose(1))))
         assert names(pair.k0.group) == "Z"
         assert names(pair.k1.group) == "Z"
 
     def test_swap_bimodule(self):
         swap = permutation_bimodule(("0", "1"), {"0": "1", "1": "0"})
-        pair = cuntz_pimsner_ktheory(*pimsner_class_maps(swap))
+        pair = cuntz_pimsner_ktheory(*map(pimsner_cut, pimsner_class_maps(swap)))
         assert names(pair.k0.group) == "Z"
         assert names(pair.k1.group) == "Z"
 
@@ -112,6 +131,15 @@ class TestSingleStage:
         f = GroupHom(FgAbGroup.free(1), FgAbGroup.free(2), IntMatrix([[1], [0]]))
         with pytest.raises(PreconditionError):
             one_minus(f)
+
+    def test_ill_defined_class_map_refused_by_the_cut(self):
+        # on Z + Z/2, the Z/2 generator cannot go to the free generator
+        g = FgAbGroup(1, (2,))
+        bad = GroupHom(g, g, IntMatrix([[0, 1], [0, 0]]))
+        with pytest.raises(PreconditionError):
+            pimsner_cut(bad)
+        with pytest.raises(PreconditionError):
+            cuntz_pimsner_ktheory(*map(pimsner_cut, (bad, GroupHom.zero(g, g))))
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +291,26 @@ class TestAbstractMode:
         assert res.final.k0.status == UNDERDETERMINED
         assert "not determined" in res.final.k0.explanation
 
+    def test_each_map_is_cut_once(self, tmp_path, monkeypatch, capsys):
+        # 4 stage-one class maps, then each of the 25 + 2 descended actions
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import workloads
+
+        calls = []
+        original = abelian.hom_kernel_presentation
+
+        def counted(f):
+            calls.append(f)
+            return original(f)
+
+        for module in (abelian, ktheory):
+            monkeypatch.setattr(module, "hom_kernel_presentation", counted)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(workloads.abstract_doc(25, 2)))
+        assert cli.main(["ktheory", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "ok"
+        assert len(calls) == 31
+
     def test_noncommuting_actions_rejected(self):
         z2free = FgAbGroup.free(2)
         zero = FgAbGroup.trivial()
@@ -380,6 +428,36 @@ class TestProperties:
             assert final(GraphLayers(spec), assume_split) == final(
                 as_abstract(spec), assume_split
             )
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        groups=st.tuples(*[st.sampled_from(SCALAR_GROUPS)] * 2),
+        scalars=st.tuples(*[st.sampled_from((-1, 0, 2, 3))] * 4),
+        assume_split=st.booleans(),
+        bound=st.sampled_from((1, 4, 4096)),
+    )
+    def test_cut_once_matches_the_per_pair_reference(self, groups, scalars, assume_split,
+                                                     bound):
+        # scalar actions commute and are well defined on every group
+        def scalar(group, c):
+            n = group.n_generators
+            return GroupHom(group, group, IntMatrix(
+                [[c if i == j else 0 for j in range(n)] for i in range(n)], cols=n
+            ))
+
+        k0, k1 = groups
+        a10, a11, a20, a21 = scalars
+        data = AbstractKData(k0, k1, scalar(k0, a10), scalar(k1, a11),
+                             scalar(k0, a20), scalar(k1, a21))
+
+        def run(solver):
+            try:
+                res = solver(data, assume_split, bound)
+            except (InternalError, PreconditionError, ResourceLimitError) as err:
+                return type(err), str(err)
+            return res.stage1, res.stage1_other, res.final, res.notes
+
+        assert run(iterated_ktheory) == run(per_pair_iterated_ktheory)
 
     def test_oracle_values_frozen(self):
         assert names(kunneth_flip_oracle(2, 2).k0.group) == "0"
