@@ -413,10 +413,10 @@ def factor(m: IntMatrix) -> SnfResult:
 
     Results are kept by content (IntMatrix and SnfResult are immutable, so
     sharing one is safe) until clear_factors(), which cpk.cli.main calls on
-    entry, so a cache lives for one command. A miss calls smith_normal_form,
-    which checks every certificate. When the held entries would pass
-    FACTOR_CACHE_CELLS the cache is emptied first, and a result larger than
-    the bound on its own is not kept.
+    entry and on return, so a cache lives for one command. A miss calls
+    smith_normal_form, which checks every certificate. When the held entries
+    would pass FACTOR_CACHE_CELLS the cache is emptied first, and a result
+    larger than the bound on its own is not kept.
     """
     global _factor_cells
     res = _factors.get(m)

@@ -13,6 +13,8 @@ cross-checks that answer; --route iterated leaves the diagram out.
 """
 
 import argparse
+import functools
+import gc
 import hashlib
 import json
 import math
@@ -489,6 +491,7 @@ def cmd_examples(args, report: dict) -> int:
 # entry point
 
 
+@functools.cache  # a parser is a web of reference cycles: build it once
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cpk",
@@ -561,7 +564,24 @@ def _error_report(report: dict, status: str, message: str, fmt: str) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one command, with automatic garbage collection off until it
+    returns. Reference counting frees what a command allocates: its own
+    objects form no cycles, and json's indenting encoder leaves a fixed few
+    dozen, collected later. Left on, the collector would rerun its full
+    passes over every object numpy and scipy hold, inside the largest
+    documents."""
+    collecting = gc.isenabled()
+    gc.disable()
     clear_factors()  # each command factors each distinct matrix once
+    try:
+        return _command(argv)
+    finally:
+        clear_factors()
+        if collecting:
+            gc.enable()
+
+
+def _command(argv) -> int:
     args = _build_parser().parse_args(argv)
     options = {name: _option(getattr(args, name)) for name in args.options}
     report = _report(args.command, options)

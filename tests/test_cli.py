@@ -1,5 +1,6 @@
 """Exit-code contract, report shape and fixture round trips for the CLI."""
 
+import gc
 import hashlib
 import json
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import cpk
-from cpk import cli
+from cpk import abelian, cli
 from cpk.fixtures import (
     abstract_document,
     fixture_document,
@@ -711,3 +712,65 @@ class TestReports:
         with pytest.raises(SystemExit) as exc:
             cli.main(["--version"])
         assert exc.value.code == 0
+
+
+def times_document(p1, p2):
+    """Abstract K-data (Z, Z): bimodule i multiplies K0 by p_i, fixes K1."""
+    z = {"rank": 1, "torsion": []}
+    return {"kind": "abstract_kdata", "K0": z, "K1": z,
+            "action1": {"K0": [[p1]], "K1": [[1]]},
+            "action2": {"K0": [[p2]], "K1": [[1]]}}
+
+
+class TestCommandLifetime:
+    """cli.main runs a command with automatic garbage collection off and an
+    empty factor cache, and leaves both as a later caller needs them."""
+
+    def test_collection_is_off_during_the_command_and_restored_after(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        path = write_doc(tmp_path, times_document(3, 5))
+        seen = []
+
+        def recording(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return iterated_ktheory(*args, **kwargs)
+
+        iterated_ktheory = cli.iterated_ktheory
+        monkeypatch.setattr(cli, "iterated_ktheory", recording)
+        try:
+            for enabled in (True, False):
+                if enabled:
+                    gc.enable()
+                else:
+                    gc.disable()
+                run(capsys, ["ktheory", path], expect=0)
+                assert gc.isenabled() is enabled
+                with pytest.raises(SystemExit):
+                    cli.main(["ktheory"])  # a usage error leaves through argparse
+                capsys.readouterr()
+                assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        assert seen == [False, False]
+
+    def test_the_factor_cache_is_emptied_on_return(self, tmp_path, capsys):
+        path = write_doc(tmp_path, times_document(7, 4))
+        run(capsys, ["ktheory", path], expect=0)
+        assert not abelian._factors and abelian._factor_cells == 0
+
+    def test_cyclic_garbage_does_not_grow_with_the_work(self, tmp_path, capsys):
+        # what keeps leaving collection off safe: the little cyclic garbage
+        # a command leaves does not depend on how much it computes
+        small = write_doc(tmp_path, times_document(2, 2), "small.json")
+        large = write_doc(tmp_path, times_document(25, 25), "large.json")
+        left = []
+        gc.disable()
+        try:
+            for path in (small, small, large):  # the first run only warms up
+                gc.collect()
+                run(capsys, ["ktheory", path], expect=0)
+                left.append(gc.collect())
+        finally:
+            gc.enable()
+        assert left[1] == left[2], left
