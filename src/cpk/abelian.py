@@ -802,27 +802,41 @@ class Presentation:
         are reduced in one block. Raises PreconditionError when the matrix
         does not map numerator into numerator or denominator into denominator.
         """
-        if ambient_matrix.rows != target.ambient or ambient_matrix.cols != self.ambient:
-            raise DimensionError("ambient matrix has the wrong shape")
-        den = self.basis @ self.rels
-        images = ambient_matrix @ IntMatrix.hstack(den, self.gen_lift_matrix())
-        coords = target._coordinates(images)
-        for j, c in enumerate(coords):
-            if c is None:
-                raise PreconditionError(_OUTSIDE_NUMERATOR)
-            if j < den.cols and any(c):
-                raise PreconditionError(
-                    "matrix does not descend: denominator generator "
-                    f"{den.column(j)} maps to a nonzero class"
-                )
-        hom = GroupHom(
-            self.group,
-            target.group,
-            IntMatrix.from_columns(coords[den.cols :], rows=target.group.n_generators),
-        )
-        if not hom_well_defined(hom):
-            raise InternalError("induced map is not well defined on torsion")
+        (hom,) = self.homs_to(target, [ambient_matrix])
         return hom
+
+    def homs_to(self, target: "Presentation", ambient_matrices: list) -> list:
+        """hom_to for several ambient matrices, with the images of all of
+        them reduced in one block; each map gets every check of hom_to."""
+        for m in ambient_matrices:
+            if m.rows != target.ambient or m.cols != self.ambient:
+                raise DimensionError("ambient matrix has the wrong shape")
+        den = self.basis @ self.rels
+        sources = IntMatrix.hstack(den, self.gen_lift_matrix())
+        coords = target._coordinates(
+            IntMatrix.hstack(*[m @ sources for m in ambient_matrices])
+        )
+        width = sources.cols
+        homs = []
+        for k in range(len(ambient_matrices)):
+            block = coords[k * width : (k + 1) * width]
+            for j, c in enumerate(block):
+                if c is None:
+                    raise PreconditionError(_OUTSIDE_NUMERATOR)
+                if j < den.cols and any(c):
+                    raise PreconditionError(
+                        "matrix does not descend: denominator generator "
+                        f"{den.column(j)} maps to a nonzero class"
+                    )
+            hom = GroupHom(
+                self.group,
+                target.group,
+                IntMatrix.from_columns(block[den.cols :], rows=target.group.n_generators),
+            )
+            if not hom_well_defined(hom):
+                raise InternalError("induced map is not well defined on torsion")
+            homs.append(hom)
+        return homs
 
 
 # ---------------------------------------------------------------------------
@@ -856,9 +870,52 @@ def hom_kernel_presentation(f: GroupHom) -> Presentation:
     return Presentation.subquotient(hom_kernel_lattice(f), f.dom.relations())
 
 
+def _kernel_lift(f: GroupHom) -> IntMatrix:
+    """W = (R_dom; -Q), where F @ R_dom = R_cod @ Q.
+
+    Q is the exact division of the torsion rows of F @ R_dom by the codomain
+    orders. A nonzero free row or a remainder is exactly a map that is not
+    well defined on torsion, refused with PreconditionError.
+    """
+    rel_dom = f.dom.relations()
+    free = f.cod.free_rank
+    images = (f.matrix @ rel_dom)._data
+    if any(any(row) for row in images[:free]) or any(
+        x % d for row, d in zip(images[free:], f.cod.torsion) for x in row
+    ):
+        raise PreconditionError("kernel of an ill-defined hom")
+    minus_q = [[-(x // d) for x in row] for row, d in zip(images[free:], f.cod.torsion)]
+    return IntMatrix.vstack(rel_dom, IntMatrix(minus_q, cols=rel_dom.cols))
+
+
+def hom_cut(f: GroupHom) -> tuple:
+    """(coker f, ker f) as groups, from one factorization of M = [F | R_cod].
+
+    The cokernel is coker M. The map (x, y) -> [x] sends ker M onto ker f,
+    and its kernel is spanned by the columns of W = _kernel_lift(f) (R_cod
+    has independent columns). With U @ M @ V = S of rank r, the last
+    columns of V are a basis of ker M and Vinv @ W writes W in it, so
+    ker f is the cokernel of the last rows of Vinv @ W. Both steps are
+    certified: M @ W = 0, and the first r rows of Vinv @ W vanish.
+
+    >>> hom_cut(GroupHom(FgAbGroup(0, (4,)), FgAbGroup(0, (2,)), IntMatrix([[1]])))
+    (FgAbGroup(free_rank=0, torsion=()), FgAbGroup(free_rank=0, torsion=(2,)))
+    """
+    m = hom_image_lattice(f)
+    w = _kernel_lift(f)
+    if not (m @ w).is_zero():
+        raise InternalError("kernel lift: [F | R_cod] @ W != 0")
+    res = factor(m)
+    rank = res.rank
+    coords = (res.Vinv @ w)._data
+    if any(any(row) for row in coords[:rank]):
+        raise InternalError("kernel lift: Vinv @ W has a nonzero row inside the rank")
+    return cokernel(m), cokernel(IntMatrix._of_rows(coords[rank:], w.cols))
+
+
 def hom_cokernel(f: GroupHom) -> FgAbGroup:
-    return hom_cokernel_presentation(f).group
+    return cokernel(hom_image_lattice(f))
 
 
 def hom_kernel(f: GroupHom) -> FgAbGroup:
-    return hom_kernel_presentation(f).group
+    return hom_cut(f)[1]

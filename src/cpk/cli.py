@@ -29,6 +29,7 @@ from .abelian import (
     InternalError,
     PreconditionError,
     clear_factors,
+    hom_cut,
 )
 from .exactseq import ResourceLimitError, UsageError, ext_bound
 from .fixtures import (
@@ -46,8 +47,8 @@ from .ktheory import (
     cuntz_pimsner_ktheory,
     diagram_report,
     iterated_ktheory,
+    one_minus,
     pimsner_class_maps,
-    pimsner_cut,
 )
 from .model import (
     AbstractKData,
@@ -383,7 +384,8 @@ def cmd_ktheory(args, report: dict) -> int:
 
     if kind == "graph":
         coeff = coefficient_ktheory(model)
-        final = cuntz_pimsner_ktheory(*map(pimsner_cut, pimsner_class_maps(model)), split, bound)
+        cuts = [hom_cut(one_minus(f)) for f in pimsner_class_maps(model)]
+        final = cuntz_pimsner_ktheory(*cuts, split, bound)
         results["toeplitz_note"] = "KK-equivalent to the coefficients"
     else:
         data = model if kind == "abstract_kdata" else GraphLayers(model)

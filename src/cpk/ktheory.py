@@ -12,10 +12,11 @@ solved from its two maps 1 - [E]. Degree-zero coefficients of a graph model
 are Z^V with the bimodule class acting by the transpose vertex matrix, and
 its degree-one coefficients are 0. Graph specs and abstract K-data share one
 two-stage order: the presented cokernel and kernel of 1 - [E] on each
-coefficient degree, with the second class acting on them. Both bimodule
-orders are always computed and reconciled, and extension ambiguity is
-propagated as explicit candidate lists. Each map 1 - [E] is cut once, by
-pimsner_cut, into the presented cokernel and kernel that the solvers read.
+coefficient degree (pimsner_cut), with the second class acting on them.
+Both bimodule orders are always computed and reconciled, and extension
+ambiguity is propagated as explicit candidate lists. The solvers read only
+groups: every map 1 - [E] whose pieces nothing acts on is cut once, by
+hom_cut, into its cokernel and kernel as groups.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .abelian import (
     Presentation,
     hom_cokernel,
     hom_cokernel_presentation,
+    hom_cut,
     hom_kernel,
     hom_kernel_presentation,
     kernel_basis,
@@ -117,7 +119,9 @@ def one_minus(f: GroupHom) -> GroupHom:
 
 
 def pimsner_cut(f: GroupHom) -> tuple:
-    """The cut of 1 - f: its presented cokernel and kernel.
+    """The presented cut of 1 - f: its cokernel and kernel as presented
+    subquotients, for a stage one whose pieces the second class acts on.
+    A cut read only as groups is hom_cut(one_minus(f)).
 
     A map that is not an endomorphism (one_minus) or not well defined on
     torsion (hom_kernel_presentation) is refused with PreconditionError.
@@ -133,16 +137,15 @@ def cuntz_pimsner_ktheory(
     bound: Optional[int] = None,
 ) -> KPair:
     """K-groups of the Cuntz-Pimsner algebra from Pimsner's six-term sequence,
-    given the cuts (pimsner_cut) of the class on coefficient K0 and on K1.
+    given the cuts cut_d = (coker, ker) of 1 - [E] on coefficient K_d as
+    groups (hom_cut(one_minus(f))).
 
     K0 sits in 0 -> coker(1-[E]_0) -> K0 -> ker(1-[E]_1) -> 0 and K1 in the
     degree-swapped extension; ambiguity propagates as candidates. A class map
     that is not an endomorphism or not well defined on torsion never gets
-    here: pimsner_cut refuses it.
+    here: one_minus and the cut refuse it.
     """
-    return KPair(*solve_six_term(
-        *((cok.group, ker.group) for cok, ker in (cut0, cut1)), assume_split, bound
-    ))
+    return KPair(*solve_six_term(cut0, cut1, assume_split, bound))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +294,7 @@ def _descended_actions(sub_pres, quot_pres, a_sub, a_quot, assume_split):
             "infinitely many couplings between the free quotient piece and the "
             "infinite subgroup piece are compatible with the input",
         )
-    actions = [g_pres.hom_to(g_pres, block(c)) for c in _hom_elements(quot, sub)]
+    actions = g_pres.homs_to(g_pres, [block(c) for c in _hom_elements(quot, sub)])
     return g_pres.group, actions, None
 
 
@@ -305,8 +308,8 @@ def _two_stage_order(cut0, cut1, action0: IntMatrix, action1: IntMatrix,
     K_d, and action_d the second class on K_d as an ambient matrix. Stage-one
     K0 sits in 0 -> coker_0 -> K0 -> ker_1 -> 0 and K1 in
     0 -> coker_1 -> K1 -> ker_0 -> 0. Every action compatible with the
-    pieces is cut once, every pair of cuts is run through the Pimsner
-    sequence, and the outcomes are joined.
+    pieces is cut once into groups, every pair of cuts is run through the
+    Pimsner sequence, and the outcomes are joined.
     """
     (cok0, ker0), (cok1, ker1) = cut0, cut1
     g0, acts0, why0 = _descended_actions(cok0, ker1, action0, action1, assume_split)
@@ -319,10 +322,10 @@ def _two_stage_order(cut0, cut1, action0: IntMatrix, action1: IntMatrix,
             f"{len(acts0) * len(acts1)} coupling combinations exceed the cap "
             f"{_COUPLING_CAP}"
         )
-    cuts1 = [pimsner_cut(a1) for a1 in acts1]
+    cuts1 = [hom_cut(one_minus(a1)) for a1 in acts1]
     k0_outs = []
     k1_outs = []
-    for c0 in map(pimsner_cut, acts0):
+    for c0 in (hom_cut(one_minus(a0)) for a0 in acts0):
         for c1 in cuts1:
             pair = cuntz_pimsner_ktheory(c0, c1, assume_split, bound)
             k0_outs.append(pair.k0)
@@ -355,7 +358,12 @@ def iterated_ktheory(
         coeff = coefficient_ktheory(spec)
         data = (spec, spec.swapped())  # the first bimodule, then the second
         cuts = [(pimsner_cut(d.action1_k0), pimsner_cut(d.action1_k1)) for d in data]
-        stage1, other = (cuntz_pimsner_ktheory(*c, assume_split, bound) for c in cuts)
+        stage1, other = (
+            cuntz_pimsner_ktheory(
+                *((cok.group, ker.group) for cok, ker in c), assume_split, bound
+            )
+            for c in cuts
+        )
         orders = [(*c, d.action2_k0.matrix, d.action2_k1.matrix) for c, d in zip(cuts, data)]
     else:
         raise PreconditionError(f"unsupported spec type {type(spec).__name__}")

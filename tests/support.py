@@ -16,9 +16,8 @@ from cpk.abelian import (
     PreconditionError,
     Presentation,
     cokernel,
-    hom_cokernel,
     hom_cokernel_presentation,
-    hom_kernel,
+    hom_cut,
     hom_kernel_presentation,
     hom_well_defined,
     kernel_basis,
@@ -134,11 +133,6 @@ def all_exact(reports) -> bool:
     return all(r["exact"] for r in reports)
 
 
-def cut(f: GroupHom) -> tuple:
-    """(coker f, ker f) as groups: what solve_six_term reads of a map."""
-    return hom_cokernel(f), hom_kernel(f)
-
-
 def substitute_solution(f0: GroupHom, f1: GroupHom, outcomes) -> ExactSequence:
     """The sequence A0 -f0-> B0 -> X0 -> A1 -f1-> B1 -> X1 -> A0 with the
     solved groups X0, X1 filled in, together with canonical maps.
@@ -188,14 +182,14 @@ def substitute_solution(f0: GroupHom, f1: GroupHom, outcomes) -> ExactSequence:
 def per_pair_iterated_ktheory(data: AbstractKData, assume_split=False, bound=None):
     """iterated_ktheory on abstract K-data in the per-pair formulation: each
     single-stage K-pair is solved from the class maps themselves, cutting
-    1 - a with ``cut`` inside the coupling loop, so both maps of every
+    1 - a with ``hom_cut`` inside the coupling loop, so both maps of every
     (a0, a1) pair are cut again. A reference for the package, which cuts
     each map once.
     """
 
     def single_stage(a0: GroupHom, a1: GroupHom) -> KPair:
         return KPair(*solve_six_term(
-            cut(one_minus(a0)), cut(one_minus(a1)), assume_split, bound
+            hom_cut(one_minus(a0)), hom_cut(one_minus(a1)), assume_split, bound
         ))
 
     data.validate().require()

@@ -23,8 +23,11 @@ from cpk.abelian import (
     Presentation,
     cokernel,
     hom_cokernel,
+    hom_cokernel_presentation,
+    hom_cut,
     hom_equal,
     hom_kernel,
+    hom_kernel_presentation,
     hom_well_defined,
     invariant_factors,
     kernel_basis,
@@ -394,3 +397,62 @@ def test_relation_membership_agrees_with_lattice_reference(pair):
     ]
     assert hom_well_defined(f) == in_relation_lattice(f.cod, torsion_images)
     assert hom_equal(f, g) == in_relation_lattice(f.cod, (f.matrix - g.matrix).columns())
+
+
+def sympy_cokernel(m: IntMatrix) -> FgAbGroup:
+    """Z^rows modulo the column span, from sympy's invariant factors."""
+    import sympy
+    from sympy.matrices.normalforms import invariant_factors as sympy_factors
+    from sympy.polys.domains import ZZ
+
+    flat = [x for row in m for x in row]
+    factors = [abs(int(d)) for d in sympy_factors(sympy.Matrix(m.rows, m.cols, flat), domain=ZZ)]
+    nonzero = [d for d in factors if d]
+    return FgAbGroup.from_divisors(m.rows - len(nonzero), nonzero)
+
+
+@st.composite
+def mixed_homs(draw):
+    """A hom between groups with free and torsion parts (at most 4
+    generators each), made well defined on torsion about half the time."""
+    group = st.builds(
+        FgAbGroup.from_divisors,
+        st.integers(0, 2),
+        st.lists(st.integers(1, 12), max_size=2),
+    )
+    dom, cod = draw(group), draw(group)
+    cols = []
+    for d in dom.generator_orders():
+        col = [draw(st.integers(-12, 12)) for _ in range(cod.n_generators)]
+        if d and draw(st.booleans()):
+            col = [x * (e // math.gcd(d, e)) if e else 0
+                   for x, e in zip(col, cod.generator_orders())]
+        cols.append(col)
+    return GroupHom(dom, cod, IntMatrix.from_columns(cols, rows=cod.n_generators))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(mixed_homs())
+def test_group_cut_agrees_with_presentations_and_sympy(f):
+    if not hom_well_defined(f):
+        for cut in (hom_cut, hom_kernel, hom_kernel_presentation):
+            with pytest.raises(PreconditionError, match="^kernel of an ill-defined hom$"):
+                cut(f)
+        return
+    cok, ker = hom_cut(f)
+    assert cok == hom_cokernel(f) == hom_cokernel_presentation(f).group
+    assert ker == hom_kernel(f) == hom_kernel_presentation(f).group
+    # sympy: coker f = coker M for M = [F | R_cod]; and with F @ R_dom =
+    # R_cod @ Q, W = (R_dom; -Q) spans the relations of ker M -> ker f, so
+    # coker W = ker f + im M, where im M is free of rank rank(M)
+    m = IntMatrix.hstack(f.matrix, f.cod.relations())
+    assert cok == sympy_cokernel(m)
+    images = f.matrix @ f.dom.relations()
+    free = f.cod.free_rank
+    minus_q = [[-(x // d) for x in images.to_lists()[free + i]]
+               for i, d in enumerate(f.cod.torsion)]
+    w = IntMatrix(f.dom.relations().to_lists() + minus_q, cols=images.cols)
+    assert (m @ w).is_zero()
+    coker_w = sympy_cokernel(w)
+    rank_m = m.rows - cok.free_rank
+    assert ker == FgAbGroup(coker_w.free_rank - rank_m, coker_w.torsion)

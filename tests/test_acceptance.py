@@ -21,6 +21,7 @@ from cpk.abelian import (
     GroupHom,
     IntMatrix,
     cokernel,
+    hom_cut,
     kernel_basis,
     smith_normal_form,
 )
@@ -34,7 +35,7 @@ from cpk.fock import build_fock, fock_suite
 from cpk.ktheory import GraphLayers, iterated_ktheory
 from cpk.model import rotation_unitary_chi, single_vertex_two_graph
 
-from support import cut, kunneth_flip_oracle
+from support import kunneth_flip_oracle
 from test_model import commuting_layer_spec
 
 
@@ -298,10 +299,10 @@ def test_criterion_9_extension_candidates_for_z2_by_z2(capsys):
                               "the direct sum and watermarks it") as state:
         z2 = FgAbGroup.from_divisors(0, [2])
         zero = GroupHom(z2, z2, IntMatrix([[0]]))
-        for res in solve_six_term(cut(zero), cut(zero)):
+        for res in solve_six_term(hom_cut(zero), hom_cut(zero)):
             assert res.status == AMBIGUOUS
             assert sorted(str(g) for g in res.candidates) == ["Z/2 + Z/2", "Z/4"]
-        for res in solve_six_term(cut(zero), cut(zero), assume_split=True):
+        for res in solve_six_term(hom_cut(zero), hom_cut(zero), assume_split=True):
             assert res.status == DETERMINED
             assert str(res.candidates[0]) == "Z/2 + Z/2"
             assert res.assumed_split

@@ -338,6 +338,25 @@ class TestKtheory:
         assert rep["status"] == "internal-error"
         assert "unimodular" in rep["error"]
 
+    def test_failed_kernel_lift_exit_5_under_python_O(self, fixdir):
+        # a kernel lift outside ker [F | R_cod] trips an explicit raise,
+        # so it survives -O
+        code = (
+            "import sys\n"
+            "if __debug__:\n"
+            "    sys.exit(99)\n"
+            "from cpk import abelian, cli\n"
+            "abelian._kernel_lift = lambda f: abelian.IntMatrix.identity(\n"
+            "    f.dom.n_generators + len(f.cod.torsion))\n"
+            "sys.exit(cli.main(['ktheory', sys.argv[1]]))\n"
+        )
+        done = run_subprocess(["-c", code, str(fixdir / "ex4.7-abstract-p2.json")], "-O")
+        assert done.returncode == 5, done.stderr
+        assert "Traceback" not in done.stderr
+        rep = json.loads(done.stdout)
+        assert rep["status"] == "internal-error"
+        assert "kernel lift" in rep["error"]
+
     def test_iterated_route_still_reports_ideal_sum(self, fixdir, capsys):
         rc, rep = run(
             capsys,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpk.abelian import FgAbGroup, GroupHom, IntMatrix
+from cpk.abelian import FgAbGroup, GroupHom, IntMatrix, hom_cut
 from cpk.exactseq import (
     AMBIGUOUS,
     DETERMINED,
@@ -18,7 +18,7 @@ from cpk.exactseq import (
     solve_six_term,
     verify_exact,
 )
-from support import all_exact, cut, substitute_solution
+from support import all_exact, substitute_solution
 
 Z = FgAbGroup(1)
 Z2 = FgAbGroup(0, (2,))
@@ -149,7 +149,7 @@ def test_extension_bound(monkeypatch):
 def test_solver_rose():
     # coefficient (Z, 0), K-map 1-n on degree zero
     for n in range(2, 6):
-        x0, x1 = solve_six_term(cut(hom(Z, Z, [[1 - n]])), cut(zero(T, T)))
+        x0, x1 = solve_six_term(hom_cut(hom(Z, Z, [[1 - n]])), hom_cut(zero(T, T)))
         assert x0.status == x1.status == DETERMINED
         assert x0.group == FgAbGroup.from_divisors(0, [n - 1])
         assert x1.group == T
@@ -157,27 +157,27 @@ def test_solver_rose():
 
 def test_solver_free_quotient_splits():
     # N = Z/2 from the cokernel of f0, Q = Z from the kernel of the zero f1
-    x0, x1 = solve_six_term(cut(hom(Z, Z, [[2]])), cut(zero(Z, Z)))
+    x0, x1 = solve_six_term(hom_cut(hom(Z, Z, [[2]])), hom_cut(zero(Z, Z)))
     assert x0.status == x1.status == DETERMINED
     assert x0.group == FgAbGroup(1, (2,))
 
 
 def test_solver_ambiguous_and_assume_split():
     f0, f1 = hom(Z, Z, [[2]]), zero(Z2, Z2)
-    x0, x1 = solve_six_term(cut(f0), cut(f1))
+    x0, x1 = solve_six_term(hom_cut(f0), hom_cut(f1))
     assert x0.status == AMBIGUOUS
     assert {str(g) for g in x0.candidates} == {"Z/4", "Z/2 + Z/2"}
     assert x1.status == DETERMINED
     assert x1.group == Z2
 
-    forced = solve_six_term(cut(f0), cut(f1), assume_split=True)
+    forced = solve_six_term(hom_cut(f0), hom_cut(f1), assume_split=True)
     assert all(x.status == DETERMINED for x in forced)
     assert forced[0].assumed_split
     assert forced[0].group == FgAbGroup(0, (2, 2))
 
 
 def test_solver_all_zero_flanks():
-    x0, x1 = solve_six_term(cut(zero(T, T)), cut(zero(T, T)))
+    x0, x1 = solve_six_term(hom_cut(zero(T, T)), hom_cut(zero(T, T)))
     assert x0.status == x1.status == DETERMINED
     assert (x0.group, x1.group) == (T, T)
 
@@ -208,10 +208,10 @@ def well_defined_homs(draw):
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(well_defined_homs(), well_defined_homs())
 def test_solver_symmetry_and_substitution(f0, f1):
-    out = solve_six_term(cut(f0), cut(f1))
+    out = solve_six_term(hom_cut(f0), hom_cut(f1))
     # reading the sequence from A1 on exchanges the two unknowns
-    assert solve_six_term(cut(f1), cut(f0)) == out[::-1]
-    split = solve_six_term(cut(f0), cut(f1), assume_split=True)
+    assert solve_six_term(hom_cut(f1), hom_cut(f0)) == out[::-1]
+    split = solve_six_term(hom_cut(f0), hom_cut(f1), assume_split=True)
     assert all_exact(verify_exact(substitute_solution(f0, f1, split)))
     for x, s in zip(out, split):
         if x.status == DETERMINED:
@@ -227,7 +227,7 @@ def test_substitution_verifies_exact():
         (hom(Z, Z, [[2]]), zero(Z, Z)),
     ]
     for f0, f1 in cases:
-        out = solve_six_term(cut(f0), cut(f1))
+        out = solve_six_term(hom_cut(f0), hom_cut(f1))
         assert all(x.status == DETERMINED for x in out)
         filled = substitute_solution(f0, f1, out)
         assert all_exact(verify_exact(filled))
@@ -235,6 +235,6 @@ def test_substitution_verifies_exact():
 
 def test_substitution_of_assumed_split_verifies():
     f0, f1 = hom(Z, Z, [[2]]), zero(Z2, Z2)
-    out = solve_six_term(cut(f0), cut(f1), assume_split=True)
+    out = solve_six_term(hom_cut(f0), hom_cut(f1), assume_split=True)
     filled = substitute_solution(f0, f1, out)
     assert all_exact(verify_exact(filled))

@@ -17,7 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpk import abelian, cli, ktheory
-from cpk.abelian import FgAbGroup, GroupHom, IntMatrix, InternalError, PreconditionError
+from cpk.abelian import (
+    FgAbGroup,
+    GroupHom,
+    IntMatrix,
+    InternalError,
+    PreconditionError,
+    hom_cut,
+)
 from cpk.exactseq import (
     AMBIGUOUS,
     DETERMINED,
@@ -104,20 +111,23 @@ class TestSingleStage:
     def test_rose_k_groups(self):
         # n loops on one vertex: K0 = Z/(n-1), K1 = 0
         for n in range(2, 13):
-            pair = cuntz_pimsner_ktheory(*map(pimsner_cut, pimsner_class_maps(rose(n))))
+            maps = pimsner_class_maps(rose(n))
+            pair = cuntz_pimsner_ktheory(*(hom_cut(one_minus(f)) for f in maps))
             assert pair_determined(pair)
             assert pair.k0.group == FgAbGroup.from_divisors(0, [n - 1])
             assert pair.k1.group.is_trivial
 
     def test_single_loop(self):
         # one loop: the circle algebra, K0 = K1 = Z
-        pair = cuntz_pimsner_ktheory(*map(pimsner_cut, pimsner_class_maps(rose(1))))
+        maps = pimsner_class_maps(rose(1))
+        pair = cuntz_pimsner_ktheory(*(hom_cut(one_minus(f)) for f in maps))
         assert names(pair.k0.group) == "Z"
         assert names(pair.k1.group) == "Z"
 
     def test_swap_bimodule(self):
         swap = permutation_bimodule(("0", "1"), {"0": "1", "1": "0"})
-        pair = cuntz_pimsner_ktheory(*map(pimsner_cut, pimsner_class_maps(swap)))
+        maps = pimsner_class_maps(swap)
+        pair = cuntz_pimsner_ktheory(*(hom_cut(one_minus(f)) for f in maps))
         assert names(pair.k0.group) == "Z"
         assert names(pair.k1.group) == "Z"
 
@@ -139,7 +149,7 @@ class TestSingleStage:
         with pytest.raises(PreconditionError):
             pimsner_cut(bad)
         with pytest.raises(PreconditionError):
-            cuntz_pimsner_ktheory(*map(pimsner_cut, (bad, GroupHom.zero(g, g))))
+            cuntz_pimsner_ktheory(*(hom_cut(one_minus(f)) for f in (bad, GroupHom.zero(g, g))))
 
 
 # ---------------------------------------------------------------------------
@@ -292,24 +302,38 @@ class TestAbstractMode:
         assert "not determined" in res.final.k0.explanation
 
     def test_each_map_is_cut_once(self, tmp_path, monkeypatch, capsys):
-        # 4 stage-one class maps, then each of the 25 + 2 descended actions
+        # 4 stage-one class maps get presented cuts, whose pieces the second
+        # class acts on; each of the 25 + 2 descended actions gets a group cut
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
         import workloads
 
-        calls = []
-        original = abelian.hom_kernel_presentation
+        presented, grouped, snfs, builds = [], [], [], []
 
-        def counted(f):
-            calls.append(f)
-            return original(f)
+        def counting(calls, original):
+            def counted(*args):
+                calls.append(args)
+                return original(*args)
+            return counted
 
-        for module in (abelian, ktheory):
-            monkeypatch.setattr(module, "hom_kernel_presentation", counted)
+        for name, calls in (("hom_kernel_presentation", presented), ("hom_cut", grouped)):
+            wrapped = counting(calls, getattr(abelian, name))
+            for module in (abelian, ktheory):
+                monkeypatch.setattr(module, name, wrapped)
+        monkeypatch.setattr(
+            abelian, "smith_normal_form", counting(snfs, abelian.smith_normal_form)
+        )
+        monkeypatch.setattr(
+            abelian.Presentation, "__init__",
+            counting(builds, abelian.Presentation.__init__),
+        )
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(workloads.abstract_doc(25, 2)))
         assert cli.main(["ktheory", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["status"] == "ok"
-        assert len(calls) == 31
+        assert (len(presented), len(grouped)) == (4, 27)
+        # presented cuts of every descended action took 82 and 65
+        assert len(snfs) <= 40
+        assert len(builds) <= 15
 
     def test_noncommuting_actions_rejected(self):
         z2free = FgAbGroup.free(2)
