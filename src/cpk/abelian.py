@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from operator import mul
+from operator import add, mul, sub
 from typing import Iterable, Optional
 
 
@@ -74,11 +74,13 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
+        return IntMatrix._of_rows(
+            tuple([tuple([1 if i == j else 0 for j in range(n)]) for i in range(n)]), n
+        )
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix([[0] * cols for _ in range(rows)], cols=cols)
+        return IntMatrix._of_rows(((0,) * cols,) * rows, cols)
 
     @staticmethod
     def from_columns(columns: Iterable[Iterable[int]], rows: Optional[int] = None) -> "IntMatrix":
@@ -101,9 +103,9 @@ class IntMatrix:
         rows = mats[0].rows
         if any(m.rows != rows for m in mats):
             raise DimensionError("hstack: row counts differ")
-        return IntMatrix(
-            [sum((list(m._data[i]) for m in mats), []) for i in range(rows)],
-            cols=sum(m.cols for m in mats),
+        return IntMatrix._of_rows(
+            tuple([sum(parts, ()) for parts in zip(*[m._data for m in mats])]),
+            sum(m.cols for m in mats),
         )
 
     @staticmethod
@@ -113,24 +115,18 @@ class IntMatrix:
         cols = mats[0].cols
         if any(m.cols != cols for m in mats):
             raise DimensionError("vstack: column counts differ")
-        data = []
-        for m in mats:
-            data.extend(list(r) for r in m._data)
-        return IntMatrix(data, cols=cols)
+        return IntMatrix._of_rows(sum([m._data for m in mats], ()), cols)
 
     @staticmethod
     def block_diag(*mats: "IntMatrix") -> "IntMatrix":
-        rows = sum(m.rows for m in mats)
         cols = sum(m.cols for m in mats)
-        out = [[0] * cols for _ in range(rows)]
-        r0 = c0 = 0
+        out = []
+        c0 = 0
         for m in mats:
-            for i in range(m.rows):
-                for j in range(m.cols):
-                    out[r0 + i][c0 + j] = m._data[i][j]
-            r0 += m.rows
+            left, right = (0,) * c0, (0,) * (cols - c0 - m.cols)
+            out.extend([left + row + right for row in m._data])
             c0 += m.cols
-        return IntMatrix(out, cols=cols)
+        return IntMatrix._of_rows(tuple(out), cols)
 
     # -- access
 
@@ -149,7 +145,9 @@ class IntMatrix:
     def submatrix(self, row_indices, col_indices) -> "IntMatrix":
         rows = list(row_indices)
         cols = list(col_indices)
-        return IntMatrix([[self._data[i][j] for j in cols] for i in rows], cols=len(cols))
+        return IntMatrix._of_rows(
+            tuple([tuple([self._data[i][j] for j in cols]) for i in rows]), len(cols)
+        )
 
     def to_lists(self) -> list:
         return [list(r) for r in self._data]
@@ -190,20 +188,20 @@ class IntMatrix:
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
-        return IntMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._data, other._data)],
-            cols=self.cols,
+        return IntMatrix._of_rows(
+            tuple([tuple(map(add, r1, r2)) for r1, r2 in zip(self._data, other._data)]),
+            self.cols,
         )
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
-        return IntMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self._data, other._data)],
-            cols=self.cols,
+        return IntMatrix._of_rows(
+            tuple([tuple(map(sub, r1, r2)) for r1, r2 in zip(self._data, other._data)]),
+            self.cols,
         )
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-x for x in r] for r in self._data], cols=self.cols)
+        return IntMatrix._of_rows(tuple([tuple([-x for x in r]) for r in self._data]), self.cols)
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix._of_rows(tuple(self.columns()), self.rows)

@@ -3,9 +3,11 @@
 Five commands: validate, ktheory, fock-check, pullback, examples. Each one
 prints a single report, as JSON by default or as a flat text mirror of the
 same content under --format text. Exit codes: 0 success, 1 semantic problem
-or failed relation check, 2 malformed input or a bad environment setting,
-3 the two K-theory routes disagree, 4 a resource cap tripped, 5 an internal
-certificate check failed.
+or failed relation check, 2 malformed input, an unusable file path or a bad
+environment setting, 3 the two K-theory routes disagree, 4 a resource cap
+tripped, 5 an internal certificate check failed or another unexpected
+exception was raised, and EXIT_CLOSED_STDOUT (141) when standard output was
+closed before the report could be written.
 
 ktheory runs the two-stage route once on every two-layer document. Under
 --route both (the default) the nine-corner diagram of a graph pair then
@@ -13,11 +15,13 @@ cross-checks that answer; --route iterated leaves the diagram out.
 """
 
 import argparse
+import contextlib
 import functools
 import gc
 import hashlib
 import json
 import math
+import os
 import sys
 
 from . import __version__
@@ -63,9 +67,29 @@ from .model import (
 
 KINDS = ("graph", "two_graph", "permutation", "abstract_kdata", "unitary_chi", "cover")
 
+# Exit code when standard output is closed before the report is written (as
+# in `cpk ktheory doc.json | head -c 1`): no report was delivered. It is the
+# status a shell gives a process that SIGPIPE ends.
+EXIT_CLOSED_STDOUT = 141
+
 
 class SchemaError(ValueError):
     """The document does not have the expected JSON shape."""
+
+
+class UnusablePath(ValueError):
+    """A file named on the command line cannot be read or written."""
+
+
+@contextlib.contextmanager
+def _named_path():
+    """Report an OSError on a path the command line names as UnusablePath
+    (malformed input, exit 2). Any other OSError, such as a closed standard
+    output, is not the input's fault."""
+    try:
+        yield
+    except OSError as exc:
+        raise UnusablePath(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +299,7 @@ def _load_document(report: dict, path: str, role=None):
     read, under ``role`` when the command reads more than one document, so an
     error report carries it too.
     """
-    with open(path, "rb") as fh:
+    with _named_path(), open(path, "rb") as fh:
         raw = fh.read()
     block = {"path": str(path), "sha256": hashlib.sha256(raw).hexdigest(), "kind": None}
     if role is None:
@@ -462,7 +486,7 @@ def cmd_pullback(args, report: dict) -> int:
         raise SchemaError(f"pullback needs a cover document of kind 'cover', got {ckind!r}")
     result = pullback_graph(graph, cover_map)
     out_doc = graph_document(result)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with _named_path(), open(args.out, "w", encoding="utf-8") as fh:
         json.dump(out_doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     report["results"] = {
@@ -484,7 +508,8 @@ def cmd_examples(args, report: dict) -> int:
     ]
     results = {"fixtures": fixtures}
     if args.write:
-        results["written"] = write_fixtures(args.write)
+        with _named_path():
+            results["written"] = write_fixtures(args.write)
     report["results"] = results
     return _finish(report, args.format)
 
@@ -576,7 +601,17 @@ def main(argv=None) -> int:
     gc.disable()
     clear_factors()  # each command factors each distinct matrix once
     try:
-        return _command(argv)
+        code = _command(argv)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # Standard output was closed early. As the SIGPIPE note in Python's
+        # signal docs describes, point it at devnull, so that the flush at
+        # interpreter exit does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_STDOUT
     finally:
         clear_factors()
         if collecting:
@@ -589,8 +624,10 @@ def _command(argv) -> int:
     report = _report(args.command, options)
     try:
         return args.func(args, report)
+    except BrokenPipeError:
+        raise  # standard output is closed: no report can be written (main)
     except (
-        SchemaError, UsageError, json.JSONDecodeError, UnicodeDecodeError, OSError
+        SchemaError, UsageError, UnusablePath, json.JSONDecodeError, UnicodeDecodeError
     ) as exc:
         return _error_report(report, "malformed", str(exc), args.format)
     except ResourceLimitError as exc:
@@ -599,6 +636,10 @@ def _command(argv) -> int:
         return _error_report(report, "invalid", str(exc), args.format)
     except InternalError as exc:
         return _error_report(report, "internal-error", str(exc), args.format)
+    except Exception as exc:  # a bug in cpk: still one report, never a traceback
+        return _error_report(
+            report, "internal-error", f"{type(exc).__name__}: {exc}", args.format
+        )
 
 
 if __name__ == "__main__":

@@ -17,6 +17,14 @@ Both bimodule orders are always computed and reconciled, and extension
 ambiguity is propagated as explicit candidate lists. The solvers read only
 groups: every map 1 - [E] whose pieces nothing acts on is cut once, by
 hom_cut, into its cokernel and kernel as groups.
+
+On a split stage-one group N + Q the second class is known only up to a
+coupling c in Hom(Q, N). The automorphism [[1, h], [0, 1]] conjugates the
+action with coupling c to the one with coupling c + h B - A h, and
+conjugate actions give the same groups (the classification of extensions
+that split over Z; Weibel, An Introduction to Homological Algebra, 1994,
+section 3.4). So one coupling per class is cut and solved; the coupling cap
+still counts every coupling.
 """
 
 from __future__ import annotations
@@ -223,13 +231,16 @@ class GraphLayers:
         self.ker_theta = Presentation.kernel_of(self.theta)
 
 
-def _hom_elements(quotient: FgAbGroup, sub: FgAbGroup):
-    """All homomorphisms Q -> N as matrices (columns per Q generator).
+def _hom_elements(quotient: FgAbGroup, sub: FgAbGroup) -> tuple:
+    """(count, couplings): the number of homomorphisms Q -> N, and an
+    iterator over all of them, the zero map first, each as its tuple of
+    columns (one per Q generator, in N generator coordinates).
 
     Only called when the set is finite: a free Q generator can go to any
     element of a finite N; a torsion generator of order q must land in the
-    q-torsion subgroup of N. The set is counted, and refused above the cap,
-    before any of it is built.
+    q-torsion subgroup of N. Torsion coordinates lie in range(d), free ones
+    are 0. The set is counted, and refused above the cap, before any of it
+    is built.
     """
     orders = quotient.generator_orders()
     if sub.free_rank and 0 in orders:
@@ -248,23 +259,72 @@ def _hom_elements(quotient: FgAbGroup, sub: FgAbGroup):
         ranges = [range(1)] * sub.free_rank
         ranges += [range(0, d, d // gcd(q, d)) for d in sub.torsion]
         per_gen.append(list(product(*ranges)))
-    for cols in product(*per_gen):
-        yield IntMatrix.from_columns(cols, rows=sub.n_generators)
+    return total, product(*per_gen)
+
+
+def _add_couplings(x: tuple, y: tuple, orders: tuple) -> tuple:
+    """The sum of two couplings (column tuples), reduced mod N's orders."""
+    return tuple([
+        tuple([(s + t) % d if d else s + t for s, t, d in zip(cx, cy, orders)])
+        for cx, cy in zip(x, y)
+    ])
+
+
+def _coupling_classes(quotient: FgAbGroup, sub: FgAbGroup, a: IntMatrix,
+                      b: IntMatrix) -> tuple:
+    """(count, representatives): the number of couplings c in Hom(Q, N),
+    and the first coupling of each class c + im(delta), in the order of
+    _hom_elements (so the zero coupling comes first).
+
+    A and B are the actions on N and Q, and delta(h) = h B - A h: the
+    automorphism [[1, h], [0, 1]] of N + Q conjugates the action
+    [[A, c], [0, B]] to the one with coupling c + delta(h) (see the module
+    docstring), so one coupling per class gives every outcome.
+
+    im(delta) is spanned by delta of the generators of Hom(Q, N), one per
+    (Q generator of order q, N torsion generator of order d), with
+    d / gcd(q, d) in that entry; it is kept as a set of reduced couplings.
+    """
+    count, couplings = _hom_elements(quotient, sub)
+    n_sub, n_quot = sub.n_generators, quotient.n_generators
+    orders = sub.generator_orders()
+    zero = ((0,) * n_sub,) * n_quot
+    image = {zero}
+    for i, q in enumerate(quotient.generator_orders()):
+        for j, d in enumerate(sub.torsion):
+            rows = [[0] * n_quot for _ in range(n_sub)]
+            rows[sub.free_rank + j][i] = d // gcd(q, d)
+            h = IntMatrix(rows, cols=n_quot)
+            step = delta = _add_couplings(zero, tuple((h @ b - a @ h).columns()), orders)
+            # image + <delta>: the cosets image + k delta, until k delta is in image
+            base = tuple(image)
+            while step not in image:
+                image.update([_add_couplings(x, step, orders) for x in base])
+                step = _add_couplings(step, delta, orders)
+    seen = set()
+    reps = []
+    for c in couplings:
+        if c not in seen:
+            reps.append(c)
+            seen.update([_add_couplings(c, x, orders) for x in image])
+    return count, reps
 
 
 def _descended_actions(sub_pres, quot_pres, a_sub, a_quot, assume_split):
-    """A stage-one K-group G in 0 -> sub -> G -> quot -> 0 together with all
-    stage-two actions on G compatible with the actions a_sub, a_quot (ambient
-    matrices) induced on the two pieces.
+    """The stage-two actions on a stage-one K-group G in
+    0 -> sub -> G -> quot -> 0 compatible with the actions a_sub, a_quot
+    (ambient matrices) induced on the two pieces, one per conjugacy class.
 
-    Returns (group, [GroupHom], None), or (None, [], reason) when the action
-    is genuinely not determined by the input. When a piece is trivial, only
-    the other piece's action is computed.
+    Returns ([GroupHom], count, None), where count is the number of
+    compatible actions (all of Hom(quot, sub) when G splits) and the list
+    holds one per class (_coupling_classes); or ([], 0, reason) when the
+    action is genuinely not determined by the input. When a piece is
+    trivial, only the other piece's action is computed.
     """
     sub, quot = sub_pres.group, quot_pres.group
     if quot.is_trivial or sub.is_trivial:
         pres, action = (sub_pres, a_sub) if quot.is_trivial else (quot_pres, a_quot)
-        return pres.group, [pres.hom_to(pres, action)], None
+        return [pres.hom_to(pres, action)], 1, None
     act_sub = sub_pres.hom_to(sub_pres, a_sub)
     act_quot = quot_pres.hom_to(quot_pres, a_quot)
     g_pres = Presentation.direct_sum(
@@ -279,23 +339,20 @@ def _descended_actions(sub_pres, quot_pres, a_sub, a_quot, assume_split):
 
     if assume_split:
         action = g_pres.hom_to(g_pres, block(IntMatrix.zeros(n_sub, n_quot)))
-        return g_pres.group, [action], None
+        return [action], 1, None
     if not ext_trivial(quot, sub):
-        return (
-            None,
-            [],
+        return [], 0, (
             "stage-one K-group is an extension with nontrivial class group; "
-            "the induced action on it is not determined by the input",
+            "the induced action on it is not determined by the input"
         )
     if quot.free_rank > 0 and sub.free_rank > 0:
-        return (
-            None,
-            [],
+        return [], 0, (
             "infinitely many couplings between the free quotient piece and the "
-            "infinite subgroup piece are compatible with the input",
+            "infinite subgroup piece are compatible with the input"
         )
-    actions = g_pres.homs_to(g_pres, [block(c) for c in _hom_elements(quot, sub)])
-    return g_pres.group, actions, None
+    count, reps = _coupling_classes(quot, sub, act_sub.matrix, act_quot.matrix)
+    blocks = [block(IntMatrix.from_columns(c, rows=n_sub)) for c in reps]
+    return g_pres.homs_to(g_pres, blocks), count, None
 
 
 def _two_stage_order(cut0, cut1, action0: IntMatrix, action1: IntMatrix,
@@ -307,20 +364,22 @@ def _two_stage_order(cut0, cut1, action0: IntMatrix, action1: IntMatrix,
     cut_d is the presented (cokernel, kernel) of 1 - [E] on coefficient
     K_d, and action_d the second class on K_d as an ambient matrix. Stage-one
     K0 sits in 0 -> coker_0 -> K0 -> ker_1 -> 0 and K1 in
-    0 -> coker_1 -> K1 -> ker_0 -> 0. Every action compatible with the
-    pieces is cut once into groups, every pair of cuts is run through the
-    Pimsner sequence, and the outcomes are joined.
+    0 -> coker_1 -> K1 -> ker_0 -> 0. The compatible actions are taken up to
+    conjugation by the automorphisms [[1, h], [0, 1]] of a split stage-one
+    group (_coupling_classes): conjugate actions give the same groups, so
+    one representative per class is cut into groups, every pair of
+    representatives is run through the Pimsner sequence, and the outcomes
+    are joined. The cap counts every coupling pair, not only the classes.
     """
     (cok0, ker0), (cok1, ker1) = cut0, cut1
-    g0, acts0, why0 = _descended_actions(cok0, ker1, action0, action1, assume_split)
-    g1, acts1, why1 = _descended_actions(cok1, ker0, action1, action0, assume_split)
+    acts0, n0, why0 = _descended_actions(cok0, ker1, action0, action1, assume_split)
+    acts1, n1, why1 = _descended_actions(cok1, ker0, action1, action0, assume_split)
     if why0 or why1:
         under = GroupOutcome(UNDERDETERMINED, (), None, False, why0 or why1)
         return KPair(under, under)
-    if len(acts0) * len(acts1) > _COUPLING_CAP:
+    if n0 * n1 > _COUPLING_CAP:
         raise ResourceLimitError(
-            f"{len(acts0) * len(acts1)} coupling combinations exceed the cap "
-            f"{_COUPLING_CAP}"
+            f"{n0 * n1} coupling combinations exceed the cap {_COUPLING_CAP}"
         )
     cuts1 = [hom_cut(one_minus(a1)) for a1 in acts1]
     k0_outs = []

@@ -28,6 +28,7 @@ from cpk.exactseq import (
     ExactSequence,
     GroupOutcome,
     ResourceLimitError,
+    ext_trivial,
     solve_six_term,
 )
 from cpk.fock import DEFAULT_TOL, DefectReport
@@ -35,7 +36,7 @@ from cpk.ktheory import (
     _COUPLING_CAP,
     IteratedResult,
     KPair,
-    _descended_actions,
+    _hom_elements,
     _reconcile_pairs,
     _union_outcomes,
     coefficient_ktheory,
@@ -179,12 +180,58 @@ def substitute_solution(f0: GroupHom, f1: GroupHom, outcomes) -> ExactSequence:
 # models and oracles
 
 
+def coupling_block(top_left: IntMatrix, coupling, bottom_right: IntMatrix) -> IntMatrix:
+    """[[top_left, coupling], [0, bottom_right]], with the coupling given as
+    its tuple of columns."""
+    rows = IntMatrix.block_diag(top_left, bottom_right).to_lists()
+    for j, column in enumerate(coupling):
+        for i, x in enumerate(column):
+            rows[i][top_left.cols + j] = x
+    return IntMatrix(rows)
+
+
+def every_descended_action(sub_pres, quot_pres, a_sub, a_quot, assume_split):
+    """(actions, reason): the stage-two actions on a stage-one group
+    compatible with the actions on its pieces, one per coupling in
+    Hom(quot, sub) (``_hom_elements``), with no classes taken; or
+    ([], reason) when the action is not determined by the input. A
+    reference for ``ktheory._descended_actions``, which keeps one action per
+    conjugacy class.
+    """
+    sub, quot = sub_pres.group, quot_pres.group
+    if quot.is_trivial or sub.is_trivial:
+        pres, action = (sub_pres, a_sub) if quot.is_trivial else (quot_pres, a_quot)
+        return [pres.hom_to(pres, action)], None
+    act_sub = sub_pres.hom_to(sub_pres, a_sub).matrix
+    act_quot = quot_pres.hom_to(quot_pres, a_quot).matrix
+    g_pres = Presentation.direct_sum(
+        Presentation.cokernel_of(sub.relations()), Presentation.cokernel_of(quot.relations())
+    )
+    if assume_split:
+        couplings = [((0,) * sub.n_generators,) * quot.n_generators]
+    elif not ext_trivial(quot, sub):
+        return [], (
+            "stage-one K-group is an extension with nontrivial class group; "
+            "the induced action on it is not determined by the input"
+        )
+    elif quot.free_rank > 0 and sub.free_rank > 0:
+        return [], (
+            "infinitely many couplings between the free quotient piece and the "
+            "infinite subgroup piece are compatible with the input"
+        )
+    else:
+        _, couplings = _hom_elements(quot, sub)
+    blocks = [coupling_block(act_sub, c, act_quot) for c in couplings]
+    return g_pres.homs_to(g_pres, blocks), None
+
+
 def per_pair_iterated_ktheory(data: AbstractKData, assume_split=False, bound=None):
-    """iterated_ktheory on abstract K-data in the per-pair formulation: each
-    single-stage K-pair is solved from the class maps themselves, cutting
-    1 - a with ``hom_cut`` inside the coupling loop, so both maps of every
-    (a0, a1) pair are cut again. A reference for the package, which cuts
-    each map once.
+    """iterated_ktheory on abstract K-data in the per-pair formulation: every
+    coupling gets its own action (every_descended_action, no conjugacy
+    classes), and each single-stage K-pair is solved from the class maps
+    themselves, cutting 1 - a with ``hom_cut`` inside the coupling loop, so
+    both maps of every (a0, a1) pair are cut again. A reference for the
+    package, which cuts each map once and solves one coupling per class.
     """
 
     def single_stage(a0: GroupHom, a1: GroupHom) -> KPair:
@@ -199,8 +246,8 @@ def per_pair_iterated_ktheory(data: AbstractKData, assume_split=False, bound=Non
     for d in both:
         (cok0, ker0), (cok1, ker1) = pimsner_cut(d.action1_k0), pimsner_cut(d.action1_k1)
         m0, m1 = d.action2_k0.matrix, d.action2_k1.matrix
-        _, acts0, why0 = _descended_actions(cok0, ker1, m0, m1, assume_split)
-        _, acts1, why1 = _descended_actions(cok1, ker0, m1, m0, assume_split)
+        acts0, why0 = every_descended_action(cok0, ker1, m0, m1, assume_split)
+        acts1, why1 = every_descended_action(cok1, ker0, m1, m0, assume_split)
         if why0 or why1:
             under = GroupOutcome(UNDERDETERMINED, (), None, False, why0 or why1)
             finals.append(KPair(under, under))

@@ -49,16 +49,22 @@ def write_doc(tmp_path, doc, name="doc.json"):
     return str(path)
 
 
-def run_subprocess(argv, *python_flags, timeout=60):
-    """`python [flags] -m cpk.cli argv` or `python [flags] -c ...` in a fresh
-    interpreter that imports cpk from this source tree."""
+def subprocess_env() -> dict:
+    """The environment of a fresh interpreter that imports cpk from this
+    source tree."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cpk.__file__)))
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     env.pop("CPK_EXT_BOUND", None)
+    return env
+
+
+def run_subprocess(argv, *python_flags, timeout=60):
+    """`python [flags] -m cpk.cli argv` or `python [flags] -c ...` in a fresh
+    interpreter that imports cpk from this source tree."""
     return subprocess.run(
         [sys.executable, *python_flags, *argv],
-        capture_output=True, text=True, timeout=timeout, env=env, check=False,
+        capture_output=True, text=True, timeout=timeout, env=subprocess_env(), check=False,
     )
 
 
@@ -123,6 +129,12 @@ class TestMalformed:
 
     def test_missing_file_exit_2(self, tmp_path, capsys):
         run(capsys, ["validate", str(tmp_path / "absent.json")], expect=2)
+
+    def test_unwritable_output_exit_2(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        rc, rep = run(capsys, ["examples", "--write", str(blocker / "dir")], expect=2)
+        assert rep["status"] == "malformed"
 
     def test_bad_chi_entry_shape_exit_2(self, tmp_path, capsys):
         doc = fixture_document("ex3.5-flip-2-2")
@@ -793,3 +805,35 @@ class TestCommandLifetime:
         finally:
             gc.enable()
         assert left[1] == left[2], left
+
+
+class TestNoTraceback:
+    """A closed standard output and an unexpected exception both end
+    without a traceback."""
+
+    def test_closed_stdout_exits_quietly(self, fixdir):
+        # the reader is gone before the report is written, as in
+        # `cpk ktheory ex4.5-torus.json | head -c 1`
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "cpk.cli", "ktheory", str(fixdir / "ex4.5-torus.json")],
+                stdout=write_end, stderr=subprocess.PIPE, env=subprocess_env(), timeout=60,
+                check=False,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == cli.EXIT_CLOSED_STDOUT == 141
+        assert done.stderr == b""
+
+    def test_unexpected_exception_is_an_internal_error(self, fixdir, capsys, monkeypatch):
+        def broken(*args):
+            raise KeyError("boom")
+
+        monkeypatch.setattr(cli, "iterated_ktheory", broken)
+        path = str(fixdir / "ex4.7-abstract-p2.json")
+        rc, rep = run(capsys, ["ktheory", path], expect=5)
+        assert rep["status"] == "internal-error"
+        assert rep["error"] == "KeyError: 'boom'"
+        assert rep["input"] == input_block(path, "abstract_kdata")

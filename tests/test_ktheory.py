@@ -8,12 +8,13 @@ the stage-one algebra, and the tensor/Tor oracle for single-vertex flips.
 import contextlib
 import io
 import json
+import math
 import random
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cpk import abelian, cli, ktheory
@@ -23,6 +24,7 @@ from cpk.abelian import (
     IntMatrix,
     InternalError,
     PreconditionError,
+    Presentation,
     hom_cut,
 )
 from cpk.exactseq import (
@@ -31,6 +33,7 @@ from cpk.exactseq import (
     UNDERDETERMINED,
     GroupOutcome,
     ResourceLimitError,
+    solve_six_term,
 )
 from cpk.fixtures import fixture_document, fixture_ids, two_graph_document, write_fixtures
 from cpk.ktheory import (
@@ -53,6 +56,7 @@ from cpk.model import (
 )
 from support import (
     as_abstract,
+    coupling_block,
     identity_hom,
     kunneth_flip_oracle,
     pair_determined,
@@ -62,6 +66,7 @@ from support import (
     two_graph_from_matrices,
     two_graph_specs,
 )
+from test_exact_core import groups, homs
 from test_model import commuting_layer_spec
 
 
@@ -303,7 +308,9 @@ class TestAbstractMode:
 
     def test_each_map_is_cut_once(self, tmp_path, monkeypatch, capsys):
         # 4 stage-one class maps get presented cuts, whose pieces the second
-        # class acts on; each of the 25 + 2 descended actions gets a group cut
+        # class acts on. The 24 couplings Z -> Z/24 of the first order form a
+        # single class (delta(h) = h - 2h is onto), so with the 3 one-action
+        # sides 4 descended actions get a group cut (27 cut every coupling)
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
         import workloads
 
@@ -330,10 +337,11 @@ class TestAbstractMode:
         path.write_text(json.dumps(workloads.abstract_doc(25, 2)))
         assert cli.main(["ktheory", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["status"] == "ok"
-        assert (len(presented), len(grouped)) == (4, 27)
-        # presented cuts of every descended action took 82 and 65
-        assert len(snfs) <= 40
-        assert len(builds) <= 15
+        assert (len(presented), len(grouped)) == (4, 4)
+        # presented cuts of every descended action took 82 and 65, and group
+        # cuts of every coupling 35 and 11
+        assert len(snfs) <= 11
+        assert len(builds) <= 11
 
     def test_noncommuting_actions_rejected(self):
         z2free = FgAbGroup.free(2)
@@ -493,6 +501,159 @@ class TestProperties:
 
 
 # ---------------------------------------------------------------------------
+# couplings up to conjugation: P_h = [[1, h], [0, 1]] conjugates the action
+# [[A, c], [0, B]] on N + Q to the one with coupling c + delta(h),
+# delta(h) = h B - A h
+
+
+def reduced(columns, group: FgAbGroup) -> tuple:
+    """Coupling columns with each entry reduced mod the group's orders, as
+    _hom_elements lists them."""
+    orders = group.generator_orders()
+    return tuple(tuple(x % d if d else x for x, d in zip(col, orders)) for col in columns)
+
+
+def hom_count(quot: FgAbGroup, sub: FgAbGroup) -> int:
+    total = 1
+    for q in quot.generator_orders():
+        for d in sub.torsion:
+            total *= math.gcd(q, d)
+    return total
+
+
+@st.composite
+def split_pieces(draw):
+    """(N, Q, A, B): nontrivial groups with Hom(Q, N) finite and small, and
+    actions A on N and B on Q that are well defined on torsion."""
+    sub = draw(groups().filter(lambda g: not g.is_trivial))
+    quot = draw(groups().filter(lambda g: not g.is_trivial))
+    assume(not (quot.free_rank and sub.free_rank))
+    assume(hom_count(quot, sub) <= 32)
+    return sub, quot, draw(homs(sub, sub)), draw(homs(quot, quot))
+
+
+@st.composite
+def commuting_kdata(draw):
+    """Abstract K-data with commuting classes, well defined on torsion, that
+    often reach many couplings: K0 = Z^r, on which the second class is a
+    polynomial in the first, so stage one has a finite cokernel piece; and
+    half the time the first class fixes K1, which makes all of K1 the
+    kernel piece and lets the second class act on K1 by any map."""
+    k0 = FgAbGroup.free(draw(st.integers(1, 2)))
+    k1 = draw(st.sampled_from(SCALAR_GROUPS + (FgAbGroup(0, (3,)),)))
+    a10 = draw(homs(k0, k0))
+    c0, c1, c2 = (draw(st.integers(-2, 2)) for _ in range(3))
+    m = a10.matrix
+    poly = [[c0 * e + c1 * x + c2 * y for e, x, y in zip(*rows)]
+            for rows in zip(IntMatrix.identity(m.rows), m, m @ m)]
+    a20 = GroupHom(k0, k0, IntMatrix(poly, cols=m.cols))
+    if draw(st.booleans()):
+        a11, a21 = identity_hom(k1), draw(homs(k1, k1))
+    else:
+        a11 = draw(homs(k1, k1))
+        a21 = a11.compose(a11) if draw(st.booleans()) else identity_hom(k1)
+    return AbstractKData(k0, k1, a10, a11, a20, a21)
+
+
+class TestCouplingClasses:
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(pieces=split_pieces(), data=st.data())
+    def test_classes_are_the_cosets_of_the_conjugation_image(self, pieces, data):
+        sub, quot, a, b = pieces
+        count, couplings = ktheory._hom_elements(quot, sub)
+        couplings = list(couplings)
+
+        def add(x, y):
+            return reduced([[s + t for s, t in zip(cx, cy)] for cx, cy in zip(x, y)], sub)
+
+        def delta(h):
+            hm = IntMatrix.from_columns(h, rows=sub.n_generators)
+            return reduced((hm @ b.matrix - a.matrix @ hm).columns(), sub)
+
+        # im(delta) by brute force, and the first coupling of each coset
+        image = {delta(h) for h in couplings}
+        first = {}
+        for c in couplings:
+            first.setdefault(frozenset(add(c, x) for x in image), c)
+        assert ktheory._coupling_classes(quot, sub, a.matrix, b.matrix) == (
+            count, list(first.values())
+        )
+        assert count == len(couplings) == hom_count(quot, sub)
+
+        g_pres = Presentation.direct_sum(
+            Presentation.cokernel_of(sub.relations()),
+            Presentation.cokernel_of(quot.relations()),
+        )
+
+        def act(c) -> GroupHom:
+            return g_pres.hom_to(g_pres, coupling_block(a.matrix, c, b.matrix))
+
+        def cut(c) -> tuple:
+            return hom_cut(one_minus(act(c)))
+
+        # the conjugation identity, as maps and on the cut
+        c, h = data.draw(st.sampled_from(couplings)), data.draw(st.sampled_from(couplings))
+        eye_sub = IntMatrix.identity(sub.n_generators)
+        eye_quot = IntMatrix.identity(quot.n_generators)
+        p_h = coupling_block(eye_sub, h, eye_quot)
+        p_h_inv = coupling_block(eye_sub, [[-x for x in col] for col in h], eye_quot)
+        moved = add(c, delta(h))
+        conjugated = p_h @ coupling_block(a.matrix, c, b.matrix) @ p_h_inv
+        assert g_pres.hom_to(g_pres, conjugated) == act(moved)
+        assert cut(c) == cut(moved)
+
+        # every coupling's outcome is some representative's, and the first
+        # refusal over all couplings is the first over the representatives
+        paired = cut(couplings[0])
+
+        def union(cs):
+            try:
+                pairs = [solve_six_term(cut(c), paired) for c in cs]
+            except ResourceLimitError as err:
+                return str(err)
+            return tuple(ktheory._union_outcomes([p[k] for p in pairs]) for k in (0, 1))
+
+        reps = list(first.values())
+        assert {cut(c) for c in couplings} == {cut(r) for r in reps}
+        assert union(couplings) == union(reps)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(data=commuting_kdata(), assume_split=st.booleans(),
+           bound=st.sampled_from((4, 4096)))
+    def test_class_representatives_match_every_coupling(self, data, assume_split, bound):
+        # per_pair_iterated_ktheory solves every coupling pair; the package
+        # solves one pair of class representatives
+        def run(solver):
+            try:
+                res = solver(data, assume_split, bound)
+            except (InternalError, PreconditionError, ResourceLimitError) as err:
+                return type(err), str(err)
+            return res.stage1, res.stage1_other, res.final, res.notes
+
+        assert run(iterated_ktheory) == run(per_pair_iterated_ktheory)
+
+    def test_cap_counts_couplings_not_classes(self, tmp_path, monkeypatch, capsys):
+        # stage one of abstract_doc(514, 2) is Z/513 by Z: 513 couplings,
+        # all in one class (delta(h) = h - 2h is onto), still refused
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import workloads
+
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(workloads.abstract_doc(514, 2)))
+        assert cli.main(["ktheory", str(path)]) == 4
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "resource-limit"
+        assert report["error"] == (
+            "coupling enumeration would scan 513 homomorphisms (cap 512)"
+        )
+        monkeypatch.setattr(ktheory, "_COUPLING_CAP", 1024)
+        count, reps = ktheory._coupling_classes(
+            FgAbGroup.free(1), FgAbGroup(0, (513,)), IntMatrix([[2]]), IntMatrix([[1]])
+        )
+        assert (count, reps) == (513, [((0,),)])
+
+
+# ---------------------------------------------------------------------------
 # internal invariants raise InternalError, which python -O keeps
 
 
@@ -515,10 +676,11 @@ class TestInternalErrors:
             next(ktheory._hom_elements(FgAbGroup.free(1), FgAbGroup(1, (2,))))
 
     def test_hom_elements_enumerate_the_q_torsion(self):
-        homs = ktheory._hom_elements(FgAbGroup(0, (2,)), FgAbGroup(1, (4, 8)))
-        assert [m.column(0) for m in homs] == [
+        count, homs = ktheory._hom_elements(FgAbGroup(0, (2,)), FgAbGroup(1, (4, 8)))
+        assert [columns[0] for columns in homs] == [
             (0, 0, 0), (0, 0, 4), (0, 2, 0), (0, 2, 4)
         ]
+        assert count == 4
 
 
 # ---------------------------------------------------------------------------
