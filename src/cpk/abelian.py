@@ -746,11 +746,6 @@ class Presentation:
         return Presentation(m.rows, IntMatrix.identity(m.rows), m)
 
     @staticmethod
-    def kernel_of(m: IntMatrix) -> "Presentation":
-        basis = kernel_basis(m)
-        return Presentation(m.cols, basis, IntMatrix.zeros(basis.cols, 0))
-
-    @staticmethod
     def subquotient(numerator: IntMatrix, denominator: IntMatrix) -> "Presentation":
         """numerator, denominator: generating columns, denominator inside."""
         basis = lattice_basis(numerator)
@@ -848,24 +843,11 @@ def hom_image_lattice(f: GroupHom) -> IntMatrix:
 
 def hom_kernel_lattice(f: GroupHom) -> IntMatrix:
     """Generators of the preimage in Z^{dom gens} of ker(f)."""
-    stacked = IntMatrix.hstack(f.matrix, f.cod.relations())
-    full = kernel_basis(stacked)
+    full = kernel_basis(hom_image_lattice(f))
     n = f.dom.n_generators
     cols = [full.column(j)[:n] for j in range(full.cols)]
     cols.extend(f.dom.relations().columns())
     return IntMatrix.from_columns(cols, rows=n)
-
-
-def hom_cokernel_presentation(f: GroupHom) -> Presentation:
-    """cod(f) / im(f) as a presented subquotient of Z^{cod gens}."""
-    return Presentation.cokernel_of(hom_image_lattice(f))
-
-
-def hom_kernel_presentation(f: GroupHom) -> Presentation:
-    """ker(f) as a presented subquotient of Z^{dom gens}."""
-    if not hom_well_defined(f):
-        raise PreconditionError("kernel of an ill-defined hom")
-    return Presentation.subquotient(hom_kernel_lattice(f), f.dom.relations())
 
 
 def _kernel_lift(f: GroupHom) -> IntMatrix:
@@ -886,18 +868,16 @@ def _kernel_lift(f: GroupHom) -> IntMatrix:
     return IntMatrix.vstack(rel_dom, IntMatrix(minus_q, cols=rel_dom.cols))
 
 
-def hom_cut(f: GroupHom) -> tuple:
-    """(coker f, ker f) as groups, from one factorization of M = [F | R_cod].
+def _cut(f: GroupHom) -> tuple:
+    """(M, factor(M), the rows of Vinv @ W below the rank) for M = [F | R_cod]
+    and W = _kernel_lift(f): the one factorization that every cut of f reads.
 
-    The cokernel is coker M. The map (x, y) -> [x] sends ker M onto ker f,
-    and its kernel is spanned by the columns of W = _kernel_lift(f) (R_cod
-    has independent columns). With U @ M @ V = S of rank r, the last
-    columns of V are a basis of ker M and Vinv @ W writes W in it, so
-    ker f is the cokernel of the last rows of Vinv @ W. Both steps are
-    certified: M @ W = 0, and the first r rows of Vinv @ W vanish.
-
-    >>> hom_cut(GroupHom(FgAbGroup(0, (4,)), FgAbGroup(0, (2,)), IntMatrix([[1]])))
-    (FgAbGroup(free_rank=0, torsion=()), FgAbGroup(free_rank=0, torsion=(2,)))
+    coker f is coker M. The map (x, y) -> [x] sends ker M onto ker f, and
+    its kernel is spanned by the columns of W (R_cod has independent
+    columns). With U @ M @ V = S of rank r, the last columns of V are a
+    basis of ker M and Vinv @ W writes W in it, so ker f is the cokernel of
+    the last rows of Vinv @ W. Both steps are certified: M @ W = 0, and the
+    first r rows of Vinv @ W vanish.
     """
     m = hom_image_lattice(f)
     w = _kernel_lift(f)
@@ -908,12 +888,34 @@ def hom_cut(f: GroupHom) -> tuple:
     coords = (res.Vinv @ w)._data
     if any(any(row) for row in coords[:rank]):
         raise InternalError("kernel lift: Vinv @ W has a nonzero row inside the rank")
-    return cokernel(m), cokernel(IntMatrix._of_rows(coords[rank:], w.cols))
+    return m, res, IntMatrix._of_rows(coords[rank:], w.cols)
 
 
-def hom_cokernel(f: GroupHom) -> FgAbGroup:
-    return cokernel(hom_image_lattice(f))
+def hom_cut(f: GroupHom) -> tuple:
+    """(coker f, ker f) as groups, from the factorization of _cut.
+
+    >>> hom_cut(GroupHom(FgAbGroup(0, (4,)), FgAbGroup(0, (2,)), IntMatrix([[1]])))
+    (FgAbGroup(free_rank=0, torsion=()), FgAbGroup(free_rank=0, torsion=(2,)))
+    """
+    m, _, rels = _cut(f)
+    return cokernel(m), cokernel(rels)
 
 
-def hom_kernel(f: GroupHom) -> FgAbGroup:
-    return hom_cut(f)[1]
+def presented_cut(f: GroupHom) -> tuple:
+    """(coker f, ker f) as presented subquotients, from the factorization of
+    _cut, for pieces that a further map acts on: Z^{cod gens} modulo M, and
+    K modulo the rows of Vinv @ W below the rank, where K, the top dom-gens
+    rows of the kernel columns of V (certified: M @ K = 0), is a basis of
+    the preimage of ker f. So basis @ rels is exactly R_dom.
+
+    >>> f = GroupHom(FgAbGroup(0, (4,)), FgAbGroup(0, (2,)), IntMatrix([[1]]))
+    >>> cok, ker = presented_cut(f)
+    >>> str(cok.group), str(ker.group), ker.basis @ ker.rels
+    ('0', 'Z/2', IntMatrix([[4]], cols=1))
+    """
+    m, res, rels = _cut(f)
+    kernel = IntMatrix._of_rows(tuple([r[res.rank :] for r in res.V._data]), m.cols - res.rank)
+    if not (m @ kernel).is_zero():
+        raise InternalError("kernel basis: m @ K != 0")
+    basis = IntMatrix._of_rows(kernel._data[: f.dom.n_generators], kernel.cols)
+    return Presentation.cokernel_of(m), Presentation(f.dom.n_generators, basis, rels)

@@ -11,12 +11,12 @@ K0(A) -(1-[E])-> K0(A) -> K0(O_E) -> K1(A) -(1-[E])-> K1(A) -> K1(O_E) -> K0(A),
 solved from its two maps 1 - [E]. Degree-zero coefficients of a graph model
 are Z^V with the bimodule class acting by the transpose vertex matrix, and
 its degree-one coefficients are 0. Graph specs and abstract K-data share one
-two-stage order: the presented cokernel and kernel of 1 - [E] on each
-coefficient degree (pimsner_cut), with the second class acting on them.
-Both bimodule orders are always computed and reconciled, and extension
-ambiguity is propagated as explicit candidate lists. The solvers read only
-groups: every map 1 - [E] whose pieces nothing acts on is cut once, by
-hom_cut, into its cokernel and kernel as groups.
+two-stage order: the presented cut of 1 - [E] on each coefficient degree
+(presented_cut), with the second class acting on its pieces. Both bimodule
+orders are always computed and reconciled, and extension ambiguity is
+propagated as explicit candidate lists. The solvers read only groups: every
+map 1 - [E] whose pieces nothing acts on gets the group cut (hom_cut). Each
+map is cut once, and both cuts read one factorization of [F | R_cod].
 
 On a split stage-one group N + Q the second class is known only up to a
 coupling c in Hom(Q, N). The automorphism [[1, h], [0, 1]] conjugates the
@@ -41,12 +41,9 @@ from .abelian import (
     InternalError,
     PreconditionError,
     Presentation,
-    hom_cokernel,
-    hom_cokernel_presentation,
     hom_cut,
-    hom_kernel,
-    hom_kernel_presentation,
     kernel_basis,
+    presented_cut,
 )
 from .exactseq import (
     AMBIGUOUS,
@@ -126,18 +123,6 @@ def one_minus(f: GroupHom) -> GroupHom:
     return GroupHom(f.dom, f.cod, eye - f.matrix)
 
 
-def pimsner_cut(f: GroupHom) -> tuple:
-    """The presented cut of 1 - f: its cokernel and kernel as presented
-    subquotients, for a stage one whose pieces the second class acts on.
-    A cut read only as groups is hom_cut(one_minus(f)).
-
-    A map that is not an endomorphism (one_minus) or not well defined on
-    torsion (hom_kernel_presentation) is refused with PreconditionError.
-    """
-    one_minus_f = one_minus(f)
-    return hom_cokernel_presentation(one_minus_f), hom_kernel_presentation(one_minus_f)
-
-
 def cuntz_pimsner_ktheory(
     cut0: tuple,
     cut1: tuple,
@@ -146,7 +131,7 @@ def cuntz_pimsner_ktheory(
 ) -> KPair:
     """K-groups of the Cuntz-Pimsner algebra from Pimsner's six-term sequence,
     given the cuts cut_d = (coker, ker) of 1 - [E] on coefficient K_d as
-    groups (hom_cut(one_minus(f))).
+    groups: hom_cut(one_minus(f)), or the groups of presented_cut's pieces.
 
     K0 sits in 0 -> coker(1-[E]_0) -> K0 -> ker(1-[E]_1) -> 0 and K1 in the
     degree-swapped extension; ambiguity propagates as candidates. A class map
@@ -206,8 +191,8 @@ def _reconcile_pairs(a: KPair, b: KPair) -> KPair:
 
 class GraphLayers:
     """A two-layer graph spec with its vertex-lattice maps l1 = 1 - M1^T,
-    l2 = 1 - M2^T and theta = (l1; -l2), and their presented cokernels and
-    kernels.
+    l2 = 1 - M2^T and theta = (l1; -l2), and their presented cuts
+    (presented_cut of each as a map between free groups).
 
     Built once per spec (chi is validated here) and shared by both bimodule
     orders, the ideal sum and the diagram route, so each presentation and
@@ -223,12 +208,11 @@ class GraphLayers:
         self.l1 = eye - self.m1t
         self.l2 = eye - self.m2t
         self.theta = IntMatrix.vstack(self.l1, -self.l2)
-        self.cok1 = Presentation.cokernel_of(self.l1)
-        self.ker1 = Presentation.kernel_of(self.l1)
-        self.cok2 = Presentation.cokernel_of(self.l2)
-        self.ker2 = Presentation.kernel_of(self.l2)
-        self.cok_theta = Presentation.cokernel_of(self.theta)
-        self.ker_theta = Presentation.kernel_of(self.theta)
+        free = FgAbGroup.free(len(spec.vertices))
+        self.cok1, self.ker1 = presented_cut(GroupHom(free, free, self.l1))
+        self.cok2, self.ker2 = presented_cut(GroupHom(free, free, self.l2))
+        theta = GroupHom(free, free.direct_sum(free), self.theta)
+        self.cok_theta, self.ker_theta = presented_cut(theta)
 
 
 def _hom_elements(quotient: FgAbGroup, sub: FgAbGroup) -> tuple:
@@ -361,13 +345,13 @@ def _two_stage_order(cut0, cut1, action0: IntMatrix, action1: IntMatrix,
     first bimodule's stage-one K-groups and the second bimodule's class
     acting on them.
 
-    cut_d is the presented (cokernel, kernel) of 1 - [E] on coefficient
-    K_d, and action_d the second class on K_d as an ambient matrix. Stage-one
-    K0 sits in 0 -> coker_0 -> K0 -> ker_1 -> 0 and K1 in
+    cut_d is presented_cut of 1 - [E] on coefficient K_d, and action_d the
+    second class on K_d as an ambient matrix. Stage-one K0 sits in
+    0 -> coker_0 -> K0 -> ker_1 -> 0 and K1 in
     0 -> coker_1 -> K1 -> ker_0 -> 0. The compatible actions are taken up to
     conjugation by the automorphisms [[1, h], [0, 1]] of a split stage-one
     group (_coupling_classes): conjugate actions give the same groups, so
-    one representative per class is cut into groups, every pair of
+    one representative per class is cut into groups (hom_cut), every pair of
     representatives is run through the Pimsner sequence, and the outcomes
     are joined. The cap counts every coupling pair, not only the classes.
     """
@@ -405,22 +389,20 @@ def iterated_ktheory(
         coeff = coefficient_ktheory(spec.spec)
         stage1 = KPair.of_groups(spec.cok1.group, spec.ker1.group)
         other = KPair.of_groups(spec.cok2.group, spec.ker2.group)
-        # coefficient K1 is 0: empty pieces, acted on by a 0 x 0 matrix
-        empty = (Presentation.cokernel_of(IntMatrix.zeros(0, 0)),) * 2
-        zero = IntMatrix.zeros(0, 0)
+        # coefficient K1 is 0: the empty cut of 1 - 0 on it, acted on by 0
+        zero = GroupHom.zero(FgAbGroup.trivial(), FgAbGroup.trivial())
+        empty = presented_cut(zero)
         orders = [
-            ((spec.cok1, spec.ker1), empty, spec.m2t, zero),
-            ((spec.cok2, spec.ker2), empty, spec.m1t, zero),
+            ((spec.cok1, spec.ker1), empty, spec.m2t, zero.matrix),
+            ((spec.cok2, spec.ker2), empty, spec.m1t, zero.matrix),
         ]
     elif isinstance(spec, AbstractKData):
         spec.validate().require()
         coeff = coefficient_ktheory(spec)
         data = (spec, spec.swapped())  # the first bimodule, then the second
-        cuts = [(pimsner_cut(d.action1_k0), pimsner_cut(d.action1_k1)) for d in data]
+        cuts = [[presented_cut(one_minus(a)) for a in (d.action1_k0, d.action1_k1)] for d in data]
         stage1, other = (
-            cuntz_pimsner_ktheory(
-                *((cok.group, ker.group) for cok, ker in c), assume_split, bound
-            )
+            cuntz_pimsner_ktheory(*[(cok.group, ker.group) for cok, ker in c], assume_split, bound)
             for c in cuts
         )
         orders = [(*c, d.action2_k0.matrix, d.action2_k1.matrix) for c, d in zip(cuts, data)]
@@ -517,13 +499,9 @@ def diagram_report(layers: GraphLayers, two_stage: KPair) -> DiagramReport:
     quot_reports = verify_exact(quot_seq)
 
     # the exactness of sum_seq, checked below, certifies both extensions
-    delta_hom = sum_seq.arrows[5]
-    ij_k0 = GroupOutcome.of(
-        cok_theta.group, ExtensionCertificate(hom_cokernel(delta_hom), sum_corner.group)
-    )
-    ij_k1 = GroupOutcome.of(
-        ker_theta.group, ExtensionCertificate(FgAbGroup.trivial(), hom_kernel(delta_hom))
-    )
+    delta_cok, delta_ker = hom_cut(sum_seq.arrows[5])
+    ij_k0 = GroupOutcome.of(cok_theta.group, ExtensionCertificate(delta_cok, sum_corner.group))
+    ij_k1 = GroupOutcome.of(ker_theta.group, ExtensionCertificate(FgAbGroup.trivial(), delta_ker))
     problems = []
     for name, reports in (("sum", sum_reports), ("quotient", quot_reports)):
         for r in reports:

@@ -16,11 +16,11 @@ from cpk.abelian import (
     PreconditionError,
     Presentation,
     cokernel,
-    hom_cokernel_presentation,
     hom_cut,
-    hom_kernel_presentation,
+    hom_kernel_lattice,
     hom_well_defined,
     kernel_basis,
+    presented_cut,
 )
 from cpk.exactseq import (
     DETERMINED,
@@ -41,7 +41,6 @@ from cpk.ktheory import (
     _union_outcomes,
     coefficient_ktheory,
     one_minus,
-    pimsner_cut,
 )
 from cpk.model import AbstractKData, FiniteGraph, TwoGraphSpec, UnitaryChi, vertex_matrix
 
@@ -122,8 +121,16 @@ def induced_on_cokernel(b: IntMatrix, m: IntMatrix) -> GroupHom:
 def induced_on_kernel(b: IntMatrix, m: IntMatrix) -> GroupHom:
     """The endomorphism of ker(m) (a free group) induced by b."""
     _require_commuting(b, m)
-    pres = Presentation.kernel_of(m)
+    _, pres = presented_cut(GroupHom(FgAbGroup.free(m.cols), FgAbGroup.free(m.rows), m))
     return pres.hom_to(pres, b)
+
+
+def kernel_presentation_reference(f: GroupHom) -> Presentation:
+    """ker(f) as a presented subquotient of Z^{dom gens}, by a route apart
+    from the package's cut: kernel_basis, lattice_basis and a Lattice solve."""
+    if not hom_well_defined(f):
+        raise PreconditionError("kernel of an ill-defined hom")
+    return Presentation.subquotient(hom_kernel_lattice(f), f.dom.relations())
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +155,8 @@ def substitute_solution(f0: GroupHom, f1: GroupHom, outcomes) -> ExactSequence:
     for (f, h), res in zip(((f0, f1), (f1, f0)), outcomes):
         if res.status != DETERMINED:
             raise PreconditionError("cannot substitute an ambiguous node")
-        sub_pres = hom_cokernel_presentation(f)
-        quot_pres = hom_kernel_presentation(h)
+        sub_pres, _ = presented_cut(f)
+        _, quot_pres = presented_cut(h)
         middle = Presentation.direct_sum(
             Presentation.cokernel_of(sub_pres.group.relations()),
             Presentation.cokernel_of(quot_pres.group.relations()),
@@ -244,7 +251,9 @@ def per_pair_iterated_ktheory(data: AbstractKData, assume_split=False, bound=Non
     stage1, other = (single_stage(d.action1_k0, d.action1_k1) for d in both)
     finals = []
     for d in both:
-        (cok0, ker0), (cok1, ker1) = pimsner_cut(d.action1_k0), pimsner_cut(d.action1_k1)
+        (cok0, ker0), (cok1, ker1) = (
+            presented_cut(one_minus(a)) for a in (d.action1_k0, d.action1_k1)
+        )
         m0, m1 = d.action2_k0.matrix, d.action2_k1.matrix
         acts0, why0 = every_descended_action(cok0, ker1, m0, m1, assume_split)
         acts1, why1 = every_descended_action(cok1, ker0, m1, m0, assume_split)

@@ -369,6 +369,34 @@ class TestKtheory:
         assert rep["status"] == "internal-error"
         assert "kernel lift" in rep["error"]
 
+    def test_failed_kernel_basis_exit_5_under_python_O(self, fixdir):
+        # kernel columns of V moved off ker M, with Vinv intact, fail only the
+        # presented cut's explicit M @ K = 0 check, so it survives -O (the
+        # iterated route takes no kernel_basis, which has the same check)
+        code = (
+            "import dataclasses, sys\n"
+            "if __debug__:\n"
+            "    sys.exit(99)\n"
+            "from cpk import abelian, cli\n"
+            "factor = abelian.factor\n"
+            "def perturbed(m):\n"
+            "    res = factor(m)\n"
+            "    r = res.rank\n"
+            "    if r in (0, m.cols):\n"
+            "        return res\n"
+            "    cols = res.V.columns()\n"
+            "    cols[r:] = [tuple(map(sum, zip(c, cols[0]))) for c in cols[r:]]\n"
+            "    return dataclasses.replace(res, V=abelian.IntMatrix.from_columns(cols))\n"
+            "abelian.factor = perturbed\n"
+            "sys.exit(cli.main(['ktheory', sys.argv[1], '--route', 'iterated']))\n"
+        )
+        done = run_subprocess(["-c", code, str(fixdir / "ex3.4-commuting-swaps.json")], "-O")
+        assert done.returncode == 5, done.stderr
+        assert "Traceback" not in done.stderr
+        rep = json.loads(done.stdout)
+        assert rep["status"] == "internal-error"
+        assert "kernel basis" in rep["error"]
+
     def test_iterated_route_still_reports_ideal_sum(self, fixdir, capsys):
         rc, rep = run(
             capsys,

@@ -26,6 +26,7 @@ from cpk.abelian import (
     PreconditionError,
     Presentation,
     hom_cut,
+    presented_cut,
 )
 from cpk.exactseq import (
     AMBIGUOUS,
@@ -45,7 +46,6 @@ from cpk.ktheory import (
     iterated_ktheory,
     one_minus,
     pimsner_class_maps,
-    pimsner_cut,
 )
 from cpk.model import (
     AbstractKData,
@@ -152,7 +152,7 @@ class TestSingleStage:
         g = FgAbGroup(1, (2,))
         bad = GroupHom(g, g, IntMatrix([[0, 1], [0, 0]]))
         with pytest.raises(PreconditionError):
-            pimsner_cut(bad)
+            presented_cut(one_minus(bad))
         with pytest.raises(PreconditionError):
             cuntz_pimsner_ktheory(*(hom_cut(one_minus(f)) for f in (bad, GroupHom.zero(g, g))))
 
@@ -322,7 +322,7 @@ class TestAbstractMode:
                 return original(*args)
             return counted
 
-        for name, calls in (("hom_kernel_presentation", presented), ("hom_cut", grouped)):
+        for name, calls in (("presented_cut", presented), ("hom_cut", grouped)):
             wrapped = counting(calls, getattr(abelian, name))
             for module in (abelian, ktheory):
                 monkeypatch.setattr(module, name, wrapped)
