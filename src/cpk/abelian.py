@@ -505,9 +505,12 @@ def cokernel(m: IntMatrix) -> "FgAbGroup":
     >>> cokernel(IntMatrix([[1, -1], [-1, 1]]))
     FgAbGroup(free_rank=1, torsion=())
     """
-    res = factor(m)
-    torsion = tuple(d for d in res.diagonal if d > 1)
-    return FgAbGroup(m.rows - res.rank, torsion)
+    return _cokernel_group(m, factor(m))
+
+
+def _cokernel_group(m: IntMatrix, res: SnfResult) -> "FgAbGroup":
+    """cokernel(m), read from res, the factorization of m."""
+    return FgAbGroup(m.rows - res.rank, tuple(d for d in res.diagonal if d > 1))
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
@@ -722,12 +725,15 @@ class Presentation:
     )
 
     def __init__(self, ambient: int, basis: IntMatrix, rels: IntMatrix):
+        self._fill(ambient, basis, rels, factor(rels))
+
+    def _fill(self, ambient: int, basis: IntMatrix, rels: IntMatrix, res: SnfResult):
+        """Set every field from res, the factorization of rels."""
         if basis.rows != ambient or rels.rows != basis.cols:
             raise DimensionError("presentation shapes do not line up")
         self.ambient = ambient
         self.basis = basis
         self.rels = rels
-        res = factor(rels)
         s = basis.cols
         diag = list(res.diagonal) + [0] * (s - min(rels.rows, rels.cols))
         free = [i for i in range(s) if diag[i] == 0]
@@ -744,6 +750,14 @@ class Presentation:
     @staticmethod
     def cokernel_of(m: IntMatrix) -> "Presentation":
         return Presentation(m.rows, IntMatrix.identity(m.rows), m)
+
+    @staticmethod
+    def _cokernel_of(m: IntMatrix, res: SnfResult) -> "Presentation":
+        """cokernel_of(m) from res, a factorization of m already made, so a
+        matrix too large for the factor cache is not factored again."""
+        out = Presentation.__new__(Presentation)
+        out._fill(m.rows, IntMatrix.identity(m.rows), m, res)
+        return out
 
     @staticmethod
     def subquotient(numerator: IntMatrix, denominator: IntMatrix) -> "Presentation":
@@ -897,13 +911,13 @@ def hom_cut(f: GroupHom) -> tuple:
     >>> hom_cut(GroupHom(FgAbGroup(0, (4,)), FgAbGroup(0, (2,)), IntMatrix([[1]])))
     (FgAbGroup(free_rank=0, torsion=()), FgAbGroup(free_rank=0, torsion=(2,)))
     """
-    m, _, rels = _cut(f)
-    return cokernel(m), cokernel(rels)
+    m, res, rels = _cut(f)
+    return _cokernel_group(m, res), cokernel(rels)
 
 
 def presented_cut(f: GroupHom) -> tuple:
-    """(coker f, ker f) as presented subquotients, from the factorization of
-    _cut, for pieces that a further map acts on: Z^{cod gens} modulo M, and
+    """(coker f, ker f) as presented subquotients, both read from the one
+    factorization of _cut, for pieces that a further map acts on: Z^{cod gens} modulo M, and
     K modulo the rows of Vinv @ W below the rank, where K, the top dom-gens
     rows of the kernel columns of V (certified: M @ K = 0), is a basis of
     the preimage of ker f. So basis @ rels is exactly R_dom.
@@ -918,4 +932,4 @@ def presented_cut(f: GroupHom) -> tuple:
     if not (m @ kernel).is_zero():
         raise InternalError("kernel basis: m @ K != 0")
     basis = IntMatrix._of_rows(kernel._data[: f.dom.n_generators], kernel.cols)
-    return Presentation.cokernel_of(m), Presentation(f.dom.n_generators, basis, rels)
+    return Presentation._cokernel_of(m, res), Presentation(f.dom.n_generators, basis, rels)

@@ -6,7 +6,8 @@ the inverse of chi, and a layer-2 annihilation pulls the first layer-2
 letter to the front via chi. A word is stored only as its first letter and
 the index of its suffix, the word one letter shorter; the basis is sorted
 shortest first, so each word's crossings are one chi step from those of its
-suffix, computed once, and memory follows the basis size, not its letters.
+suffix, computed once for a whole level (word length) of the basis in numpy
+and kept in flat arrays, and memory follows the basis size, not its letters.
 Relations are checked on sub-blocks strictly below the truncation boundary,
 where they hold exactly up to rounding: Toeplitz and covariance on degrees
 <= N-1, chi commutation and the adjoint on degrees <= N-2, reordering on
@@ -20,26 +21,27 @@ Each check batches its products over generators instead of forming one
 small sparse matrix per relation. With L creators stacked vertically, L @ X
 holds T_a X for every stacked generator a as a D-row block, so one scipy
 call gives a whole family of products: T_e T_f for every layer-1 e, and
-T_f T_e for every layer-2 f (chi commutation), T_a T_b T_c for all a
-(reordering, one call per pair b, c). The Toeplitz inner products take
-the conjugate transpose of the layer's creators side by side, covariance
-one product per layer, and the adjoint compares each creator's leading
-block with a row range of the annihilators side by side, conjugate
-transposed. A residual is a signed sum of row ranges of such stacks,
-read straight from their CSR arrays; residuals are stacked vertically with
-duplicate positions summed, and _block_bounds bounds every block of a
-stack in one numpy pass. Memory: the residuals are gathered in chunks of
-at most as many entries as all the creators hold (a larger residual is a
-chunk of its own), and the triple products a chunk reads are made for it
-and dropped after it, so a check holds L, the chunk and the few stacks it
-reads, never all k^3 products.
+T_f T_e for every layer-2 f (chi commutation), T_b T_c for every b
+(reordering). Reordering then multiplies k copies of L along the diagonal
+by that stack, which gives T_a T_b T_c for every a and b: two calls per
+last letter c. The Toeplitz inner products take the conjugate transpose of
+the layer's creators side by side, covariance one product per layer, and
+the adjoint compares each creator's leading block with a row range of the
+annihilators side by side, conjugate transposed. A residual is a signed
+sum of row ranges of such stacks, read straight from their CSR arrays;
+residuals are stacked vertically with duplicate positions summed, and
+_block_bounds bounds every block of a stack in one numpy pass. Memory: the
+residuals are gathered in chunks of at most as many entries as all the
+creators hold (a larger residual is a chunk of its own), and the triple
+stacks a chunk reads are made for it and dropped after it, so a check
+holds L, the chunk and the few stacks it reads, never all k^3 products.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -129,7 +131,9 @@ class FockRep:
     over each word's source vertex. Layer-2 matrices embed the chi crossing,
     so their entries are products of chi unitary coefficients. Each word's
     crossings are computed once, by one chi step from those of its suffix,
-    so the build costs one pass over the basis.
+    a level of the basis at a time, so the build costs one pass over the
+    basis. The rep keeps no table per word: the pulled fronts that
+    annihilator reads are four flat arrays sorted by word.
     """
 
     def __init__(self, vertices, edges1, edges2, degree, crossing):
@@ -146,14 +150,9 @@ class FockRep:
         self.layer_of.update({f.id: 2 for f in self.edges2})
         by_rng = {v: [x for x in self.edges1 + self.edges2 if x.rng == v]
                   for v in self.vertices}
-        prepend = self._enumerate_words(by_rng)
+        self._enumerate_words(by_rng)
         self.totals = self.bidegrees.sum(axis=1)
-        crossed, self._pulled = self._cross_basis(prepend, by_rng)
-        self.creators = {
-            x: _matrix(((k, j, c) for j, terms in crossed[x].items()
-                        for k, c in terms.items() if c != 0), self.dimension)
-            for x in self.layer_of
-        }
+        self.creators, self._pulled = self._cross_basis()
         self.projections = {
             v: sp.diags(
                 [1.0 if u == v else 0.0 for u in self.vertex],
@@ -193,8 +192,7 @@ class FockRep:
         layer-2 letter goes only in front of words without layer-1 letters,
         so every word is in normal form. Each level is ordered by (layer-2
         count, letters); the letters compare as (first letter, letter rank of
-        the suffix within its level), so no letter tuple is ever built.
-        Returns prepend[x][t] -> k, the index of the word x.t."""
+        the suffix within its level), so no letter tuple is ever built."""
         self._count_words()
         letter_rank = {x: r for r, x in enumerate(sorted(self.layer_of))}
         self.first = [None] * len(self.vertices)
@@ -202,7 +200,6 @@ class FockRep:
         self.vertex = list(self.vertices)
         ones = [0] * len(self.vertices)
         twos = [0] * len(self.vertices)
-        prepend = {x: {} for x in self.layer_of}
         # rank[t - start]: the letter rank of word t within its level
         start, rank = 0, [0] * len(self.vertices)
         for _ in range(self.degree):
@@ -217,7 +214,6 @@ class FockRep:
             order = sorted(range(len(made)), key=layer2.__getitem__)
             for i in order:
                 _, _, x, t = made[i]
-                prepend[x.id][t] = len(self.first)
                 self.first.append(x.id)
                 self.suffix.append(t)
                 self.vertex.append(x.src)
@@ -225,68 +221,120 @@ class FockRep:
                 twos.append(layer2[i])
             start, rank = end, order
         self.bidegrees = np.column_stack((ones, twos))
-        return prepend
 
     # -- chi crossings and operators ----------------------------------------
 
-    def _cross_basis(self, prepend, by_rng):
-        """Every chi crossing. Words come shortest first, so the suffix t of
-        every word e.t is done before the word, and crossing the leading
-        layer-1 letter e is one chi step applied to the crossings of t,
-        with prepend[x][t] -> k locating each word x.t.
+    def _cross_basis(self):
+        """Every chi crossing, in flat arrays, one level (word length) at a
+        time: the suffix t of a word x.t lies one level down, so crossing x
+        is one chi step applied to the crossings of t, made for a whole
+        level at once. Letters are coded by their position in layer_of.
 
-          crossed[x][j] -> {k: coeff}: x (x) word j in normal form, a layer-2
-                           x crossed past leading layer-1 letters by chi^-1;
-          pulled[j]     -> {(front, k): coeff}: word j with its first letter
-                           of each layer in front (by chi), the rest being word k.
+          pulled:  (word, front, target, coeff) arrays sorted by word: word j
+                   with its first letter of each layer in front (by chi), the
+                   rest being word target. A nonempty word has its own (first
+                   letter, suffix) entry with coeff 1 and, if it has letters
+                   of both layers, the layer-2 fronts of its suffix pulled
+                   past its first letter.
+          crossed: (word, letter, target, coeff) arrays, kept for one level:
+                   y (x) word j in normal form, for layer-2 y and the words j
+                   of degree <= N-1 whose first letter is in layer 1, which y
+                   really crosses by chi^-1. Any other y (x) j is the word y.j.
 
-        Returns crossed and pulled.
+        Terms with one key are summed in the order, and with the rounding,
+        of a word-by-word build that fills a dict by terms[key] += c * c2
+        (_accumulate, _times), so every coefficient is bit for bit the same.
+
+        Returns the creators, each the words x.t (rows) over their suffixes
+        t (columns) plus the crossed entries of its letter, and pulled.
         """
-        short = self.leading(self.degree - 1)
-        crossed = {x: {} for x in self.layer_of}
-        pulled = []
-        for j, (x, t) in enumerate(zip(self.first, self.suffix)):
-            terms = {}
-            if x is not None:
-                terms[(x, t)] = 1.0 + 0j
-                if self.layer_of[x] == 1:
-                    # layer-1 fronts of t have no chi entry and add nothing
-                    for (mid, u), c in pulled[t].items():
-                        for f2, e2, c2 in self.crossing_fwd.get((x, mid), ()):
-                            key = (f2, prepend[e2][u])
-                            terms[key] = terms.get(key, 0j) + c * c2
-            pulled.append(terms)
-            if j >= short:
+        letters = list(self.layer_of)
+        size, words = len(letters), len(self.first)
+        code = {x: i for i, x in enumerate(letters)}
+        # the empty word's first letter is coded -1, which is in no layer
+        layer1 = np.array([self.layer_of[x] == 1 for x in letters] + [False])
+        first = np.array([-1 if x is None else code[x] for x in self.first])
+        suffix = np.array([-1 if t is None else t for t in self.suffix])
+        plain = np.arange(len(self.vertices), words)
+        own = (plain, first[plain], suffix[plain], np.ones(len(plain), dtype=complex))
+        creators, pulled = [(own[1], plain, own[2], own[3])], [own]
+        fwd = _flat_crossing(self.crossing_fwd, code)
+        inv = _flat_crossing(self.crossing_inv, code)
+        vertex = {v: i for i, v in enumerate(self.vertices)}
+        source = np.array([vertex[v] for v in self.vertex])
+        codes2 = np.array([code[y.id] for y in self.edges2], dtype=int)
+        rngs2 = np.array([vertex[y.rng] for y in self.edges2], dtype=int)
+        mixed = self.bidegrees.min(axis=1) > 0
+        # word x.t is the one whose key is t * size + x
+        keys = suffix * size + first
+        by_key = np.argsort(keys)
+        keys = keys[by_key]
+
+        def word(x, t):
+            return by_key[np.searchsorted(keys, t * size + x)]
+
+        starts = np.searchsorted(self.totals, np.arange(self.degree + 2))
+        below = crossed = (np.zeros(0, dtype=int),) * 3 + (np.zeros(0, dtype=complex),)
+        for level in range(1, self.degree + 1) if self.edges2 else ():
+            at_level = np.arange(starts[level], starts[level + 1])
+            # the words x.t of both layers: each layer-2 front of t (t's own
+            # first letter, when that is in layer 2) pulled past x by chi
+            j = at_level[mixed[at_level]]
+            t = suffix[j]
+            alone = ~layer1[first[t]]
+            ones = np.ones(np.count_nonzero(alone), dtype=complex)
+            row, (front, rest, coeff) = _read(below[0], below[1:], t, alone,
+                                              (first[t[alone]], suffix[t[alone]], ones))
+            pair = first[j[row]] * size + front
+            image, img = _ranges(fwd.start[pair], fwd.count[pair])
+            j, front = j[row[image]], fwd.left[img]
+            target = word(fwd.right[img], rest[image])
+            kept, coeff = _accumulate((j * size + front) * words + target,
+                                      _times(coeff[image], fwd.coeff[img]))
+            below = (j[kept], front[kept], target[kept], coeff)
+            pulled.append(below)
+            if level == self.degree:
                 continue
-            for y in by_rng[self.vertex[j]]:
-                if j in prepend[y.id]:
-                    crossed[y.id][j] = {prepend[y.id][j]: 1.0 + 0j}
-                    continue
-                terms = {}
-                for e2, f2, c in self.crossing_inv.get((y.id, x), ()):
-                    for u, c2 in crossed[f2][t].items():
-                        k = prepend[e2][u]
-                        terms[k] = terms.get(k, 0j) + c * c2
-                crossed[y.id][j] = terms
-        return crossed, pulled
+            # y (x) x.t for layer-2 y and layer-1 x: chi^-1 takes y x to x' y',
+            # and y' (x) t is a crossing one level down, or the word y'.t when
+            # t has no layer-1 letter
+            j = at_level[layer1[first[at_level]]]
+            row, y = np.nonzero(source[j][:, None] == rngs2)
+            pair = codes2[y] * size + first[j[row]]
+            image, img = _ranges(inv.start[pair], inv.count[pair])
+            group = (j[row] * size + codes2[y])[image]
+            t, y = suffix[j[row[image]]], inv.right[img]
+            alone = ~layer1[first[t]]
+            ones = np.ones(np.count_nonzero(alone), dtype=complex)
+            row, (rest, coeff) = _read(crossed[0] * size + crossed[1], crossed[2:],
+                                       t * size + y, alone, (word(y[alone], t[alone]), ones))
+            group, img = group[row], img[row]
+            target = word(inv.left[img], rest)
+            kept, coeff = _accumulate(group * words + target, _times(inv.coeff[img], coeff))
+            crossed = (group[kept] // size, group[kept] % size, target[kept], coeff)
+            nonzero = coeff != 0
+            creators.append(tuple(crossed[k][nonzero] for k in (1, 2, 0, 3)))
+        pulled = tuple(map(np.concatenate, zip(*pulled)))
+        by_word = np.argsort(pulled[0], kind="stable")
+        return (_split(letters, *map(np.concatenate, zip(*creators)), words),
+                tuple(a[by_word] for a in pulled))
 
     def annihilator(self, n: int) -> dict:
-        """Every edge's adjoint on the leading n x n block, built
-        combinatorially, without transposing anything, in one pass over the
-        table of pulled fronts. A pulled remainder is shorter than its word,
-        so every nonzero of the block's columns lies in its rows.
+        """Every edge's adjoint on the leading n x n block: the entries of
+        the words below n in the table of pulled fronts, a prefix of it,
+        split on the front letter. A pulled remainder is shorter than its
+        word, so every nonzero of the block's columns lies in its rows.
 
         Layer 1 strips a leading letter. Layer 2 pulls the first layer-2
         letter back to the front using chi in the forward direction; the two
         directions are mutually inverse exactly when chi is unitary, which is
         what check_left_action_adjoint exploits.
         """
-        entries = {x: [] for x in self.layer_of}
-        for j, terms in enumerate(self._pulled[:n]):
-            for (front, k), coeff in terms.items():
-                if coeff != 0:
-                    entries[front].append((k, j, coeff))
-        return {x: _matrix(triples, n) for x, triples in entries.items()}
+        cut = np.searchsorted(self._pulled[0], n)
+        word, front, target, coeff = (a[:cut] for a in self._pulled)
+        nonzero = coeff != 0
+        return _split(list(self.layer_of), front[nonzero], target[nonzero],
+                      word[nonzero], coeff[nonzero], n)
 
     def normal_order(self, letters):
         """Formal normal ordering of a generator word via chi inverse.
@@ -315,15 +363,89 @@ class FockRep:
         return len(self.first)
 
 
-def _matrix(entries, size: int) -> sp.csr_matrix:
-    """The size x size matrix with coeff at (row, column) for each (row,
-    column, coeff) triple; repeated positions sum."""
-    rows, cols, vals = [], [], []
-    for row, col, coeff in entries:
-        rows.append(row)
-        cols.append(col)
-        vals.append(coeff)
+def _matrix(rows, cols, vals, size: int) -> sp.csr_matrix:
+    """The size x size matrix with vals[i] at (rows[i], cols[i]); repeated
+    positions sum."""
     return sp.coo_matrix((vals, (rows, cols)), shape=(size, size), dtype=complex).tocsr()
+
+
+def _split(letters, owner, rows, cols, vals, size: int) -> dict:
+    """One size x size matrix per letter, in order: letter i holds the
+    entries (rows, cols, vals) whose owner is i."""
+    order = np.argsort(owner, kind="stable")
+    bounds = np.searchsorted(owner[order], np.arange(len(letters) + 1))
+    return {x: _matrix(rows[order[a:b]], cols[order[a:b]], vals[order[a:b]], size)
+            for x, a, b in zip(letters, bounds, bounds[1:])}
+
+
+class _FlatCrossing(NamedTuple):
+    """A crossing table in arrays: the images (left, right, coeff) of the
+    letter pair (x, y), coded p = x * size + y, are the positions start[p]
+    to start[p] + count[p] - 1, in the table's order."""
+
+    start: np.ndarray
+    count: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    coeff: np.ndarray
+
+
+def _flat_crossing(table, code) -> _FlatCrossing:
+    size = len(code)
+    start = np.zeros(size * size, dtype=int)
+    count = np.zeros(size * size, dtype=int)
+    images = []
+    for (x, y), row in table.items():
+        start[code[x] * size + code[y]] = len(images)
+        count[code[x] * size + code[y]] = len(row)
+        images.extend(row)
+    return _FlatCrossing(
+        start, count,
+        np.array([code[a] for a, _, _ in images], dtype=int),
+        np.array([code[b] for _, b, _ in images], dtype=int),
+        np.array([c for _, _, c in images], dtype=complex),
+    )
+
+
+def _ranges(start, count):
+    """The positions start[i] .. start[i] + count[i] - 1 for every i in
+    turn, and the i of each: many slices of one flat table at once."""
+    rows = np.repeat(np.arange(len(count)), count)
+    return rows, np.arange(len(rows)) + np.repeat(start - np.cumsum(count) + count, count)
+
+
+def _read(keys, columns, query, alone, singles):
+    """For each query in turn, the rows of a table (columns, sorted keys)
+    with its key, or for a query marked alone the next row of singles
+    instead: the index of the query each row answers, and the rows."""
+    lo = np.searchsorted(keys, query)
+    count = np.searchsorted(keys, query, side="right") - lo
+    lo[alone] = len(keys) + np.arange(np.count_nonzero(alone))
+    count[alone] = 1
+    rows, at = _ranges(lo, count)
+    return rows, [np.concatenate((c, s))[at] for c, s in zip(columns, singles)]
+
+
+def _times(a, b) -> np.ndarray:
+    """a * b elementwise, rounded as Python's complex product rounds it;
+    numpy's own complex multiply may fuse the real products."""
+    out = np.empty(len(a), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _accumulate(keys, values):
+    """The sums of the values of equal keys, each added in turn to 0j, as
+    terms[key] = terms.get(key, 0j) + value would leave them, and the
+    position of each key's first value, in the order of first values."""
+    _, firsts, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(firsts)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    sums = np.zeros(len(order), dtype=complex)
+    np.add.at(sums, rank[inverse], values)
+    return firsts[order], sums
 
 
 def _permutation_crossing(spec: TwoGraphSpec):
@@ -393,6 +515,17 @@ def _left_stack(rep: FockRep, gens):
     generator's block: the D rows of stack @ X from at[a] on are T_a X."""
     at = {x: i * rep.dimension for i, x in enumerate(gens)}
     return sp.vstack([rep.creators[x] for x in gens], format="csr"), at
+
+
+def _diagonal_copies(m: sp.csr_matrix, copies: int) -> sp.csr_matrix:
+    """copies of a CSR matrix along the diagonal, built from its arrays."""
+    rows, cols = m.shape
+    shift = np.arange(copies)[:, None]
+    indptr = np.append(0, (m.indptr[1:] + m.indptr[-1] * shift).ravel())
+    return sp.csr_matrix(
+        (np.tile(m.data, copies), (m.indices + cols * shift).ravel(), indptr),
+        shape=(rows * copies, cols * copies),
+    )
 
 
 def _budget(rep: FockRep) -> int:
@@ -562,39 +695,40 @@ def check_reordering(rep: FockRep, tol: Optional[float] = None) -> DefectReport:
     combination, on degrees <= N-3. A word already in normal order is its
     own normal form, so its residual is identically zero and is skipped.
 
-    L times one pair product T_b T_c (on the leading columns) gives every
-    triple product T_a T_b T_c with that pair, so the products take at most
-    2k^2 scipy calls per chunk, not a few per word; each residual is a
-    signed sum of row ranges of these triple stacks. A triple stack is made
-    for the chunk of residuals that reads it and dropped once the chunk is
-    bounded, and no pair product outlives the triple stack made from it."""
+    L @ T_c (its leading columns) holds T_b T_c for every b, and k copies of
+    L along the diagonal, made once per check, times that hold T_a T_b T_c
+    for every a and b. So the products take two scipy calls per last letter
+    c, at most 2k per chunk, and each residual is a signed sum of row ranges
+    of these triple stacks. Words are walked with c outermost; a triple
+    stack is made for the chunk of residuals that reads it and dropped once
+    the chunk is bounded, and no pair stack outlives the triple stack made
+    from it."""
     tol = _resolve(tol)
     if not rep.edges2:
         raise PreconditionError("single-layer representation has no chi")
     n = rep.leading(rep.degree - 3)
-    dim = rep.dimension
-    left, at = _left_stack(rep, rep.layer_of)
-    cols = {c: rep.creators[c][:, :n] for c in rep.layer_of}
+    gens = list(rep.layer_of)
+    left, at = _left_stack(rep, gens)
+    # row block (b, a) of outer @ (L @ X) is T_a T_b X
+    outer = _diagonal_copies(left, len(gens))
     triples = {}
 
-    def triple(b, c):
-        if (b, c) not in triples:
-            triples[b, c] = left @ (rep.creators[b] @ cols[c])
-        return triples[b, c]
+    def triple(c):
+        if c not in triples:
+            triples[c] = outer @ (left @ rep.creators[c][:, :n])
+        return triples[c]
 
     def residuals():
-        # words sharing their last two letters are adjacent, so a chunk
-        # reads few triple stacks
-        for b, c, a in itertools.product(rep.layer_of, repeat=3):
+        for c, b, a in itertools.product(gens, repeat=3):
             layers = [rep.layer_of[g] for g in (a, b, c)]
             if layers == sorted(layers):
                 continue
-            terms = [(triple(b, c), at[a], 1.0)]
+            terms = [(triple(c), at[b] * len(gens) + at[a], 1.0)]
             for (h1, h2, h3), coeff in rep.normal_order((a, b, c)).items():
-                terms.append((triple(h2, h3), at[h1], -coeff))
+                terms.append((triple(h3), at[h2] * len(gens) + at[h1], -coeff))
             yield terms
 
-    worst = _worst(residuals(), dim, n, _budget(rep), triples)
+    worst = _worst(residuals(), rep.dimension, n, _budget(rep), triples)
     return _report("normal ordering associativity", worst, tol)
 
 

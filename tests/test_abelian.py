@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpk import abelian
 from cpk.abelian import (
     DimensionError,
     FgAbGroup,
@@ -423,6 +424,26 @@ def mixed_homs(draw):
                    for x, e in zip(col, cod.generator_orders())]
         cols.append(col)
     return GroupHom(dom, cod, IntMatrix.from_columns(cols, rows=cod.n_generators))
+
+
+@pytest.mark.parametrize("cut", [hom_cut, presented_cut])
+def test_a_cut_factors_its_map_once_even_past_the_cache_bound(cut, monkeypatch):
+    # with no room in the factor cache, a second factorization of
+    # M = [F | R_cod] would show as a second (3, 3) call
+    calls = []
+
+    def counted(m):
+        calls.append((m.rows, m.cols))
+        return smith_normal_form(m)
+
+    monkeypatch.setattr(abelian, "FACTOR_CACHE_CELLS", 0)
+    monkeypatch.setattr(abelian, "smith_normal_form", counted)
+    abelian.clear_factors()
+    free = FgAbGroup.free(3)
+    f = GroupHom(free, free, IntMatrix([[1, 1, 0], [0, 1, 1], [1, 2, 1]]))
+    pieces = [getattr(p, "group", p) for p in cut(f)]
+    assert calls == [(3, 3), (1, 0)]
+    assert pieces == [FgAbGroup.free(1), FgAbGroup.free(1)]
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)

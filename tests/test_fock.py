@@ -8,10 +8,13 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse._compressed import _cs_matrix
 
 from cpk import fock
+from cpk.cli import parse_document
 from cpk.abelian import PreconditionError
 from cpk.exactseq import ResourceLimitError
+from cpk.fixtures import fixture_document
 from cpk.fock import (
     DEFAULT_TOL,
     DefectReport,
@@ -520,3 +523,46 @@ class TestCrossings:
         assert check_left_action_adjoint(rep).passed
         assert len(tables) == 2
         assert sum(t.lookups for t in tables) <= 3 * rep.dimension
+
+
+class TestCosts:
+    @pytest.mark.parametrize("fid, degree, per_pair", [
+        ("ex3.5-flip-2-2", 5, 46),
+        ("ex3.5-unitary-chi", 6, 70),
+        ("ex4.6-flip-3-3", 5, 112),
+    ])
+    def test_reordering_takes_two_products_per_last_letter(
+            self, fid, degree, per_pair, monkeypatch):
+        # per_pair: the products that one stack per pair (b, c) of last
+        # letters takes, stacks remade by later chunks included
+        log, matmul, block_bounds = [], _cs_matrix._matmul_sparse, fock._block_bounds
+
+        def product(self, other):
+            log.append("product")
+            return matmul(self, other)
+
+        def chunk(stack, rows):
+            log.append("chunk")
+            return block_bounds(stack, rows)
+
+        monkeypatch.setattr(_cs_matrix, "_matmul_sparse", product)
+        monkeypatch.setattr(fock, "_block_bounds", chunk)
+        _, spec = parse_document(fixture_document(fid))
+        rep = build_fock(spec, degree)
+        log.clear()
+        assert check_reordering(rep).passed
+        assert log.count("chunk") > 1
+        between = [run.count("product") for run in "".join(log).split("chunk")]
+        assert max(between) <= 2 * len(rep.layer_of), between
+        assert log.count("product") <= per_pair // 4
+
+    def test_the_rep_holds_flat_tables_not_per_word_dicts(self):
+        # a dict of crossings per word held about 545 bytes a word here,
+        # the flat tables about 232
+        tracemalloc.start()
+        try:
+            rep = build_fock(single_vertex_two_graph(1, 1), 150)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 270 * rep.dimension

@@ -31,6 +31,7 @@ VARIANTS = {
     "assume-split": ("ktheory", ["--route", "both", "--assume-split"]),
     "text": ("ktheory", ["--route", "both", "--format", "text"]),
     "fock-3": ("fock-check", ["--degree", "3"]),
+    "fock-6": ("fock-check", ["--degree", "6"]),
 }
 
 _PATH_LINE = re.compile(r'^(\s*"path": |input\.path: ).*\n', re.MULTILINE)
