@@ -3,9 +3,9 @@
 Everything in this module is over Z with arbitrary-precision Python ints:
 Smith normal form with tracked unimodular transforms, cokernels and kernels
 of integer matrices, finitely generated abelian groups in invariant-factor
-form, homomorphisms given by integer matrices on generators, and presented
-subquotients of Z^n with explicit generator lifts (the workhorse for
-computing induced maps on quotients and kernels).
+form, homomorphisms given by integer matrices on generators, and
+presentations N/D of lattices D <= N <= Z^n with explicit generator lifts
+(the workhorse for computing induced maps on quotients and kernels).
 """
 
 from __future__ import annotations
@@ -481,23 +481,6 @@ class Lattice:
         xs = iter(x.columns())
         return [None if z is None else next(xs) for z in zs]
 
-    def first_outside(self, vectors: IntMatrix) -> Optional[int]:
-        """Index of the first column of vectors outside the lattice, or None."""
-        for j, x in enumerate(self.solve(vectors)):
-            if x is None:
-                return j
-        return None
-
-
-def lattice_basis(gens: IntMatrix) -> IntMatrix:
-    """A basis (independent columns) of the lattice spanned by the columns."""
-    res = factor(gens)
-    uinv = res.Uinv
-    cols = [
-        [uinv[i, j] * res.diagonal[j] for i in range(gens.rows)] for j in range(res.rank)
-    ]
-    return IntMatrix.from_columns(cols, rows=gens.rows)
-
 
 def cokernel(m: IntMatrix) -> "FgAbGroup":
     """Z^rows modulo the column span of m, in invariant-factor form.
@@ -515,10 +498,14 @@ def _cokernel_group(m: IntMatrix, res: SnfResult) -> "FgAbGroup":
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
     """Columns form a basis of {x in Z^cols : m @ x = 0} (a saturated lattice)."""
-    res = factor(m)
+    return _kernel_columns(m, factor(m))
+
+
+def _kernel_columns(m: IntMatrix, res: SnfResult) -> IntMatrix:
+    """kernel_basis(m), read from res, the factorization of m: the columns
+    of V past the rank, certified by m @ K = 0."""
     rank = res.rank
-    cols = [res.V.column(j) for j in range(rank, m.cols)]
-    out = IntMatrix.from_columns(cols, rows=m.cols)
+    out = IntMatrix._of_rows(tuple([row[rank:] for row in res.V._data]), m.cols - rank)
     if not (m @ out).is_zero():
         raise InternalError("kernel basis: m @ K != 0")
     return out
@@ -699,14 +686,14 @@ def hom_equal(f: GroupHom, g: GroupHom) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# presented subquotients with generator tracking
+# presentations N/D with generator tracking
 
 
 _OUTSIDE_NUMERATOR = "vector is not in the numerator lattice"
 
 
 class Presentation:
-    """A subquotient N/D of Z^ambient with explicit generator lifts.
+    """A quotient N/D of lattices D <= N <= Z^ambient with explicit generator lifts.
 
     N is the column span of ``basis`` (independent columns), D the span of
     ``basis @ rels``. The canonical isomorphism class is ``group``; column j
@@ -715,7 +702,7 @@ class Presentation:
     generator coordinates. This is what makes induced maps on stage-one
     K-groups computable instead of merely knowing their isomorphism class.
     The basis is factored on the first reduce (through ``factor``, so a
-    basis that ``subquotient`` already factored is not factored again), and
+    basis already factored in the same command is not factored again), and
     that factorization serves every later reduce for the lifetime of the
     presentation.
     """
@@ -760,15 +747,6 @@ class Presentation:
         return out
 
     @staticmethod
-    def subquotient(numerator: IntMatrix, denominator: IntMatrix) -> "Presentation":
-        """numerator, denominator: generating columns, denominator inside."""
-        basis = lattice_basis(numerator)
-        xs = Lattice(basis).solve(denominator)
-        if None in xs:
-            raise PreconditionError("denominator is not inside the numerator lattice")
-        return Presentation(numerator.rows, basis, IntMatrix.from_columns(xs, rows=basis.cols))
-
-    @staticmethod
     def direct_sum(a: "Presentation", b: "Presentation") -> "Presentation":
         return Presentation(
             a.ambient + b.ambient,
@@ -803,7 +781,7 @@ class Presentation:
         return out
 
     def hom_to(self, target: "Presentation", ambient_matrix: IntMatrix) -> GroupHom:
-        """The induced map on subquotients of an ambient integer matrix.
+        """The map an ambient integer matrix induces between presentations.
 
         The images of the denominator generators and of the generator lifts
         are reduced in one block. Raises PreconditionError when the matrix
@@ -916,7 +894,7 @@ def hom_cut(f: GroupHom) -> tuple:
 
 
 def presented_cut(f: GroupHom) -> tuple:
-    """(coker f, ker f) as presented subquotients, both read from the one
+    """(coker f, ker f) as presentations, both read from the one
     factorization of _cut, for pieces that a further map acts on: Z^{cod gens} modulo M, and
     K modulo the rows of Vinv @ W below the rank, where K, the top dom-gens
     rows of the kernel columns of V (certified: M @ K = 0), is a basis of
@@ -928,8 +906,6 @@ def presented_cut(f: GroupHom) -> tuple:
     ('0', 'Z/2', IntMatrix([[4]], cols=1))
     """
     m, res, rels = _cut(f)
-    kernel = IntMatrix._of_rows(tuple([r[res.rank :] for r in res.V._data]), m.cols - res.rank)
-    if not (m @ kernel).is_zero():
-        raise InternalError("kernel basis: m @ K != 0")
+    kernel = _kernel_columns(m, res)
     basis = IntMatrix._of_rows(kernel._data[: f.dom.n_generators], kernel.cols)
     return Presentation._cokernel_of(m, res), Presentation(f.dom.n_generators, basis, rels)

@@ -1,9 +1,10 @@
 """Cyclic exact sequences of finitely generated abelian groups.
 
 Provides verification of exactness (image = kernel at every node, as honest
-subgroup lattices), enumeration of all middle groups of an extension
-0 -> N -> G -> Q -> 0, and a solver for the one six-term layout of Pimsner's
-sequence: A0 -f0-> B0 -> X0 -> A1 -f1-> B1 -> X1 -> A0 with the groups X0, X1
+subgroup lattices, from one factorization per arrow), enumeration of all
+middle groups of an extension 0 -> N -> G -> Q -> 0, and a solver for the
+one six-term layout of Pimsner's sequence:
+A0 -f0-> B0 -> X0 -> A1 -f1-> B1 -> X1 -> A0 with the groups X0, X1
 unknown. The solver reads only the cut (coker f_d, ker f_d) of each known
 map, never the map itself, and resolves each unknown to a GroupOutcome, the
 same record the K-theory reports carry: one group, or every extension
@@ -25,6 +26,7 @@ from .abelian import (
     IntMatrix,
     Lattice,
     PreconditionError,
+    _in_relations,
     cokernel,
     hom_image_lattice,
     hom_kernel_lattice,
@@ -96,10 +98,15 @@ class ExactSequence:
 def verify_exact(seq: ExactSequence) -> list:
     """Per-node exactness reports: im(incoming) = ker(outgoing) as subgroups.
 
-    Both sides live in the generator coordinates Z^{gens} of the node and are
-    compared by mutual SNF lattice membership, each side factored once and
-    tested against all generators of the other. A failing node's report
-    holds the first failing generator as witness and which inclusion broke.
+    Both sides live in the generator coordinates Z^{gens} of the node, as
+    the preimage [F_in | R] of the image and the preimage K of the kernel.
+    A column of [F_in | R] lies in K exactly when F_out maps it into the
+    next node's relation lattice, which is diagonal, so im <= ker needs no
+    factorization. K is solved in one block against the lattice [F_in | R].
+    K and that lattice each read the factorization of one arrow's
+    [F | R_cod], so a sequence of n arrows factors n matrices. A failing
+    node's report holds the first failing generator as witness and which
+    inclusion broke.
     """
     n = len(seq)
     for i, f in enumerate(seq.arrows):
@@ -110,24 +117,23 @@ def verify_exact(seq: ExactSequence) -> list:
         incoming = seq.arrows[(i - 1) % n]
         outgoing = seq.arrows[i]
         im_lat = hom_image_lattice(incoming)
-        ker_lat = hom_kernel_lattice(outgoing)
-        exact = True
-        witness = None
-        reason = None
-        j = Lattice(ker_lat).first_outside(im_lat)
-        if j is not None:
-            exact, witness = False, im_lat.column(j)
-            reason = "image generator outside the kernel"
+        witness = reason = None
+        images = (outgoing.matrix @ im_lat).columns()
+        for col, image in zip(im_lat.columns(), images):
+            if not _in_relations(outgoing.cod, [image]):
+                witness, reason = col, "image generator outside the kernel"
+                break
         else:
-            j = Lattice(im_lat).first_outside(ker_lat)
-            if j is not None:
-                exact, witness = False, ker_lat.column(j)
-                reason = "kernel generator not reached by the image"
+            ker_lat = hom_kernel_lattice(outgoing)
+            for col, x in zip(ker_lat.columns(), Lattice(im_lat).solve(ker_lat)):
+                if x is None:
+                    witness, reason = col, "kernel generator not reached by the image"
+                    break
         reports.append(
             {
                 "node": i,
                 "group": str(seq.nodes[i]),
-                "exact": exact,
+                "exact": witness is None,
                 "witness": witness,
                 "reason": reason,
             }

@@ -39,10 +39,10 @@ from .abelian import (
     GroupHom,
     IntMatrix,
     InternalError,
+    Lattice,
     PreconditionError,
     Presentation,
     hom_cut,
-    kernel_basis,
     presented_cut,
 )
 from .exactseq import (
@@ -311,9 +311,7 @@ def _descended_actions(sub_pres, quot_pres, a_sub, a_quot, assume_split):
         return [pres.hom_to(pres, action)], 1, None
     act_sub = sub_pres.hom_to(sub_pres, a_sub)
     act_quot = quot_pres.hom_to(quot_pres, a_quot)
-    g_pres = Presentation.direct_sum(
-        Presentation.cokernel_of(sub.relations()), Presentation.cokernel_of(quot.relations())
-    )
+    g_pres = Presentation.cokernel_of(IntMatrix.block_diag(sub.relations(), quot.relations()))
     n_sub, n_quot = sub.n_generators, quot.n_generators
 
     def block(coupling: IntMatrix) -> IntMatrix:
@@ -444,8 +442,10 @@ def diagram_report(layers: GraphLayers, two_stage: KPair) -> DiagramReport:
     """Fill the nine corners and verify both six-term cross-check sequences.
 
     The ideal-sum K-groups are presented directly as the cokernel and kernel
-    of the stacked map Theta = (l1; -l2) on Z^V -> Z^{2V}; the final-algebra
-    presentations come from candidate boundary maps (simplest signs). Both
+    of the stacked map Theta = (l1; -l2) on Z^V -> Z^{2V}. The final-algebra
+    K0 = coker [l2 | l1] + ker Theta and K1 = ker [l2 | l1] / im Theta are
+    read from the one cut of [l2 | l1] : Z^{2V} -> Z^V, and its sequence
+    uses candidate boundary maps (simplest signs). Both
     sequences are verified exact node by node. Exactness of the sum sequence
     is what certifies each ideal-sum group as an extension of the flanking
     cokernel by the flanking kernel, so no group is enumerated here. The
@@ -480,15 +480,19 @@ def diagram_report(layers: GraphLayers, two_stage: KPair) -> DiagramReport:
 
     # ideal sum vs the final algebra:
     #   K0(I+J) -> K0(A) -> K0(final) -> K1(I+J) -> K1(A) -> K1(final)
-    k0_final_pres = Presentation.direct_sum(
-        Presentation.cokernel_of(IntMatrix.hstack(l1, l2)), ker_theta
-    )
-    k1_final_pres = Presentation.subquotient(
-        kernel_basis(IntMatrix.hstack(l2, l1)), theta
+    # both final groups come from the one cut of [l2 | l1] : Z^{2V} -> Z^V
+    out = IntMatrix.hstack(l2, l1)
+    cok_out, ker_out = presented_cut(GroupHom(FgAbGroup.free(2 * nv), FgAbGroup.free(nv), out))
+    k0_final_pres = Presentation.direct_sum(cok_out, ker_theta)
+    theta_coords = Lattice(ker_out.basis).solve(theta)
+    if None in theta_coords:
+        raise PreconditionError("denominator is not inside the numerator lattice")
+    k1_final_pres = Presentation(
+        2 * nv, ker_out.basis, IntMatrix.from_columns(theta_coords, rows=ker_out.basis.cols)
     )
     quot_nodes = [cok_theta, free_v, k0_final_pres, ker_theta, zero_pres, k1_final_pres]
     quot_mats = [
-        IntMatrix.hstack(l2, l1),
+        out,
         IntMatrix.vstack(eye, IntMatrix.zeros(nv, nv)),
         IntMatrix.hstack(IntMatrix.zeros(nv, nv), eye),
         IntMatrix.zeros(0, nv),

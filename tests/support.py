@@ -16,6 +16,7 @@ from cpk.abelian import (
     PreconditionError,
     Presentation,
     cokernel,
+    factor,
     hom_cut,
     hom_kernel_lattice,
     hom_well_defined,
@@ -57,6 +58,33 @@ def gen_lift(pres: Presentation, j: int) -> tuple:
     return pres.gen_lift_matrix().column(j)
 
 
+def first_outside(gens: IntMatrix, vectors: IntMatrix):
+    """Index of the first column of vectors outside the lattice spanned by
+    the columns of gens, or None."""
+    for j, x in enumerate(Lattice(gens).solve(vectors)):
+        if x is None:
+            return j
+    return None
+
+
+def lattice_basis(gens: IntMatrix) -> IntMatrix:
+    """A basis (independent columns) of the lattice spanned by the columns."""
+    res = factor(gens)
+    uinv = res.Uinv
+    cols = [[uinv[i, j] * res.diagonal[j] for i in range(gens.rows)] for j in range(res.rank)]
+    return IntMatrix.from_columns(cols, rows=gens.rows)
+
+
+def subquotient(numerator: IntMatrix, denominator: IntMatrix) -> Presentation:
+    """The presentation of N/D from generating columns of N and of D, D
+    inside N: a basis of N from lattice_basis, D solved in it."""
+    basis = lattice_basis(numerator)
+    xs = Lattice(basis).solve(denominator)
+    if None in xs:
+        raise PreconditionError("denominator is not inside the numerator lattice")
+    return Presentation(numerator.rows, basis, IntMatrix.from_columns(xs, rows=basis.cols))
+
+
 def solve_columns(a: IntMatrix, b: IntMatrix):
     """Solve a @ X = b over the integers; None when no solution exists."""
     xs = Lattice(a).solve(b)
@@ -75,12 +103,12 @@ def in_relation_lattice(group: FgAbGroup, columns) -> bool:
     if rel.cols == 0:
         return False
     block = IntMatrix.from_columns(columns, rows=rel.rows)
-    return Lattice(rel).first_outside(block) is None
+    return first_outside(rel, block) is None
 
 
 def lattice_contains(gens: IntMatrix, vector) -> bool:
     """Is the vector in the subgroup of Z^rows generated by the columns?"""
-    return Lattice(gens).first_outside(IntMatrix.column_vector(vector)) is None
+    return first_outside(gens, IntMatrix.column_vector(vector)) is None
 
 
 def lattices_equal(a: IntMatrix, b: IntMatrix):
@@ -90,7 +118,7 @@ def lattices_equal(a: IntMatrix, b: IntMatrix):
     is missing from the other (None when equal).
     """
     for gens, vectors in ((a, b), (b, a)):
-        j = Lattice(gens).first_outside(vectors)
+        j = first_outside(gens, vectors)
         if j is not None:
             return False, vectors.column(j)
     return True, None
@@ -130,7 +158,7 @@ def kernel_presentation_reference(f: GroupHom) -> Presentation:
     from the package's cut: kernel_basis, lattice_basis and a Lattice solve."""
     if not hom_well_defined(f):
         raise PreconditionError("kernel of an ill-defined hom")
-    return Presentation.subquotient(hom_kernel_lattice(f), f.dom.relations())
+    return subquotient(hom_kernel_lattice(f), f.dom.relations())
 
 
 # ---------------------------------------------------------------------------

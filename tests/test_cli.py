@@ -371,8 +371,8 @@ class TestKtheory:
 
     def test_failed_kernel_basis_exit_5_under_python_O(self, fixdir):
         # kernel columns of V moved off ker M, with Vinv intact, fail only the
-        # presented cut's explicit M @ K = 0 check, so it survives -O (the
-        # iterated route takes no kernel_basis, which has the same check)
+        # explicit M @ K = 0 check that presented_cut and kernel_basis share,
+        # so it survives -O (on the iterated route presented_cut runs it)
         code = (
             "import dataclasses, sys\n"
             "if __debug__:\n"

@@ -1,0 +1,71 @@
+"""The package holds no code that only the tests use.
+
+Every module-level function or class and every method in src/cpk must be
+referenced somewhere in src/cpk outside its own definition. Exempt are
+dunder methods, the console entry point cpk.cli.main, and the functions the
+benchmark tracer wraps (bench/tracer.py TARGETS), which are reached from
+outside the package by design.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "cpk"
+
+
+def tracer_targets() -> set:
+    """(module, attribute path) of every TARGETS entry, read from the tracer
+    source without importing it."""
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets
+        ):
+            return {(module, path) for module, path, _ in ast.literal_eval(node.value)}
+    raise AssertionError("bench/tracer.py binds no TARGETS")
+
+
+def definitions(module: str, tree: ast.Module):
+    """(module, qualified name, bare name, first line, last line) of every
+    module-level function or class and every method."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if not isinstance(node, defs):
+            continue
+        yield module, node.name, node.name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs):
+                    qualname = f"{node.name}.{item.name}"
+                    yield module, qualname, item.name, item.lineno, item.end_lineno
+
+
+def references(module: str, tree: ast.Module):
+    """(module, name, line) of every name and attribute in the code; an
+    import alone is not a use."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield module, node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield module, node.attr, node.lineno
+
+
+def test_every_definition_is_used_inside_the_package():
+    exempt = tracer_targets() | {("cpk.cli", "main")}
+    defs, refs = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = "cpk" if path.stem == "__init__" else f"cpk.{path.stem}"
+        tree = ast.parse(path.read_text())
+        defs.extend(definitions(module, tree))
+        refs.extend(references(module, tree))
+    unused = []
+    for module, qualname, name, first, last in defs:
+        if name.startswith("__") and name.endswith("__") or (module, qualname) in exempt:
+            continue
+        if not any(
+            ref == name and not (ref_module == module and first <= line <= last)
+            for ref_module, ref, line in refs
+        ):
+            unused.append(f"{module}.{qualname}")
+    assert not unused, f"defined in src/cpk but used only outside it: {unused}"

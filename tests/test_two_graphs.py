@@ -14,12 +14,12 @@ import time
 from hypothesis import given, settings
 
 from cpk import cli
-from cpk.abelian import IntMatrix, Presentation, kernel_basis
+from cpk.abelian import IntMatrix, kernel_basis
 from cpk.fixtures import two_graph_document
 from cpk.ktheory import GraphLayers, diagram_report, iterated_ktheory
 from cpk.model import single_vertex_two_graph, vertex_matrix
 
-from support import evans_ktheory, pair_groups, two_graph_specs
+from support import evans_ktheory, pair_groups, subquotient, two_graph_specs
 
 SECONDS_PER_SPEC = 2.0
 
@@ -62,7 +62,7 @@ class TamperedLayers(GraphLayers):
             kernel_basis(IntMatrix.hstack(self.l2, self.l1)),
             self.theta,
         )
-        self.cok_theta = Presentation.subquotient(numerator, self.theta)
+        self.cok_theta = subquotient(numerator, self.theta)
 
 
 def test_tampered_ideal_sum_fails_exactness():
