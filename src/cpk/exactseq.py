@@ -118,8 +118,7 @@ def verify_exact(seq: ExactSequence) -> list:
         outgoing = seq.arrows[i]
         im_lat = hom_image_lattice(incoming)
         witness = reason = None
-        images = (outgoing.matrix @ im_lat).columns()
-        for col, image in zip(im_lat.columns(), images):
+        for col, image in zip(im_lat.columns(), (outgoing.matrix @ im_lat).columns()):
             if not _in_relations(outgoing.cod, [image]):
                 witness, reason = col, "image generator outside the kernel"
                 break

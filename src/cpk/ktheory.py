@@ -481,18 +481,18 @@ def diagram_report(layers: GraphLayers, two_stage: KPair) -> DiagramReport:
     # ideal sum vs the final algebra:
     #   K0(I+J) -> K0(A) -> K0(final) -> K1(I+J) -> K1(A) -> K1(final)
     # both final groups come from the one cut of [l2 | l1] : Z^{2V} -> Z^V
-    out = IntMatrix.hstack(l2, l1)
-    cok_out, ker_out = presented_cut(GroupHom(FgAbGroup.free(2 * nv), FgAbGroup.free(nv), out))
-    k0_final_pres = Presentation.direct_sum(cok_out, ker_theta)
-    theta_coords = Lattice(ker_out.basis).solve(theta)
+    l21 = IntMatrix.hstack(l2, l1)
+    cok21, ker21 = presented_cut(GroupHom(FgAbGroup.free(2 * nv), FgAbGroup.free(nv), l21))
+    k0_final_pres = Presentation.direct_sum(cok21, ker_theta)
+    theta_coords = Lattice(ker21.basis).solve(theta)
     if None in theta_coords:
         raise PreconditionError("denominator is not inside the numerator lattice")
     k1_final_pres = Presentation(
-        2 * nv, ker_out.basis, IntMatrix.from_columns(theta_coords, rows=ker_out.basis.cols)
+        2 * nv, ker21.basis, IntMatrix.from_columns(theta_coords, rows=ker21.basis.cols)
     )
     quot_nodes = [cok_theta, free_v, k0_final_pres, ker_theta, zero_pres, k1_final_pres]
     quot_mats = [
-        out,
+        l21,
         IntMatrix.vstack(eye, IntMatrix.zeros(nv, nv)),
         IntMatrix.hstack(IntMatrix.zeros(nv, nv), eye),
         IntMatrix.zeros(0, nv),
