@@ -402,8 +402,14 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
 # keeps at most about 2 MB of tuples alive.
 FACTOR_CACHE_CELLS = 1 << 18
 
-_factors: dict = {}
+_factors: dict = {}  # least recently used first
 _factor_cells = 0
+
+
+def _cells(m: IntMatrix) -> int:
+    """Entries of m with its S, U, Uinv, V and Vinv."""
+    r, c = m.rows, m.cols
+    return 2 * (r * r + r * c + c * c)
 
 
 def factor(m: IntMatrix) -> SnfResult:
@@ -412,21 +418,22 @@ def factor(m: IntMatrix) -> SnfResult:
     Results are kept by content (IntMatrix and SnfResult are immutable, so
     sharing one is safe) until clear_factors(), which cpk.cli.main calls on
     entry and on return, so a cache lives for one command. A miss calls
-    smith_normal_form, which checks every certificate. When the held entries
-    would pass FACTOR_CACHE_CELLS the cache is emptied first, and a result
-    larger than the bound on its own is not kept.
+    smith_normal_form, which checks every certificate. Before it does, the
+    least recently used entries are dropped until the new result fits in
+    FACTOR_CACHE_CELLS; the result is then kept even when it alone passes the
+    bound, so the newest factorization is always a hit.
     """
     global _factor_cells
-    res = _factors.get(m)
+    res = _factors.pop(m, None)
     if res is None:
+        cells = _cells(m)
+        while _factors and _factor_cells + cells > FACTOR_CACHE_CELLS:
+            oldest = next(iter(_factors))
+            del _factors[oldest]
+            _factor_cells -= _cells(oldest)
         res = smith_normal_form(m)
-        r, c = m.rows, m.cols
-        cells = 2 * (r * r + r * c + c * c)
-        if _factor_cells + cells > FACTOR_CACHE_CELLS:
-            clear_factors()
-        if cells <= FACTOR_CACHE_CELLS:
-            _factors[m] = res
-            _factor_cells += cells
+        _factor_cells += cells
+    _factors[m] = res
     return res
 
 
@@ -488,22 +495,14 @@ def cokernel(m: IntMatrix) -> "FgAbGroup":
     >>> cokernel(IntMatrix([[1, -1], [-1, 1]]))
     FgAbGroup(free_rank=1, torsion=())
     """
-    return _cokernel_group(m, factor(m))
-
-
-def _cokernel_group(m: IntMatrix, res: SnfResult) -> "FgAbGroup":
-    """cokernel(m), read from res, the factorization of m."""
+    res = factor(m)
     return FgAbGroup(m.rows - res.rank, tuple(d for d in res.diagonal if d > 1))
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
-    """Columns form a basis of {x in Z^cols : m @ x = 0} (a saturated lattice)."""
-    return _kernel_columns(m, factor(m))
-
-
-def _kernel_columns(m: IntMatrix, res: SnfResult) -> IntMatrix:
-    """kernel_basis(m), read from res, the factorization of m: the columns
-    of V past the rank, certified by m @ K = 0."""
+    """Columns form a basis of {x in Z^cols : m @ x = 0} (a saturated lattice):
+    the columns of V past the rank, certified by m @ K = 0."""
+    res = factor(m)
     rank = res.rank
     out = IntMatrix._of_rows(tuple([row[rank:] for row in res.V._data]), m.cols - rank)
     if not (m @ out).is_zero():
@@ -701,10 +700,10 @@ class Presentation:
     canonical generator, and ``reduce`` writes any element of N in canonical
     generator coordinates. This is what makes induced maps on stage-one
     K-groups computable instead of merely knowing their isomorphism class.
-    The basis is factored on the first reduce (through ``factor``, so a
-    basis already factored in the same command is not factored again), and
-    that factorization serves every later reduce for the lifetime of the
-    presentation.
+    The relations are factored when it is built and the basis on the first
+    reduce, both through ``factor``, so a matrix already factored in the same
+    command is not factored again; the basis factorization serves every
+    later reduce for the lifetime of the presentation.
     """
 
     __slots__ = (
@@ -712,15 +711,12 @@ class Presentation:
     )
 
     def __init__(self, ambient: int, basis: IntMatrix, rels: IntMatrix):
-        self._fill(ambient, basis, rels, factor(rels))
-
-    def _fill(self, ambient: int, basis: IntMatrix, rels: IntMatrix, res: SnfResult):
-        """Set every field from res, the factorization of rels."""
         if basis.rows != ambient or rels.rows != basis.cols:
             raise DimensionError("presentation shapes do not line up")
         self.ambient = ambient
         self.basis = basis
         self.rels = rels
+        res = factor(rels)
         s = basis.cols
         diag = list(res.diagonal) + [0] * (s - min(rels.rows, rels.cols))
         free = [i for i in range(s) if diag[i] == 0]
@@ -737,14 +733,6 @@ class Presentation:
     @staticmethod
     def cokernel_of(m: IntMatrix) -> "Presentation":
         return Presentation(m.rows, IntMatrix.identity(m.rows), m)
-
-    @staticmethod
-    def _cokernel_of(m: IntMatrix, res: SnfResult) -> "Presentation":
-        """cokernel_of(m) from res, a factorization of m already made, so a
-        matrix too large for the factor cache is not factored again."""
-        out = Presentation.__new__(Presentation)
-        out._fill(m.rows, IntMatrix.identity(m.rows), m, res)
-        return out
 
     @staticmethod
     def direct_sum(a: "Presentation", b: "Presentation") -> "Presentation":
@@ -861,8 +849,9 @@ def _kernel_lift(f: GroupHom) -> IntMatrix:
 
 
 def _cut(f: GroupHom) -> tuple:
-    """(M, factor(M), the rows of Vinv @ W below the rank) for M = [F | R_cod]
-    and W = _kernel_lift(f): the one factorization that every cut of f reads.
+    """(M, the rows of Vinv @ W below the rank) for M = [F | R_cod] and
+    W = _kernel_lift(f). factor(M) is the newest cache entry on return, so
+    callers read M back through the public functions as cache hits.
 
     coker f is coker M. The map (x, y) -> [x] sends ker M onto ker f, and
     its kernel is spanned by the columns of W (R_cod has independent
@@ -880,7 +869,7 @@ def _cut(f: GroupHom) -> tuple:
     coords = (res.Vinv @ w)._data
     if any(any(row) for row in coords[:rank]):
         raise InternalError("kernel lift: Vinv @ W has a nonzero row inside the rank")
-    return m, res, IntMatrix._of_rows(coords[rank:], w.cols)
+    return m, IntMatrix._of_rows(coords[rank:], w.cols)
 
 
 def hom_cut(f: GroupHom) -> tuple:
@@ -889,23 +878,23 @@ def hom_cut(f: GroupHom) -> tuple:
     >>> hom_cut(GroupHom(FgAbGroup(0, (4,)), FgAbGroup(0, (2,)), IntMatrix([[1]])))
     (FgAbGroup(free_rank=0, torsion=()), FgAbGroup(free_rank=0, torsion=(2,)))
     """
-    m, res, rels = _cut(f)
-    return _cokernel_group(m, res), cokernel(rels)
+    m, rels = _cut(f)
+    return cokernel(m), cokernel(rels)
 
 
 def presented_cut(f: GroupHom) -> tuple:
-    """(coker f, ker f) as presentations, both read from the one
-    factorization of _cut, for pieces that a further map acts on: Z^{cod gens} modulo M, and
-    K modulo the rows of Vinv @ W below the rank, where K, the top dom-gens
-    rows of the kernel columns of V (certified: M @ K = 0), is a basis of
-    the preimage of ker f. So basis @ rels is exactly R_dom.
+    """(coker f, ker f) as presentations, for pieces that a further map acts
+    on, both read from the one factorization of _cut: Z^{cod gens} modulo M,
+    and K modulo the rows of Vinv @ W below the rank, where K, the top
+    dom-gens rows of kernel_basis(M), is a basis of the preimage of ker f.
+    So basis @ rels is exactly R_dom.
 
     >>> f = GroupHom(FgAbGroup(0, (4,)), FgAbGroup(0, (2,)), IntMatrix([[1]]))
     >>> cok, ker = presented_cut(f)
     >>> str(cok.group), str(ker.group), ker.basis @ ker.rels
     ('0', 'Z/2', IntMatrix([[4]], cols=1))
     """
-    m, res, rels = _cut(f)
-    kernel = _kernel_columns(m, res)
+    m, rels = _cut(f)
+    kernel = kernel_basis(m)
     basis = IntMatrix._of_rows(kernel._data[: f.dom.n_generators], kernel.cols)
-    return Presentation._cokernel_of(m, res), Presentation(f.dom.n_generators, basis, rels)
+    return Presentation.cokernel_of(m), Presentation(f.dom.n_generators, basis, rels)

@@ -102,9 +102,9 @@ def verify_exact(seq: ExactSequence) -> list:
     the preimage [F_in | R] of the image and the preimage K of the kernel.
     A column of [F_in | R] lies in K exactly when F_out maps it into the
     next node's relation lattice, which is diagonal, so im <= ker needs no
-    factorization. K is solved in one block against the lattice [F_in | R].
-    K and that lattice each read the factorization of one arrow's
-    [F | R_cod], so a sequence of n arrows factors n matrices. A failing
+    factorization. K is solved in one block against the lattice [F_in | R],
+    built first: it is the previous arrow's [F | R_cod], still the newest
+    factorization, so a sequence of n arrows factors n matrices. A failing
     node's report holds the first failing generator as witness and which
     inclusion broke.
     """
@@ -123,8 +123,9 @@ def verify_exact(seq: ExactSequence) -> list:
                 witness, reason = col, "image generator outside the kernel"
                 break
         else:
+            im = Lattice(im_lat)  # before the kernel: still the newest factorization
             ker_lat = hom_kernel_lattice(outgoing)
-            for col, x in zip(ker_lat.columns(), Lattice(im_lat).solve(ker_lat)):
+            for col, x in zip(ker_lat.columns(), im.solve(ker_lat)):
                 if x is None:
                     witness, reason = col, "kernel generator not reached by the image"
                     break

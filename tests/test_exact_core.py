@@ -82,17 +82,31 @@ def cached_cells() -> int:
 
 
 def test_factor_cache_stays_within_its_bound(monkeypatch):
+    # least recently used entries leave first, before the next factorization,
+    # and the newest result is always kept, even one past the bound on its own
     monkeypatch.setattr(abelian, "FACTOR_CACHE_CELLS", 200)
     abelian.clear_factors()
-    for k in range(1, 40):  # 24 cells each: the bound is passed several times
-        m = IntMatrix([[k, 1], [0, k]])
-        assert factor(m).diagonal == smith_normal_form(m).diagonal
-        assert abelian._factor_cells == cached_cells() <= 200
-        assert m in abelian._factors
+
+    def check(m):
+        res, fresh = factor(m), smith_normal_form(m)
+        for name in ("U", "S", "V", "Uinv", "Vinv", "diagonal"):
+            assert getattr(res, name) == getattr(fresh, name), name
+        assert list(abelian._factors)[-1] == m
+        assert abelian._factor_cells == cached_cells()
+        assert cached_cells() <= 200 or len(abelian._factors) == 1
+
+    def small(k):
+        return IntMatrix([[k, 1], [0, k]])
+
+    for k in range(1, 40):  # 24 cells each: eight fit, the bound is passed often
+        check(small(k))
+        check(small(1))  # a hit from k = 2 on: small(1) outlives every older entry
+    assert list(abelian._factors) == [small(k) for k in range(33, 40)] + [small(1)]
     big = IntMatrix.identity(6)  # 216 cells on its own
-    assert factor(big).diagonal == (1,) * 6
-    assert big not in abelian._factors
-    assert abelian._factor_cells == cached_cells() <= 200
+    check(big)
+    assert list(abelian._factors) == [big]
+    check(small(2))
+    assert list(abelian._factors) == [small(2)]
 
 
 def test_is_inverse_of_rejects_non_inverses():

@@ -1,10 +1,13 @@
-"""The package holds no code that only the tests use.
+"""The package holds no code that only the tests use, and one way to reuse
+a factorization.
 
 Every module-level function or class and every method in src/cpk must be
 referenced somewhere in src/cpk outside its own definition. Exempt are
 dunder methods, the console entry point cpk.cli.main, and the functions the
 benchmark tracer wraps (bench/tracer.py TARGETS), which are reached from
-outside the package by design.
+outside the package by design. Factorizations are reused only through
+cpk.abelian.factor: it alone calls smith_normal_form, and no other function
+takes an SnfResult.
 """
 
 import ast
@@ -69,3 +72,24 @@ def test_every_definition_is_used_inside_the_package():
         ):
             unused.append(f"{module}.{qualname}")
     assert not unused, f"defined in src/cpk but used only outside it: {unused}"
+
+
+def test_factorizations_are_reused_only_through_factor():
+    takes, calls = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            where = f"{path.stem}.{node.name}"
+            args = node.args
+            for arg in args.posonlyargs + args.args + args.kwonlyargs:
+                if arg.annotation is not None and "SnfResult" in ast.unparse(arg.annotation):
+                    takes.add(f"{where}({arg.arg})")
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call):
+                    func = call.func
+                    called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if called == "smith_normal_form":
+                        calls.add(where)
+    assert not takes, f"functions other than factor take an SnfResult: {sorted(takes)}"
+    assert calls == {"abelian.factor"}, f"smith_normal_form is called from {sorted(calls)}"
