@@ -399,7 +399,7 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
 # Bound on the matrix entries the factor cache holds, counting each cached
 # input with its S, U, Uinv, V and Vinv: the n x 2n boundary of a 128-vertex
 # permutation pair (229376 cells) fits, and at 8 bytes a reference the cache
-# keeps at most about 2 MB of tuples alive.
+# keeps at most about 2 MB of tuples alive, or its newest result alone.
 FACTOR_CACHE_CELLS = 1 << 18
 
 _factors: dict = {}  # least recently used first
