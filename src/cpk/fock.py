@@ -28,13 +28,14 @@ last letter c. The Toeplitz inner products take the conjugate transpose of
 the layer's creators side by side, covariance one product per layer, and
 the adjoint compares each creator's leading block with a row range of the
 annihilators side by side, conjugate transposed. A residual is a signed
-sum of row ranges of such stacks, read straight from their CSR arrays;
-residuals are stacked vertically with duplicate positions summed, and
-_block_bounds bounds every block of a stack in one numpy pass. Memory: the
-residuals are gathered in chunks of at most as many entries as all the
-creators hold (a larger residual is a chunk of its own), and the triple
-stacks a chunk reads are made for it and dropped after it, so a check
-holds L, the chunk and the few stacks it reads, never all k^3 products.
+sum of row ranges of such stacks, read straight from their CSR arrays.
+_worst, the one path from residuals to a bound, stacks them, summing
+duplicate positions, and bounds every block in one _block_bounds pass.
+Memory: residuals go in chunks of at most as many entries as all the
+creators hold (a larger residual is a chunk of its own). Reordering holds
+L, the layer-2 triple stacks, the layer-1 stack of the last letter it
+walks (until its chunk is bounded, the one before too) and the chunk; no
+chunk drops or remakes a stack.
 """
 
 from __future__ import annotations
@@ -565,7 +566,7 @@ def _stack_residuals(chunk, rows: int, cols: int) -> sp.csr_matrix:
     return total
 
 
-def _worst(residuals, rows: int, cols: int, budget: int, made=None) -> float:
+def _worst(residuals, rows: int, cols: int, budget: int) -> float:
     """The largest _block_bounds over a stream of rows x cols residuals.
 
     Each residual is a list of (stack, first, coeff) terms: coeff times rows
@@ -573,9 +574,9 @@ def _worst(residuals, rows: int, cols: int, budget: int, made=None) -> float:
     Residuals are stacked vertically, one block each, with duplicate
     positions summed before any magnitude is taken, in chunks of at most
     `budget` entries (a residual larger than that is a chunk of its own).
-    When a chunk is bounded, the products in `made` that the next residual
-    does not read are dropped. A residual without entries has bound 0.0
-    and takes no block."""
+    A chunk holds references to the stacks it reads and copies their rows
+    only when it is bounded, so no stack is dropped or remade for a chunk.
+    A residual without entries has bound 0.0 and takes no block."""
     worst, chunk, size = 0.0, [], 0
     for terms in residuals:
         terms = [(stack, first, coeff) for stack, first, coeff in terms
@@ -587,10 +588,6 @@ def _worst(residuals, rows: int, cols: int, budget: int, made=None) -> float:
         if chunk and size + entries > budget:
             worst = max(worst, _block_bounds(_stack_residuals(chunk, rows, cols), rows).max())
             chunk, size = [], 0
-            if made is not None:
-                reads = {id(stack) for stack, _, _ in terms}
-                for key in [k for k, stack in made.items() if id(stack) not in reads]:
-                    del made[key]
         chunk.append(terms)
         size += entries
     if chunk:
@@ -620,11 +617,13 @@ def check_toeplitz(rep: FockRep, tol: Optional[float] = None):
              for j in range(len(edges)) for i, e in enumerate(edges)),
             n, n, budget,
         )
-        cols = sp.vstack(blocks, format="csr")
-        sources = sp.diags(np.concatenate([rep.projections[e.src].diagonal() for e in edges]))
-        compat = _block_bounds((sources @ cols - cols).tocsr(), dim).max(initial=0.0)
+        # P_src(e) is a 0/1 diagonal, so P_src(e) T_e - T_e is exactly
+        # -(1 - P_src(e)) T_e: the rows of T_e at words of another source
+        outside = np.concatenate([1.0 - rep.projections[e.src].diagonal() for e in edges])
+        stray = sp.diags(outside) @ sp.vstack(blocks, format="csr")
+        compat = _worst(([(stray, i * dim, -1.0)] for i in range(len(edges))), dim, n, budget)
         reports.append(_report(f"inner product, layer {layer}", inner, tol))
-        reports.append(_report(f"source compatibility, layer {layer}", float(compat), tol))
+        reports.append(_report(f"source compatibility, layer {layer}", compat, tol))
     return reports
 
 
@@ -642,11 +641,9 @@ def check_covariance_defect(rep: FockRep, layer: int = 1,
     rows = sp.hstack([rep.creators[e.id] for e in edges], format="csr")[:n]
     total = rows @ rows.getH()
     vacuum = (rep.bidegrees[:n, layer - 1] == 0).astype(float)
-    expected = sp.eye(n, dtype=complex, format="csr") - sp.diags(
-        vacuum, format="csr", dtype=complex
-    )
-    defect = _block_bounds((total - expected).tocsr(), n).max(initial=0.0)
-    return _report(f"covariance, layer {layer}", float(defect), tol)
+    expected = sp.diags(1.0 - vacuum, format="csr", dtype=complex)
+    defect = _worst([[(total, 0, 1.0), (expected, 0, -1.0)]], n, n, _budget(rep))
+    return _report(f"covariance, layer {layer}", defect, tol)
 
 
 def check_chi_commutation(rep: FockRep, tol: Optional[float] = None) -> DefectReport:
@@ -697,12 +694,12 @@ def check_reordering(rep: FockRep, tol: Optional[float] = None) -> DefectReport:
 
     L @ T_c (its leading columns) holds T_b T_c for every b, and k copies of
     L along the diagonal, made once per check, times that hold T_a T_b T_c
-    for every a and b. So the products take two scipy calls per last letter
-    c, at most 2k per chunk, and each residual is a signed sum of row ranges
-    of these triple stacks. Words are walked with c outermost; a triple
-    stack is made for the chunk of residuals that reads it and dropped once
-    the chunk is bounded, and no pair stack outlives the triple stack made
-    from it."""
+    for every a and b. Each residual is a signed sum of row ranges of these
+    triple stacks. A word out of normal order has a layer-2 letter, so its
+    normal form ends in one: the layer-2 stacks are made once for the
+    check. With c outermost, each layer-1 stack is made once, for its own
+    run of residuals, so the check takes two scipy products per letter, 2k
+    in all."""
     tol = _resolve(tol)
     if not rep.edges2:
         raise PreconditionError("single-layer representation has no chi")
@@ -711,24 +708,25 @@ def check_reordering(rep: FockRep, tol: Optional[float] = None) -> DefectReport:
     left, at = _left_stack(rep, gens)
     # row block (b, a) of outer @ (L @ X) is T_a T_b X
     outer = _diagonal_copies(left, len(gens))
-    triples = {}
 
     def triple(c):
-        if c not in triples:
-            triples[c] = outer @ (left @ rep.creators[c][:, :n])
-        return triples[c]
+        return outer @ (left @ rep.creators[c][:, :n])
+
+    layer2 = {f.id: triple(f.id) for f in rep.edges2}
 
     def residuals():
-        for c, b, a in itertools.product(gens, repeat=3):
-            layers = [rep.layer_of[g] for g in (a, b, c)]
-            if layers == sorted(layers):
-                continue
-            terms = [(triple(c), at[b] * len(gens) + at[a], 1.0)]
-            for (h1, h2, h3), coeff in rep.normal_order((a, b, c)).items():
-                terms.append((triple(h3), at[h2] * len(gens) + at[h1], -coeff))
-            yield terms
+        for c in gens:
+            last = layer2[c] if c in layer2 else triple(c)
+            for b, a in itertools.product(gens, repeat=2):
+                layers = [rep.layer_of[g] for g in (a, b, c)]
+                if layers == sorted(layers):
+                    continue
+                terms = [(last, at[b] * len(gens) + at[a], 1.0)]
+                for (h1, h2, h3), coeff in rep.normal_order((a, b, c)).items():
+                    terms.append((layer2[h3], at[h2] * len(gens) + at[h1], -coeff))
+                yield terms
 
-    worst = _worst(residuals(), rep.dimension, n, _budget(rep), triples)
+    worst = _worst(residuals(), rep.dimension, n, _budget(rep))
     return _report("normal ordering associativity", worst, tol)
 
 

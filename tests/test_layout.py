@@ -7,7 +7,8 @@ dunder methods, the console entry point cpk.cli.main, and the functions the
 benchmark tracer wraps (bench/tracer.py TARGETS), which are reached from
 outside the package by design. Factorizations are reused only through
 cpk.abelian.factor: it alone calls smith_normal_form, and no other function
-takes an SnfResult.
+takes an SnfResult. Residuals are bounded only through cpk.fock._worst: it
+alone calls _block_bounds.
 """
 
 import ast
@@ -74,22 +75,40 @@ def test_every_definition_is_used_inside_the_package():
     assert not unused, f"defined in src/cpk but used only outside it: {unused}"
 
 
-def test_factorizations_are_reused_only_through_factor():
-    takes, calls = set(), set()
+def functions():
+    """(module stem, function node) of every function in src/cpk, nested
+    ones and methods included."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            where = f"{path.stem}.{node.name}"
-            args = node.args
-            for arg in args.posonlyargs + args.args + args.kwonlyargs:
-                if arg.annotation is not None and "SnfResult" in ast.unparse(arg.annotation):
-                    takes.add(f"{where}({arg.arg})")
-            for call in ast.walk(node):
-                if isinstance(call, ast.Call):
-                    func = call.func
-                    called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                    if called == "smith_normal_form":
-                        calls.add(where)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield path.stem, node
+
+
+def callers(name: str) -> set:
+    """module.function of every function in src/cpk whose body calls name."""
+    found = set()
+    for module, node in functions():
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call):
+                func = call.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == name:
+                    found.add(f"{module}.{node.name}")
+    return found
+
+
+def test_factorizations_are_reused_only_through_factor():
+    takes = set()
+    for module, node in functions():
+        args = node.args
+        for arg in args.posonlyargs + args.args + args.kwonlyargs:
+            if arg.annotation is not None and "SnfResult" in ast.unparse(arg.annotation):
+                takes.add(f"{module}.{node.name}({arg.arg})")
+    calls = callers("smith_normal_form")
     assert not takes, f"functions other than factor take an SnfResult: {sorted(takes)}"
     assert calls == {"abelian.factor"}, f"smith_normal_form is called from {sorted(calls)}"
+
+
+def test_residuals_are_bounded_only_through_worst():
+    calls = callers("_block_bounds")
+    assert calls == {"fock._worst"}, f"_block_bounds is called from {sorted(calls)}"
