@@ -692,7 +692,8 @@ _OUTSIDE_NUMERATOR = "vector is not in the numerator lattice"
 
 
 class Presentation:
-    """A quotient N/D of lattices D <= N <= Z^ambient with explicit generator lifts.
+    """A quotient N/D of lattices D <= N <= Z^ambient with explicit generator
+    lifts, where ambient is basis.rows.
 
     N is the column span of ``basis`` (independent columns), D the span of
     ``basis @ rels``. The canonical isomorphism class is ``group``; column j
@@ -701,19 +702,20 @@ class Presentation:
     generator coordinates. This is what makes induced maps on stage-one
     K-groups computable instead of merely knowing their isomorphism class.
     The relations are factored when it is built and the basis on the first
-    reduce, both through ``factor``, so a matrix already factored in the same
-    command is not factored again; the basis factorization serves every
-    later reduce for the lifetime of the presentation.
+    hom_to (or reduce), both through ``factor``, so a matrix already
+    factored in the same command is not factored again; the basis
+    factorization serves every later one for the lifetime of the
+    presentation.
     """
 
     __slots__ = (
         "ambient", "basis", "rels", "group", "_u", "_uinv", "_orders", "_kept", "_numerator"
     )
 
-    def __init__(self, ambient: int, basis: IntMatrix, rels: IntMatrix):
-        if basis.rows != ambient or rels.rows != basis.cols:
+    def __init__(self, basis: IntMatrix, rels: IntMatrix):
+        if rels.rows != basis.cols:
             raise DimensionError("presentation shapes do not line up")
-        self.ambient = ambient
+        self.ambient = basis.rows
         self.basis = basis
         self.rels = rels
         res = factor(rels)
@@ -726,20 +728,18 @@ class Presentation:
         self.group = FgAbGroup(len(free), tuple(diag[i] for i in tors))
         self._u = res.U
         self._uinv = res.Uinv
-        self._numerator = None  # Lattice(basis), factored on the first reduce
+        self._numerator = None  # Lattice(basis), factored on the first hom_to
 
     # -- constructors
 
     @staticmethod
     def cokernel_of(m: IntMatrix) -> "Presentation":
-        return Presentation(m.rows, IntMatrix.identity(m.rows), m)
+        return Presentation(IntMatrix.identity(m.rows), m)
 
     @staticmethod
     def direct_sum(a: "Presentation", b: "Presentation") -> "Presentation":
         return Presentation(
-            a.ambient + b.ambient,
-            IntMatrix.block_diag(a.basis, b.basis),
-            IntMatrix.block_diag(a.rels, b.rels),
+            IntMatrix.block_diag(a.basis, b.basis), IntMatrix.block_diag(a.rels, b.rels)
         )
 
     # -- generator bookkeeping
@@ -822,12 +822,12 @@ def hom_image_lattice(f: GroupHom) -> IntMatrix:
 
 
 def hom_kernel_lattice(f: GroupHom) -> IntMatrix:
-    """Generators of the preimage in Z^{dom gens} of ker(f)."""
+    """A basis of the preimage in Z^{dom gens} of ker(f): the top dom-gens
+    rows of kernel_basis([F | R_cod]). (x, y) -> x is injective on the
+    kernel of [F | R_cod], because R_cod has independent columns, so the
+    columns stay independent; they span R_dom too when f is well defined."""
     full = kernel_basis(hom_image_lattice(f))
-    n = f.dom.n_generators
-    cols = [full.column(j)[:n] for j in range(full.cols)]
-    cols.extend(f.dom.relations().columns())
-    return IntMatrix.from_columns(cols, rows=n)
+    return IntMatrix._of_rows(full._data[: f.dom.n_generators], full.cols)
 
 
 def _kernel_lift(f: GroupHom) -> IntMatrix:
@@ -885,9 +885,8 @@ def hom_cut(f: GroupHom) -> tuple:
 def presented_cut(f: GroupHom) -> tuple:
     """(coker f, ker f) as presentations, for pieces that a further map acts
     on, both read from the one factorization of _cut: Z^{cod gens} modulo M,
-    and K modulo the rows of Vinv @ W below the rank, where K, the top
-    dom-gens rows of kernel_basis(M), is a basis of the preimage of ker f.
-    So basis @ rels is exactly R_dom.
+    and K = hom_kernel_lattice(f) modulo the rows of Vinv @ W below the
+    rank. So basis @ rels is exactly R_dom.
 
     >>> f = GroupHom(FgAbGroup(0, (4,)), FgAbGroup(0, (2,)), IntMatrix([[1]]))
     >>> cok, ker = presented_cut(f)
@@ -895,6 +894,4 @@ def presented_cut(f: GroupHom) -> tuple:
     ('0', 'Z/2', IntMatrix([[4]], cols=1))
     """
     m, rels = _cut(f)
-    kernel = kernel_basis(m)
-    basis = IntMatrix._of_rows(kernel._data[: f.dom.n_generators], kernel.cols)
-    return Presentation.cokernel_of(m), Presentation(f.dom.n_generators, basis, rels)
+    return Presentation.cokernel_of(m), Presentation(hom_kernel_lattice(f), rels)

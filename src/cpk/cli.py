@@ -324,21 +324,13 @@ def _report(command: str, options: dict) -> dict:
     }
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def _flatten(prefix: str, value, lines: list):
     if isinstance(value, dict):
         if not value:
             lines.append(f"{prefix}: {{}}")
         for key in sorted(value):
             _flatten(f"{prefix}.{key}" if prefix else key, value[key], lines)
-    elif isinstance(value, list):
+    elif isinstance(value, (list, tuple)):
         if not value:
             lines.append(f"{prefix}: []")
         for i, item in enumerate(value):
@@ -348,7 +340,6 @@ def _flatten(prefix: str, value, lines: list):
 
 
 def _emit(report: dict, fmt: str):
-    report = _jsonable(report)
     if fmt == "text":
         lines = []
         _flatten("", report, lines)

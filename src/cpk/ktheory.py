@@ -349,9 +349,10 @@ def _two_stage_order(cut0, cut1, action0: IntMatrix, action1: IntMatrix,
     0 -> coker_1 -> K1 -> ker_0 -> 0. The compatible actions are taken up to
     conjugation by the automorphisms [[1, h], [0, 1]] of a split stage-one
     group (_coupling_classes): conjugate actions give the same groups, so
-    one representative per class is cut into groups (hom_cut), every pair of
-    representatives is run through the Pimsner sequence, and the outcomes
-    are joined. The cap counts every coupling pair, not only the classes.
+    one representative per class is cut into groups (hom_cut). Each distinct
+    pair of cuts, in first-seen order, is run through the Pimsner sequence
+    once, and the outcomes are joined; the first pair's certificate is
+    kept. The cap counts every coupling pair, not only the classes.
     """
     (cok0, ker0), (cok1, ker1) = cut0, cut1
     acts0, n0, why0 = _descended_actions(cok0, ker1, action0, action1, assume_split)
@@ -363,15 +364,9 @@ def _two_stage_order(cut0, cut1, action0: IntMatrix, action1: IntMatrix,
         raise ResourceLimitError(
             f"{n0 * n1} coupling combinations exceed the cap {_COUPLING_CAP}"
         )
-    cuts1 = [hom_cut(one_minus(a1)) for a1 in acts1]
-    k0_outs = []
-    k1_outs = []
-    for c0 in (hom_cut(one_minus(a0)) for a0 in acts0):
-        for c1 in cuts1:
-            pair = cuntz_pimsner_ktheory(c0, c1, assume_split, bound)
-            k0_outs.append(pair.k0)
-            k1_outs.append(pair.k1)
-    return KPair(_union_outcomes(k0_outs), _union_outcomes(k1_outs))
+    cuts0, cuts1 = (dict.fromkeys(hom_cut(one_minus(a)) for a in acts) for acts in (acts0, acts1))
+    pairs = [cuntz_pimsner_ktheory(c0, c1, assume_split, bound) for c0 in cuts0 for c1 in cuts1]
+    return KPair(_union_outcomes([p.k0 for p in pairs]), _union_outcomes([p.k1 for p in pairs]))
 
 
 def iterated_ktheory(
@@ -476,6 +471,8 @@ def diagram_report(layers: GraphLayers, two_stage: KPair) -> DiagramReport:
         IntMatrix.hstack(eye, -eye),
     ]
     sum_seq = _presented_sequence(sum_nodes, sum_mats)
+    # cut delta first: verify_exact starts by factoring the same [F | R_cod]
+    delta_cok, delta_ker = hom_cut(sum_seq.arrows[5])
     sum_reports = verify_exact(sum_seq)
 
     # ideal sum vs the final algebra:
@@ -488,7 +485,7 @@ def diagram_report(layers: GraphLayers, two_stage: KPair) -> DiagramReport:
     if None in theta_coords:
         raise PreconditionError("denominator is not inside the numerator lattice")
     k1_final_pres = Presentation(
-        2 * nv, ker21.basis, IntMatrix.from_columns(theta_coords, rows=ker21.basis.cols)
+        ker21.basis, IntMatrix.from_columns(theta_coords, rows=ker21.basis.cols)
     )
     quot_nodes = [cok_theta, free_v, k0_final_pres, ker_theta, zero_pres, k1_final_pres]
     quot_mats = [
@@ -503,7 +500,6 @@ def diagram_report(layers: GraphLayers, two_stage: KPair) -> DiagramReport:
     quot_reports = verify_exact(quot_seq)
 
     # the exactness of sum_seq, checked below, certifies both extensions
-    delta_cok, delta_ker = hom_cut(sum_seq.arrows[5])
     ij_k0 = GroupOutcome.of(cok_theta.group, ExtensionCertificate(delta_cok, sum_corner.group))
     ij_k1 = GroupOutcome.of(ker_theta.group, ExtensionCertificate(FgAbGroup.trivial(), delta_ker))
     problems = []

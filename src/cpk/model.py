@@ -186,17 +186,6 @@ class TwoGraphSpec:
     def chi_map(self) -> dict:
         return {d: i for d, i in self.chi}
 
-    def swapped(self) -> "TwoGraphSpec":
-        """The same data with the layer roles exchanged (chi inverted)."""
-        return TwoGraphSpec(
-            self.vertices,
-            self.edges2,
-            self.edges1,
-            tuple(
-                ((f2, f1), (e1, e2)) for (e1, e2), (f2, f1) in self.chi
-            ),
-        )
-
 
 def _composable(first: FiniteGraph, second: FiniteGraph) -> set:
     return {

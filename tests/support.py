@@ -82,7 +82,7 @@ def subquotient(numerator: IntMatrix, denominator: IntMatrix) -> Presentation:
     xs = Lattice(basis).solve(denominator)
     if None in xs:
         raise PreconditionError("denominator is not inside the numerator lattice")
-    return Presentation(numerator.rows, basis, IntMatrix.from_columns(xs, rows=basis.cols))
+    return Presentation(basis, IntMatrix.from_columns(xs, rows=basis.cols))
 
 
 def solve_columns(a: IntMatrix, b: IntMatrix):
@@ -346,6 +346,16 @@ def chi_from_permutation(pairing) -> tuple:
     if len(domain) != len(image):
         raise PreconditionError("pairing sizes do not match")
     return tuple(items)
+
+
+def swapped_spec(spec: TwoGraphSpec) -> TwoGraphSpec:
+    """The same data with the layer roles exchanged (chi inverted)."""
+    return TwoGraphSpec(
+        spec.vertices,
+        spec.edges2,
+        spec.edges1,
+        tuple(((f2, f1), (e1, e2)) for (e1, e2), (f2, f1) in spec.chi),
+    )
 
 
 def permutation_unitary_chi(spec: TwoGraphSpec) -> UnitaryChi:

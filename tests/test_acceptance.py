@@ -35,7 +35,7 @@ from cpk.fock import build_fock, fock_suite
 from cpk.ktheory import GraphLayers, iterated_ktheory
 from cpk.model import rotation_unitary_chi, single_vertex_two_graph
 
-from support import kunneth_flip_oracle
+from support import kunneth_flip_oracle, swapped_spec
 from test_model import commuting_layer_spec
 
 
@@ -182,7 +182,7 @@ def test_criterion_6_order_symmetry_on_random_pairs(capsys):
         for i in range(100):
             spec = commuting_layer_spec(rng, max_vertices=5, max_powers=3)
             a = iterated_ktheory(GraphLayers(spec))
-            b = iterated_ktheory(GraphLayers(spec.swapped()))
+            b = iterated_ktheory(GraphLayers(swapped_spec(spec)))
             for degree, x, y in (("K0", a.final.k0, b.final.k0),
                                  ("K1", a.final.k1, b.final.k1)):
                 assert x.status == y.status, f"case {i} {degree}"

@@ -749,7 +749,7 @@ class TestReports:
         text = capsys.readouterr().out
         lines = [l for l in text.splitlines() if l]
         leaves = []
-        cli._flatten("", cli._jsonable(rep), leaves)
+        cli._flatten("", rep, leaves)
         assert lines == leaves
         assert 'status: "ok"' in lines
 

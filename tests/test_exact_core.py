@@ -24,6 +24,7 @@ from cpk.abelian import (
     factor,
     hom_image_lattice,
     hom_kernel_lattice,
+    presented_cut,
     smith_normal_form,
 )
 from cpk.exactseq import ExactSequence, verify_exact
@@ -272,6 +273,17 @@ def test_verify_exact_factors_each_arrow_once(seq):
     assert len(calls) <= len(seq), calls
 
 
+@PROPERTY
+@given(st.data())
+def test_kernel_lattice_is_the_presented_kernel_basis(data):
+    # the preimage of ker f has one basis, shared by verify_exact and the cut
+    dom, cod = data.draw(groups()), data.draw(groups())
+    f = data.draw(homs(dom, cod))
+    kernel = hom_kernel_lattice(f)
+    assert smith_normal_form(kernel).rank == kernel.cols
+    assert kernel == presented_cut(f)[1].basis
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form calls per diagram run
 
@@ -316,6 +328,23 @@ def test_snf_calls_per_cyclic_pair_stay_bounded(tmp_path, monkeypatch, capsys):
         counts[n] = snf_calls(monkeypatch, capsys, str(path))
     assert counts[16] <= 32, counts
     assert counts[32] <= counts[16], counts
+
+
+def test_diagram_factors_the_delta_arrow_once(tmp_path, capsys):
+    # diagram_report cuts the delta arrow right before verify_exact, whose
+    # first lattice is the same [F | R_cod]: at n = 64 it is 64 x 3
+    path = tmp_path / "cyclic-64.json"
+    path.write_text(json.dumps(cyclic_pair_document(64, 2)))
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return smith_normal_form(m)
+
+    with mock.patch.object(abelian, "smith_normal_form", counting):
+        rc = cli.main(["ktheory", str(path), "--route", "both"])
+    assert rc == 0, capsys.readouterr().out
+    assert [(m.rows, m.cols) for m in calls].count((64, 3)) == 1
 
 
 def test_each_command_factors_afresh(tmp_path, monkeypatch, capsys):

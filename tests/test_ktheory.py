@@ -632,6 +632,37 @@ class TestCouplingClasses:
 
         assert run(iterated_ktheory) == run(per_pair_iterated_ktheory)
 
+    def test_each_cut_pair_is_solved_once(self, monkeypatch):
+        # class representatives can still share a cut; within one order
+        # each distinct (cut0, cut1) pair reaches the six-term solve once
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import workloads
+
+        orders, active = [], []
+        two_stage_order, solve = ktheory._two_stage_order, ktheory.cuntz_pimsner_ktheory
+
+        def order(*args):
+            orders.append([])
+            active.append(orders[-1])
+            try:
+                return two_stage_order(*args)
+            finally:
+                active.pop()
+
+        def solving(cut0, cut1, *rest):
+            if active:
+                active[-1].append((cut0, cut1))
+            return solve(cut0, cut1, *rest)
+
+        monkeypatch.setattr(ktheory, "_two_stage_order", order)
+        monkeypatch.setattr(ktheory, "cuntz_pimsner_ktheory", solving)
+        for p1, p2 in ((4, 4), (5, 9)):
+            _, data = cli.parse_document(workloads.abstract_doc(p1, p2))
+            iterated_ktheory(data)
+        assert len(orders) == 4 and all(orders)
+        for pairs in orders:
+            assert len(pairs) == len(set(pairs)), pairs
+
     def test_cap_counts_couplings_not_classes(self, tmp_path, monkeypatch, capsys):
         # stage one of abstract_doc(514, 2) is Z/513 by Z: 513 couplings,
         # all in one class (delta(h) = h - 2h is onto), still refused

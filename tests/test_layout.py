@@ -7,8 +7,9 @@ dunder methods, the console entry point cpk.cli.main, and the functions the
 benchmark tracer wraps (bench/tracer.py TARGETS), which are reached from
 outside the package by design. Factorizations are reused only through
 cpk.abelian.factor: it alone calls smith_normal_form, and no other function
-takes an SnfResult. Residuals are bounded only through cpk.fock._worst: it
-alone calls _block_bounds.
+takes an SnfResult. A kernel basis comes only from
+cpk.abelian.hom_kernel_lattice: it alone calls kernel_basis. Residuals are
+bounded only through cpk.fock._worst: it alone calls _block_bounds.
 """
 
 import ast
@@ -107,6 +108,11 @@ def test_factorizations_are_reused_only_through_factor():
     calls = callers("smith_normal_form")
     assert not takes, f"functions other than factor take an SnfResult: {sorted(takes)}"
     assert calls == {"abelian.factor"}, f"smith_normal_form is called from {sorted(calls)}"
+
+
+def test_kernel_bases_come_only_from_hom_kernel_lattice():
+    calls = callers("kernel_basis")
+    assert calls == {"abelian.hom_kernel_lattice"}, f"kernel_basis is called from {sorted(calls)}"
 
 
 def test_residuals_are_bounded_only_through_worst():

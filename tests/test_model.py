@@ -26,6 +26,7 @@ from support import (
     identity_hom,
     permutation_bimodule,
     permutation_unitary_chi,
+    swapped_spec,
 )
 
 
@@ -227,8 +228,8 @@ def test_swapped_spec_still_valid():
         {"a": "c", "c": "e", "e": "a", "b": "d", "d": "f", "f": "b"},
     )
     assert validate_chi(spec).valid
-    assert validate_chi(spec.swapped()).valid
-    assert spec.swapped().swapped() == spec
+    assert validate_chi(swapped_spec(spec)).valid
+    assert swapped_spec(swapped_spec(spec)) == spec
 
 
 def commuting_layer_spec(rng, max_vertices=5, max_powers=3):
