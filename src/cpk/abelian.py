@@ -396,20 +396,7 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     return result
 
 
-# Bound on the matrix entries the factor cache holds, counting each cached
-# input with its S, U, Uinv, V and Vinv: the n x 2n boundary of a 128-vertex
-# permutation pair (229376 cells) fits, and at 8 bytes a reference the cache
-# keeps at most about 2 MB of tuples alive, or its newest result alone.
-FACTOR_CACHE_CELLS = 1 << 18
-
-_factors: dict = {}  # least recently used first
-_factor_cells = 0
-
-
-def _cells(m: IntMatrix) -> int:
-    """Entries of m with its S, U, Uinv, V and Vinv."""
-    r, c = m.rows, m.cols
-    return 2 * (r * r + r * c + c * c)
+_factors: dict = {}
 
 
 def factor(m: IntMatrix) -> SnfResult:
@@ -417,76 +404,54 @@ def factor(m: IntMatrix) -> SnfResult:
 
     Results are kept by content (IntMatrix and SnfResult are immutable, so
     sharing one is safe) until clear_factors(), which cpk.cli.main calls on
-    entry and on return, so a cache lives for one command. A miss calls
-    smith_normal_form, which checks every certificate. Before it does, the
-    least recently used entries are dropped until the new result fits in
-    FACTOR_CACHE_CELLS; the result is then kept even when it alone passes the
-    bound, so the newest factorization is always a hit.
+    entry and on return: the cache holds every factorization of one command,
+    with no bound, and nothing else in the package keeps one. A miss calls
+    smith_normal_form, which checks every certificate.
     """
-    global _factor_cells
-    res = _factors.pop(m, None)
+    res = _factors.get(m)
     if res is None:
-        cells = _cells(m)
-        while _factors and _factor_cells + cells > FACTOR_CACHE_CELLS:
-            oldest = next(iter(_factors))
-            del _factors[oldest]
-            _factor_cells -= _cells(oldest)
-        res = smith_normal_form(m)
-        _factor_cells += cells
-    _factors[m] = res
+        res = _factors[m] = smith_normal_form(m)
     return res
 
 
 def clear_factors() -> None:
     """Forget every cached factorization."""
-    global _factor_cells
     _factors.clear()
-    _factor_cells = 0
 
 
 # ---------------------------------------------------------------------------
 # lattices (subgroups of Z^n given by generating columns)
 
 
-class Lattice:
-    """The subgroup of Z^rows spanned by the columns of ``gens``.
+def solve(gens: IntMatrix, b: IntMatrix) -> list:
+    """Per column of b, an integer x with gens @ x == that column (as a
+    tuple), or None when the column is outside the lattice spanned by the
+    columns of gens. A block of right-hand sides reads one factorization,
+    factor(gens), and every returned solution is checked against its column.
 
-    Its Smith form is computed once, here, and every solve against the
-    lattice reuses it: a block of right-hand sides costs one factorization.
+    >>> solve(IntMatrix([[2, 0], [0, 3]]), IntMatrix([[4, 1], [3, 0]]))
+    [(2, 1), None]
     """
-
-    __slots__ = ("gens", "_u", "_v", "_diag")
-
-    def __init__(self, gens: IntMatrix):
-        res = factor(gens)
-        self.gens = gens
-        self._u = res.U
-        self._v = res.V
-        self._diag = res.diagonal[: res.rank]
-
-    def solve(self, b: IntMatrix) -> list:
-        """Per column of b, an integer x with gens @ x == that column (as a
-        tuple), or None when the column is outside the lattice. Every
-        returned solution is checked against its column."""
-        a, diag = self.gens, self._diag
-        if a.rows != b.rows:
-            raise DimensionError("solve: row counts differ")
-        rank = len(diag)
-        zs = []
-        for w in (self._u @ b).columns():
-            if any(w[rank:]) or any(x % d for x, d in zip(w, diag)):
-                zs.append(None)
-            else:
-                zs.append([x // d for x, d in zip(w, diag)] + [0] * (a.cols - rank))
-        solved = [z for z in zs if z is not None]
-        if not solved:
-            return zs
-        x = self._v @ IntMatrix.from_columns(solved, rows=a.cols)
-        wanted = [col for col, z in zip(b.columns(), zs) if z is not None]
-        if (a @ x).columns() != wanted:
-            raise InternalError("lattice solve: gens @ X != B")
-        xs = iter(x.columns())
-        return [None if z is None else next(xs) for z in zs]
+    if gens.rows != b.rows:
+        raise DimensionError("solve: row counts differ")
+    res = factor(gens)
+    rank = res.rank
+    diag = res.diagonal[:rank]
+    zs = []
+    for w in (res.U @ b).columns():
+        if any(w[rank:]) or any(x % d for x, d in zip(w, diag)):
+            zs.append(None)
+        else:
+            zs.append([x // d for x, d in zip(w, diag)] + [0] * (gens.cols - rank))
+    solved = [z for z in zs if z is not None]
+    if not solved:
+        return zs
+    x = res.V @ IntMatrix.from_columns(solved, rows=gens.cols)
+    wanted = [col for col, z in zip(b.columns(), zs) if z is not None]
+    if (gens @ x).columns() != wanted:
+        raise InternalError("lattice solve: gens @ X != B")
+    xs = iter(x.columns())
+    return [None if z is None else next(xs) for z in zs]
 
 
 def cokernel(m: IntMatrix) -> "FgAbGroup":
@@ -702,15 +667,11 @@ class Presentation:
     generator coordinates. This is what makes induced maps on stage-one
     K-groups computable instead of merely knowing their isomorphism class.
     The relations are factored when it is built and the basis on the first
-    hom_to (or reduce), both through ``factor``, so a matrix already
-    factored in the same command is not factored again; the basis
-    factorization serves every later one for the lifetime of the
-    presentation.
+    hom_to (or reduce). Both factorizations are read through ``factor`` on
+    every use, so each is made once per command.
     """
 
-    __slots__ = (
-        "ambient", "basis", "rels", "group", "_u", "_uinv", "_orders", "_kept", "_numerator"
-    )
+    __slots__ = ("ambient", "basis", "rels", "group", "_orders", "_kept")
 
     def __init__(self, basis: IntMatrix, rels: IntMatrix):
         if rels.rows != basis.cols:
@@ -726,9 +687,6 @@ class Presentation:
         self._kept = free + tors
         self._orders = tuple([0] * len(free)) + tuple(diag[i] for i in tors)
         self.group = FgAbGroup(len(free), tuple(diag[i] for i in tors))
-        self._u = res.U
-        self._uinv = res.Uinv
-        self._numerator = None  # Lattice(basis), factored on the first hom_to
 
     # -- constructors
 
@@ -745,19 +703,19 @@ class Presentation:
     # -- generator bookkeeping
 
     def gen_lift_matrix(self) -> IntMatrix:
-        return self.basis @ self._uinv.submatrix(range(self._uinv.rows), self._kept)
+        uinv = factor(self.rels).Uinv
+        return self.basis @ uinv.submatrix(range(uinv.rows), self._kept)
 
     def _coordinates(self, vectors: IntMatrix) -> list:
         """Canonical generator coordinates of the class of each column, or
         None for a column outside the numerator lattice."""
-        if self._numerator is None:
-            self._numerator = Lattice(self.basis)
+        u = factor(self.rels).U
         out = []
-        for x in self._numerator.solve(vectors):
+        for x in solve(self.basis, vectors):
             if x is None:
                 out.append(None)
                 continue
-            y = self._u.apply(x)
+            y = u.apply(x)
             out.append(tuple([y[i] % d if d else y[i] for i, d in zip(self._kept, self._orders)]))
         return out
 
@@ -850,8 +808,8 @@ def _kernel_lift(f: GroupHom) -> IntMatrix:
 
 def _cut(f: GroupHom) -> tuple:
     """(M, the rows of Vinv @ W below the rank) for M = [F | R_cod] and
-    W = _kernel_lift(f). factor(M) is the newest cache entry on return, so
-    callers read M back through the public functions as cache hits.
+    W = _kernel_lift(f). Callers read M back through the public functions,
+    whose factor(M) is then a cache hit.
 
     coker f is coker M. The map (x, y) -> [x] sends ker M onto ker f, and
     its kernel is spanned by the columns of W (R_cod has independent

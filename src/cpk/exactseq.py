@@ -24,13 +24,13 @@ from .abelian import (
     DimensionError,
     FgAbGroup,
     IntMatrix,
-    Lattice,
     PreconditionError,
     _in_relations,
     cokernel,
     hom_image_lattice,
     hom_kernel_lattice,
     hom_well_defined,
+    solve,
 )
 
 DETERMINED = "Determined"
@@ -103,10 +103,9 @@ def verify_exact(seq: ExactSequence) -> list:
     A column of [F_in | R] lies in K exactly when F_out maps it into the
     next node's relation lattice, which is diagonal, so im <= ker needs no
     factorization. K is solved in one block against the lattice [F_in | R],
-    built first: it is the previous arrow's [F | R_cod], still the newest
-    factorization, so a sequence of n arrows factors n matrices. A failing
-    node's report holds the first failing generator as witness and which
-    inclusion broke.
+    which is the previous arrow's [F | R_cod], so a sequence of n arrows
+    factors n matrices. A failing node's report holds the first failing
+    generator as witness and which inclusion broke.
     """
     n = len(seq)
     for i, f in enumerate(seq.arrows):
@@ -123,9 +122,8 @@ def verify_exact(seq: ExactSequence) -> list:
                 witness, reason = col, "image generator outside the kernel"
                 break
         else:
-            im = Lattice(im_lat)  # before the kernel: still the newest factorization
             ker_lat = hom_kernel_lattice(outgoing)
-            for col, x in zip(ker_lat.columns(), im.solve(ker_lat)):
+            for col, x in zip(ker_lat.columns(), solve(im_lat, ker_lat)):
                 if x is None:
                     witness, reason = col, "kernel generator not reached by the image"
                     break

@@ -39,11 +39,11 @@ from .abelian import (
     GroupHom,
     IntMatrix,
     InternalError,
-    Lattice,
     PreconditionError,
     Presentation,
     hom_cut,
     presented_cut,
+    solve,
 )
 from .exactseq import (
     AMBIGUOUS,
@@ -471,7 +471,6 @@ def diagram_report(layers: GraphLayers, two_stage: KPair) -> DiagramReport:
         IntMatrix.hstack(eye, -eye),
     ]
     sum_seq = _presented_sequence(sum_nodes, sum_mats)
-    # cut delta first: verify_exact starts by factoring the same [F | R_cod]
     delta_cok, delta_ker = hom_cut(sum_seq.arrows[5])
     sum_reports = verify_exact(sum_seq)
 
@@ -481,7 +480,7 @@ def diagram_report(layers: GraphLayers, two_stage: KPair) -> DiagramReport:
     l21 = IntMatrix.hstack(l2, l1)
     cok21, ker21 = presented_cut(GroupHom(FgAbGroup.free(2 * nv), FgAbGroup.free(nv), l21))
     k0_final_pres = Presentation.direct_sum(cok21, ker_theta)
-    theta_coords = Lattice(ker21.basis).solve(theta)
+    theta_coords = solve(ker21.basis, theta)
     if None in theta_coords:
         raise PreconditionError("denominator is not inside the numerator lattice")
     k1_final_pres = Presentation(

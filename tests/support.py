@@ -12,7 +12,6 @@ from cpk.abelian import (
     FgAbGroup,
     GroupHom,
     IntMatrix,
-    Lattice,
     PreconditionError,
     Presentation,
     cokernel,
@@ -22,6 +21,7 @@ from cpk.abelian import (
     hom_well_defined,
     kernel_basis,
     presented_cut,
+    solve,
 )
 from cpk.exactseq import (
     DETERMINED,
@@ -61,7 +61,7 @@ def gen_lift(pres: Presentation, j: int) -> tuple:
 def first_outside(gens: IntMatrix, vectors: IntMatrix):
     """Index of the first column of vectors outside the lattice spanned by
     the columns of gens, or None."""
-    for j, x in enumerate(Lattice(gens).solve(vectors)):
+    for j, x in enumerate(solve(gens, vectors)):
         if x is None:
             return j
     return None
@@ -79,7 +79,7 @@ def subquotient(numerator: IntMatrix, denominator: IntMatrix) -> Presentation:
     """The presentation of N/D from generating columns of N and of D, D
     inside N: a basis of N from lattice_basis, D solved in it."""
     basis = lattice_basis(numerator)
-    xs = Lattice(basis).solve(denominator)
+    xs = solve(basis, denominator)
     if None in xs:
         raise PreconditionError("denominator is not inside the numerator lattice")
     return Presentation(basis, IntMatrix.from_columns(xs, rows=basis.cols))
@@ -87,7 +87,7 @@ def subquotient(numerator: IntMatrix, denominator: IntMatrix) -> Presentation:
 
 def solve_columns(a: IntMatrix, b: IntMatrix):
     """Solve a @ X = b over the integers; None when no solution exists."""
-    xs = Lattice(a).solve(b)
+    xs = solve(a, b)
     if None in xs:
         return None
     return IntMatrix.from_columns(xs, rows=a.cols)
@@ -95,7 +95,7 @@ def solve_columns(a: IntMatrix, b: IntMatrix):
 
 def in_relation_lattice(group: FgAbGroup, columns) -> bool:
     """Do all the columns lie in the relation lattice of the group? Tested
-    by SNF membership in Lattice(group.relations())."""
+    by solving them against group.relations()."""
     columns = [c for c in columns if any(c)]
     if not columns:
         return True
@@ -155,7 +155,7 @@ def induced_on_kernel(b: IntMatrix, m: IntMatrix) -> GroupHom:
 
 def kernel_presentation_reference(f: GroupHom) -> Presentation:
     """ker(f) as a presented subquotient of Z^{dom gens}, by a route apart
-    from the package's cut: kernel_basis, lattice_basis and a Lattice solve."""
+    from the package's cut: kernel_basis, lattice_basis and solve."""
     if not hom_well_defined(f):
         raise PreconditionError("kernel of an ill-defined hom")
     return subquotient(hom_kernel_lattice(f), f.dom.relations())

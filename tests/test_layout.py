@@ -6,8 +6,10 @@ referenced somewhere in src/cpk outside its own definition. Exempt are
 dunder methods, the console entry point cpk.cli.main, and the functions the
 benchmark tracer wraps (bench/tracer.py TARGETS), which are reached from
 outside the package by design. Factorizations are reused only through
-cpk.abelian.factor: it alone calls smith_normal_form, and no other function
-takes an SnfResult. A kernel basis comes only from
+cpk.abelian.factor: it alone calls smith_normal_form, no other function
+takes an SnfResult, and nothing else keeps one: no attribute is assigned a
+value that calls factor or reads a factorization's U, V, Uinv, Vinv, S or
+diagonal. A kernel basis comes only from
 cpk.abelian.hom_kernel_lattice: it alone calls kernel_basis. Residuals are
 bounded only through cpk.fock._worst: it alone calls _block_bounds.
 """
@@ -108,6 +110,34 @@ def test_factorizations_are_reused_only_through_factor():
     calls = callers("smith_normal_form")
     assert not takes, f"functions other than factor take an SnfResult: {sorted(takes)}"
     assert calls == {"abelian.factor"}, f"smith_normal_form is called from {sorted(calls)}"
+
+
+SNF_FIELDS = {"U", "V", "Uinv", "Vinv", "S", "diagonal"}
+
+
+def test_nothing_but_factor_keeps_a_factorization():
+    kept = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                continue
+            if node.value is None or not any(
+                isinstance(part, ast.Attribute) for t in targets for part in ast.walk(t)
+            ):
+                continue
+            for part in ast.walk(node.value):
+                called = isinstance(part, ast.Call) and (
+                    getattr(part.func, "id", None) == "factor"
+                    or getattr(part.func, "attr", None) == "factor"
+                )
+                if called or isinstance(part, ast.Attribute) and part.attr in SNF_FIELDS:
+                    kept.append(f"{path.stem}:{node.lineno}")
+                    break
+    assert not kept, f"attributes keep a factorization at {kept}"
 
 
 def test_kernel_bases_come_only_from_hom_kernel_lattice():
