@@ -299,9 +299,9 @@ def test_snf_calls_per_cyclic_pair_stay_bounded(tmp_path, monkeypatch, capsys):
 
 
 def test_diagram_factors_each_distinct_matrix_once(tmp_path, capsys):
-    # factor keeps every factorization for the command: at n = 64 the delta
-    # arrow's [F | R_cod] (64 x 3) is cut and then read again by
-    # verify_exact, and the 64 x 64 identity recurs across presentations
+    # factor keeps every factorization for the command, so a matrix that
+    # several presentations, cuts and exactness checks read (the 64 x 3
+    # delta arrow, the 64 x 64 identity) is factored once
     path = tmp_path / "cyclic-64.json"
     path.write_text(json.dumps(cyclic_pair_document(64, 2)))
     calls = []
