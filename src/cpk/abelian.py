@@ -6,6 +6,11 @@ of integer matrices, finitely generated abelian groups in invariant-factor
 form, homomorphisms given by integer matrices on generators, and
 presentations N/D of lattices D <= N <= Z^n with explicit generator lifts
 (the workhorse for computing induced maps on quotients and kernels).
+
+There is one word-size path: _word_product multiplies two matrices in numpy
+int64 when a bound proves every partial sum exact, and returns Python ints.
+No other function here uses numpy, so the Smith elimination itself stays in
+Python ints (tests/test_layout.py enforces this).
 """
 
 from __future__ import annotations
@@ -14,6 +19,8 @@ from dataclasses import dataclass
 from math import gcd
 from operator import add, mul, sub
 from typing import Iterable, Optional
+
+import numpy as np
 
 
 class DimensionError(ValueError):
@@ -35,7 +42,10 @@ class InternalError(RuntimeError):
 class IntMatrix:
     """Immutable dense matrix of Python ints.
 
-    Entries are arbitrary-precision, so no operation can overflow.
+    Entries are arbitrary-precision Python ints. A product of at least
+    WORD_PRODUCT_MIN multiply-adds runs in int64 only when max|A| * max|B|
+    * inner < 2**63, which bounds every partial sum; any other product runs
+    in Python ints. So no operation can overflow.
 
     >>> a = IntMatrix([[1, 2], [3, 4]])
     >>> a @ IntMatrix.identity(2) == a
@@ -160,24 +170,18 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise DimensionError(f"matmul: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        ot = other.columns()
-        return IntMatrix._of_rows(
-            tuple([tuple([sum(map(mul, row, col)) for col in ot]) for row in self._data]),
-            other.cols,
-        )
+        rows = _word_product(self, other)
+        if rows is None:
+            ot = other.columns()
+            rows = tuple([tuple([sum(map(mul, row, col)) for col in ot]) for row in self._data])
+        return IntMatrix._of_rows(rows, other.cols)
 
     def is_inverse_of(self, other: "IntMatrix") -> bool:
-        """Is self @ other the identity? Tested entry by entry, building no
-        product. For square integer matrices this makes both unimodular."""
+        """Is self @ other the identity? The product is built like any other,
+        so a large one runs in int64 under the bound of _word_product. For
+        square integer matrices this makes both unimodular."""
         n = self.rows
-        if self.cols != n or other.rows != n or other.cols != n:
-            return False
-        ot = other.columns()
-        for i, row in enumerate(self._data):
-            for j, col in enumerate(ot):
-                if sum(map(mul, row, col)) != (i == j):
-                    return False
-        return True
+        return self.cols == n == other.rows == other.cols and (self @ other).is_identity()
 
     def apply(self, vector) -> tuple:
         """Matrix times a plain vector (sequence of ints)."""
@@ -209,6 +213,17 @@ class IntMatrix:
     def is_zero(self) -> bool:
         return all(x == 0 for r in self._data for x in r)
 
+    def is_identity(self) -> bool:
+        """Square with 1 on the diagonal and 0 elsewhere; builds no identity.
+
+        >>> IntMatrix.identity(3).is_identity(), IntMatrix([[1, 1], [0, 1]]).is_identity()
+        (True, False)
+        """
+        n = self.cols
+        return self.rows == n and all(
+            row[i] == 1 and row.count(0) == n - 1 for i, row in enumerate(self._data)
+        )
+
     # -- comparison
 
     def _same_shape(self, other: "IntMatrix") -> None:
@@ -229,6 +244,33 @@ class IntMatrix:
 
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self._data]!r}, cols={self.cols})"
+
+
+# A product of at least this many multiply-adds (rows * inner * cols) goes
+# through int64 when the bound allows: below it, converting to numpy and
+# back costs more than the Python-int loop saves (the two break even at 6**3).
+WORD_PRODUCT_MIN = 8**3
+
+
+def _word_product(a: IntMatrix, b: IntMatrix) -> Optional[tuple]:
+    """The rows of a @ b as tuples of Python ints, computed in numpy int64,
+    or None when the product is below WORD_PRODUCT_MIN or the bound fails.
+
+    Every partial sum of an entry is at most inner * max|a| * max|b| in
+    absolute value, so a bound below 2**63 proves that int64 never wraps
+    (the device of FFLAS-FFPACK: Dumas, Giorgi, Pernet, ACM TOMS 35(3),
+    2008). The bound is an if, not an assert, so it holds under python -O.
+    """
+    inner = a.cols
+    if a.rows * inner * b.cols < WORD_PRODUCT_MIN:
+        return None
+    bound = inner
+    for m in (a._data, b._data):
+        bound *= max(max(map(max, m)), -min(map(min, m)))
+    if bound >= 2**63:
+        return None
+    product = np.array(a._data, dtype=np.int64) @ np.array(b._data, dtype=np.int64)
+    return tuple(map(tuple, product.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +394,11 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
                         break
             if restart:
                 continue
-            # pivot is alone in its row and column; force divisibility
+            # pivot is alone in its row and column; force divisibility,
+            # which a unit pivot has already
             d = a[t][t]
+            if d == 1:
+                break
             bad = -1
             for i in range(t + 1, r):
                 if any(x % d != 0 for x in a[i][t + 1 :]):
@@ -428,12 +473,17 @@ def solve(gens: IntMatrix, b: IntMatrix) -> list:
     tuple), or None when the column is outside the lattice spanned by the
     columns of gens. A block of right-hand sides reads one factorization,
     factor(gens), and every returned solution is checked against its column.
+    An identity solves every column as it is, with no factorization.
 
     >>> solve(IntMatrix([[2, 0], [0, 3]]), IntMatrix([[4, 1], [3, 0]]))
     [(2, 1), None]
+    >>> solve(IntMatrix.identity(2), IntMatrix([[4, 1], [3, 0]]))
+    [(4, 3), (1, 0)]
     """
     if gens.rows != b.rows:
         raise DimensionError("solve: row counts differ")
+    if gens.is_identity():
+        return b.columns()
     res = factor(gens)
     rank = res.rank
     diag = res.diagonal[:rank]

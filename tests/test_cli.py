@@ -350,6 +350,23 @@ class TestKtheory:
         assert rep["status"] == "internal-error"
         assert "unimodular" in rep["error"]
 
+    def test_word_product_bound_holds_under_python_O(self):
+        # 3 * b = 1 - 2^64 wraps to 1 in int64; the no-overflow bound is an
+        # if, not an assert, so the product still leaves int64 under -O
+        code = (
+            "import sys\n"
+            "if __debug__:\n"
+            "    sys.exit(99)\n"
+            "from cpk.abelian import IntMatrix\n"
+            "def diag(first):\n"
+            "    return IntMatrix([[first if i == j == 0 else int(i == j) for j in range(8)]\n"
+            "                      for i in range(8)])\n"
+            "a, b = diag(3), diag(-6148914691236517205)\n"
+            "sys.exit(a.is_inverse_of(b) or (a @ b)[0, 0] != 1 - 2**64)\n"
+        )
+        done = run_subprocess(["-c", code], "-O")
+        assert done.returncode == 0, done.stderr
+
     def test_failed_kernel_lift_exit_5_under_python_O(self, fixdir):
         # a kernel lift outside ker [F | R_cod] trips an explicit raise,
         # so it survives -O

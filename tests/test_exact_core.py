@@ -1,7 +1,8 @@
 """The factor-once exact core.
 
 Property tests for the Smith normal form with tracked inverse transforms
-and its per-command cache, for block solves against one factorization
+and its per-command cache, for the int64 products under their no-overflow
+bound, for block solves against one factorization
 (block reduce, generator round trips, verify_exact witnesses), and
 deterministic guards on the number of Smith normal form calls a diagram
 run makes.
@@ -21,6 +22,7 @@ from cpk.abelian import (
     GroupHom,
     IntMatrix,
     PreconditionError,
+    Presentation,
     factor,
     hom_image_lattice,
     hom_kernel_lattice,
@@ -87,6 +89,102 @@ def test_is_inverse_of_rejects_non_inverses():
 
 
 # ---------------------------------------------------------------------------
+# int64 products under the no-overflow bound
+
+
+def python_product(a, b) -> tuple:
+    """The rows of a @ b, entry by entry in Python ints."""
+    cols = b.columns()
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+
+
+def near(c: int):
+    return st.integers(c - 9, c + 9) | st.integers(-c - 9, -c + 9)
+
+
+ENTRIES = {"small": st.integers(-9, 9), "2^31": near(2**31), "2^40": near(2**40)}
+
+
+@st.composite
+def word_size_matrices(draw, rows, cols):
+    """Entries all small, all near +-2^31 or +-2^40, or small but for one
+    entry near +-2^62."""
+    kind = draw(st.sampled_from(sorted(ENTRIES) + ["2^62"]))
+    entry = ENTRIES["small" if kind == "2^62" else kind]
+    data = draw(
+        st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+    )
+    if kind == "2^62":
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        data[i][j] = draw(near(2**62))
+    return IntMatrix(data, cols=cols)
+
+
+@st.composite
+def word_size_pairs(draw):
+    """(A, B) from 8x8 to 16x16: two independent matrices, or A = I + e_i v^T
+    with v_i = 0 and its inverse B = I - e_i v^T, sometimes off by one."""
+    if draw(st.booleans()):
+        r, k, c = (draw(st.integers(8, 16)) for _ in range(3))
+        return draw(word_size_matrices(r, k)), draw(word_size_matrices(k, c))
+    n = draw(st.integers(8, 16))
+    i = draw(st.integers(0, n - 1))
+    v = list(draw(word_size_matrices(1, n))._data[0])
+    v[i] = 0
+    a = [[int(p == q) + (v[q] if p == i else 0) for q in range(n)] for p in range(n)]
+    b = [[int(p == q) - (v[q] if p == i else 0) for q in range(n)] for p in range(n)]
+    if draw(st.booleans()):
+        b[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] += 1
+    return IntMatrix(a), IntMatrix(b)
+
+
+def entry_bound(m) -> int:
+    return max(abs(x) for row in m for x in row)
+
+
+@PROPERTY
+@given(word_size_pairs())
+def test_word_size_products_equal_python_int_products(pair):
+    # every product here has at least 512 multiply-adds, so the bound alone
+    # decides the int64 path, and both paths give the exact product
+    a, b = pair
+    expected = python_product(a, b)
+    in_int64 = entry_bound(a) * entry_bound(b) * a.cols < 2**63
+    assert (abelian._word_product(a, b) is not None) == in_int64
+    assert (a @ b)._data == expected
+    square = a.rows == a.cols == b.cols
+    assert a.is_inverse_of(b) == (square and expected == IntMatrix.identity(a.rows)._data)
+
+
+@PROPERTY
+@given(
+    st.integers(8, 16), st.integers(8, 16), st.integers(8, 16),
+    st.integers(1, 2**40), st.sampled_from([1, -1]),
+)
+def test_products_at_the_bound(r, k, c, top, sign):
+    # constant matrices make every partial sum as large as the bound allows:
+    # just below 2^63 the int64 path is exact, just past it the Python path
+    # must take over
+    below = (2**63 - 1) // (top * k)
+    for other, in_int64 in ((below, True), (below + 1, False)):
+        a = IntMatrix([[top] * k] * r)
+        b = IntMatrix([[sign * other] * c] * k)
+        assert (abelian._word_product(a, b) is not None) == in_int64
+        assert (a @ b)._data == ((sign * k * top * other,) * c,) * r
+
+
+def diag(first: int, n: int = 8) -> IntMatrix:
+    return IntMatrix([[first if i == j == 0 else int(i == j) for j in range(n)] for i in range(n)])
+
+
+def test_a_product_that_wraps_in_int64_is_not_an_inverse():
+    # 3 * b = 1 - 2^64, which int64 wraps to 1; the bound sends it to Python
+    a, b = diag(3), diag(-6148914691236517205)
+    assert not a.is_inverse_of(b)
+    assert (a @ b)[0, 0] == 1 - 2**64
+
+
+# ---------------------------------------------------------------------------
 # presentations: block reduce and generator round trips
 
 
@@ -143,6 +241,24 @@ def test_block_reduce_equals_single_reduces(case):
     assert pres._coordinates(block) == singles
     for v, single in zip(vectors, singles):
         assert pres._coordinates(IntMatrix.column_vector(v)) == [single]
+
+
+def test_hom_to_an_identity_basis_factors_no_identity():
+    # solve(I, b) is b: the cokernel_of presentations have identity bases,
+    # and reducing into one factors only the relations
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return smith_normal_form(m)
+
+    abelian.clear_factors()
+    with mock.patch.object(abelian, "smith_normal_form", counting):
+        source = Presentation.cokernel_of(IntMatrix([[2, 0], [0, 4]]))
+        target = Presentation.cokernel_of(IntMatrix([[2, 0], [0, 2]]))
+        hom = source.hom_to(target, IntMatrix.identity(2))
+    assert hom.matrix == IntMatrix.identity(2)
+    assert calls and not any(m.is_identity() for m in calls), calls
 
 
 @PROPERTY

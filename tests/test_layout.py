@@ -11,7 +11,9 @@ takes an SnfResult, and nothing else keeps one: no attribute is assigned a
 value that calls factor or reads a factorization's U, V, Uinv, Vinv, S or
 diagonal. A kernel basis comes only from
 cpk.abelian.hom_kernel_lattice: it alone calls kernel_basis. Residuals are
-bounded only through cpk.fock._worst: it alone calls _block_bounds.
+bounded only through cpk.fock._worst: it alone calls _block_bounds. In
+cpk.abelian only the int64 product _word_product uses numpy, so the Smith
+elimination has one implementation, in Python ints.
 """
 
 import ast
@@ -148,3 +150,28 @@ def test_kernel_bases_come_only_from_hom_kernel_lattice():
 def test_residuals_are_bounded_only_through_worst():
     calls = callers("_block_bounds")
     assert calls == {"fock._worst"}, f"_block_bounds is called from {sorted(calls)}"
+
+
+def uses_numpy(node) -> bool:
+    for part in ast.walk(node):
+        if isinstance(part, ast.Name) and part.id in ("np", "numpy"):
+            return True
+        if isinstance(part, ast.Import) and any(
+            alias.name.split(".")[0] == "numpy" for alias in part.names
+        ):
+            return True
+        if isinstance(part, ast.ImportFrom) and (part.module or "").split(".")[0] == "numpy":
+            return True
+    return False
+
+
+def test_only_the_word_product_uses_numpy_in_abelian():
+    users = {node.name for module, node in functions() if module == "abelian" and uses_numpy(node)}
+    assert users == {"_word_product"}, f"numpy is used in cpk.abelian by {sorted(users)}"
+    tree = ast.parse((PACKAGE / "abelian.py").read_text())
+    imports = [
+        ast.unparse(node)
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and uses_numpy(node)
+    ]
+    assert imports == ["import numpy as np"], imports
