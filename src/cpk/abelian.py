@@ -43,9 +43,10 @@ class IntMatrix:
     """Immutable dense matrix of Python ints.
 
     Entries are arbitrary-precision Python ints. A product of at least
-    WORD_PRODUCT_MIN multiply-adds runs in int64 only when max|A| * max|B|
-    * inner < 2**63, which bounds every partial sum; any other product runs
-    in Python ints. So no operation can overflow.
+    WORD_PRODUCT_MIN multiply-adds runs in int64 only when max|A| and max|B|
+    are each below 2**63 and max|A| * max|B| * inner < 2**63, which bounds
+    every partial sum; any other product runs in Python ints. So no
+    operation can overflow.
 
     >>> a = IntMatrix([[1, 2], [3, 4]])
     >>> a @ IntMatrix.identity(2) == a
@@ -257,17 +258,17 @@ def _word_product(a: IntMatrix, b: IntMatrix) -> Optional[tuple]:
     or None when the product is below WORD_PRODUCT_MIN or the bound fails.
 
     Every partial sum of an entry is at most inner * max|a| * max|b| in
-    absolute value, so a bound below 2**63 proves that int64 never wraps
+    absolute value, so a bound below 2**63, with max|a| and max|b| each below
+    2**63 so that both factors convert, proves that int64 never wraps
     (the device of FFLAS-FFPACK: Dumas, Giorgi, Pernet, ACM TOMS 35(3),
     2008). The bound is an if, not an assert, so it holds under python -O.
     """
     inner = a.cols
     if a.rows * inner * b.cols < WORD_PRODUCT_MIN:
         return None
-    bound = inner
-    for m in (a._data, b._data):
-        bound *= max(max(map(max, m)), -min(map(min, m)))
-    if bound >= 2**63:
+    top_a, top_b = (max(max(map(max, m)), -min(map(min, m))) for m in (a._data, b._data))
+    # each factor on its own must fit too: a zero factor makes the bound 0
+    if max(top_a, top_b) >= 2**63 or inner * top_a * top_b >= 2**63:
         return None
     product = np.array(a._data, dtype=np.int64) @ np.array(b._data, dtype=np.int64)
     return tuple(map(tuple, product.tolist()))

@@ -149,7 +149,8 @@ def test_word_size_products_equal_python_int_products(pair):
     # decides the int64 path, and both paths give the exact product
     a, b = pair
     expected = python_product(a, b)
-    in_int64 = entry_bound(a) * entry_bound(b) * a.cols < 2**63
+    tops = entry_bound(a), entry_bound(b)
+    in_int64 = max(tops) < 2**63 and tops[0] * tops[1] * a.cols < 2**63
     assert (abelian._word_product(a, b) is not None) == in_int64
     assert (a @ b)._data == expected
     square = a.rows == a.cols == b.cols
@@ -171,6 +172,27 @@ def test_products_at_the_bound(r, k, c, top, sign):
         b = IntMatrix([[sign * other] * c] * k)
         assert (abelian._word_product(a, b) is not None) == in_int64
         assert (a @ b)._data == ((sign * k * top * other,) * c,) * r
+
+
+@PROPERTY
+@given(
+    st.integers(8, 16), st.integers(8, 16), st.integers(8, 16),
+    st.lists(near(2**63) | near(2**64) | near(2**100), min_size=1, max_size=4),
+    st.booleans(),
+)
+def test_a_zero_factor_beside_entries_past_int64(r, k, c, big, zero_first):
+    # the bound is 0 when one factor is zero, but the other factor's entries
+    # may not fit in int64 at all: then the Python path must take the product
+    zero = IntMatrix.zeros(r, k) if zero_first else IntMatrix.zeros(k, c)
+    rows, cols = (k, c) if zero_first else (r, k)
+    other = IntMatrix(
+        [[big[(i * cols + j) % len(big)] for j in range(cols)] for i in range(rows)]
+    )
+    a, b = (zero, other) if zero_first else (other, zero)
+    in_int64 = entry_bound(other) < 2**63
+    assert (abelian._word_product(a, b) is not None) == in_int64
+    assert (a @ b)._data == python_product(a, b) == IntMatrix.zeros(r, c)._data
+    assert not a.is_inverse_of(b)
 
 
 def diag(first: int, n: int = 8) -> IntMatrix:
