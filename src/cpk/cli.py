@@ -395,25 +395,21 @@ def cmd_ktheory(args, report: dict) -> int:
         raise SchemaError(f"ktheory does not accept documents of kind {kind!r}")
     split = args.assume_split
     results = {"kind": kind}
-    outcomes = []
 
     if kind == "graph":
-        coeff = coefficient_ktheory(model)
         cuts = [hom_cut(one_minus(f)) for f in pimsner_class_maps(model)]
         final = cuntz_pimsner_ktheory(*cuts, split, bound)
         results["toeplitz_note"] = "KK-equivalent to the coefficients"
     else:
         data = model if kind == "abstract_kdata" else GraphLayers(model)
         iterated = iterated_ktheory(data, split, bound)
-        coeff, final = iterated.coefficient, iterated.final
+        final = iterated.final
         results["toeplitz_note"] = "all three Toeplitz corners are KK-equivalent to the coefficients"
         results["stage1"] = {
             "layer1": iterated.stage1.describe(),
             "layer2": iterated.stage1_other.describe(),
         }
         results["notes"] = list(iterated.notes)
-        for pair in (iterated.stage1, iterated.stage1_other):
-            outcomes += [pair.k0, pair.k1]
         if kind == "abstract_kdata":
             results["notes"].append(
                 "ideal-sum K-groups need boundary data the abstract form does not "
@@ -430,36 +426,36 @@ def cmd_ktheory(args, report: dict) -> int:
                 "corners": diag.corners,
                 "exactness_sum": diag.sum_sequence,
                 "exactness_quotient": diag.quotient_sequence,
-                "consistent": diag.consistent,
+                "consistent": not diag.problems,
                 "problems": list(diag.problems),
             }
-            outcomes += [diag.ij_k0, diag.ij_k1]
             if diag.problems:
                 report["status"] = "route-inconsistency"
-    results["coefficient"] = coeff.describe()
-    results["toeplitz_corner"] = coeff.describe()
+    results["coefficient"] = results["toeplitz_corner"] = coefficient_ktheory(model).describe()
     results["final"] = final.describe()
-    outcomes += [final.k0, final.k1]
     report["results"] = results
-    report["assumptions"] = sorted({"split-extension" for o in outcomes if o.assumed_split})
+    # every outcome solved under --assume-split carries the assumption, and
+    # no outcome does without it
+    report["assumptions"] = ["split-extension"] if split else []
     return _finish(report, args.format)
 
 
 def cmd_fock_check(args, report: dict) -> int:
-    if args.tol is not None and not 0 <= args.tol < math.inf:
-        raise UsageError(f"--tol must be a finite non-negative number, got {args.tol}")
+    tol = DEFAULT_TOL if args.tol is None else args.tol
+    if not 0 <= tol < math.inf:
+        raise UsageError(f"--tol must be a finite non-negative number, got {tol}")
     if args.degree < 0:
         raise UsageError(f"--degree must be non-negative, got {args.degree}")
     kind, model = parse_document(_load_document(report, args.file))
     if kind not in ("graph", "two_graph", "permutation", "unitary_chi"):
         raise SchemaError(f"fock-check does not accept documents of kind {kind!r}")
     rep = build_fock(model, args.degree)
-    checks = fock_suite(rep, args.tol)
+    checks = fock_suite(rep, tol)
     all_passed = all(c.passed for c in checks)
     report["results"] = {
         "kind": kind,
         "degree": args.degree,
-        "tolerance": args.tol if args.tol is not None else DEFAULT_TOL,
+        "tolerance": tol,
         "dimension": rep.dimension,
         "checks": [c.describe() for c in checks],
         "all_passed": all_passed,

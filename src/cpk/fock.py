@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -503,10 +503,6 @@ def build_fock(spec, N: int) -> FockRep:
 # relation checks
 
 
-def _resolve(tol: Optional[float]) -> float:
-    return DEFAULT_TOL if tol is None else tol
-
-
 def _report(name, defect, tol) -> DefectReport:
     return DefectReport(name, defect, tol, defect <= tol)
 
@@ -595,13 +591,12 @@ def _worst(residuals, rows: int, cols: int, budget: int) -> float:
     return float(worst)
 
 
-def check_toeplitz(rep: FockRep, tol: Optional[float] = None):
+def check_toeplitz(rep: FockRep, tol: float = DEFAULT_TOL):
     """T_e* T_f = delta P_rng(e) within each layer, and P_src(e) T_e = T_e,
     on the sub-block of degrees <= N-1. Per layer, the creators' leading
     columns stacked vertically give every source residual in one product,
     and side by side, conjugate transposed, times one creator's leading
     columns, every inner product T_e* T_f with that f."""
-    tol = _resolve(tol)
     n = rep.leading(rep.degree - 1)
     dim, budget = rep.dimension, _budget(rep)
     reports = []
@@ -628,12 +623,11 @@ def check_toeplitz(rep: FockRep, tol: Optional[float] = None):
 
 
 def check_covariance_defect(rep: FockRep, layer: int = 1,
-                            tol: Optional[float] = None) -> DefectReport:
+                            tol: float = DEFAULT_TOL) -> DefectReport:
     """Sum of T_e T_e* over the layer equals 1 minus the projection onto
     words with no letter from that layer, on degrees <= N-1. The creators'
     leading rows side by side, times their conjugate transpose, give the
     sum in one product."""
-    tol = _resolve(tol)
     edges = rep.edges1 if layer == 1 else rep.edges2
     if not edges:
         raise PreconditionError(f"layer {layer} has no edges")
@@ -646,13 +640,12 @@ def check_covariance_defect(rep: FockRep, layer: int = 1,
     return _report(f"covariance, layer {layer}", defect, tol)
 
 
-def check_chi_commutation(rep: FockRep, tol: Optional[float] = None) -> DefectReport:
+def check_chi_commutation(rep: FockRep, tol: float = DEFAULT_TOL) -> DefectReport:
     """T_e T_f = sum of chi coefficients times T_f' T_e' on degrees <= N-2;
     non-composable products must vanish. One layer's creators stacked
     vertically, times one creator of the other layer (its leading columns),
     give every product of the two layers ending in it, one scipy call per
     generator."""
-    tol = _resolve(tol)
     if not rep.edges2:
         raise PreconditionError("single-layer representation has no chi")
     n = rep.leading(rep.degree - 2)
@@ -669,7 +662,7 @@ def check_chi_commutation(rep: FockRep, tol: Optional[float] = None) -> DefectRe
                    _worst(residuals, rep.dimension, n, _budget(rep)), tol)
 
 
-def check_left_action_adjoint(rep: FockRep, tol: Optional[float] = None) -> DefectReport:
+def check_left_action_adjoint(rep: FockRep, tol: float = DEFAULT_TOL) -> DefectReport:
     """Compare each conjugate-transposed creator against the combinatorial
     annihilator on degrees <= N-2. The annihilator crosses with forward chi
     while the creator used the inverse, so agreement certifies unitarity of
@@ -677,7 +670,6 @@ def check_left_action_adjoint(rep: FockRep, tol: Optional[float] = None) -> Defe
     a matrix and its conjugate transpose, so each residual is taken as the
     creator's leading block minus a row range of the annihilators side by
     side, conjugate transposed in one call."""
-    tol = _resolve(tol)
     n = rep.leading(rep.degree - 2)
     adjoints = rep.annihilator(n)
     conj = sp.hstack(list(adjoints.values()), format="csr").getH().tocsr()
@@ -686,7 +678,7 @@ def check_left_action_adjoint(rep: FockRep, tol: Optional[float] = None) -> Defe
     return _report("left action adjoint", _worst(residuals, n, n, _budget(rep)), tol)
 
 
-def check_reordering(rep: FockRep, tol: Optional[float] = None) -> DefectReport:
+def check_reordering(rep: FockRep, tol: float = DEFAULT_TOL) -> DefectReport:
     """Associativity of normal ordering: for every mixed length-3 generator
     word, the direct operator product equals the symbolically normal-ordered
     combination, on degrees <= N-3. A word already in normal order is its
@@ -700,7 +692,6 @@ def check_reordering(rep: FockRep, tol: Optional[float] = None) -> DefectReport:
     check. With c outermost, each layer-1 stack is made once, for its own
     run of residuals, so the check takes two scipy products per letter, 2k
     in all."""
-    tol = _resolve(tol)
     if not rep.edges2:
         raise PreconditionError("single-layer representation has no chi")
     n = rep.leading(rep.degree - 3)
@@ -730,7 +721,7 @@ def check_reordering(rep: FockRep, tol: Optional[float] = None) -> DefectReport:
     return _report("normal ordering associativity", worst, tol)
 
 
-def fock_suite(rep: FockRep, tol: Optional[float] = None):
+def fock_suite(rep: FockRep, tol: float = DEFAULT_TOL):
     """Every applicable relation check, in a fixed order."""
     reports = list(check_toeplitz(rep, tol))
     reports.append(check_covariance_defect(rep, 1, tol))

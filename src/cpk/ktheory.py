@@ -147,7 +147,6 @@ def cuntz_pimsner_ktheory(
 
 @dataclass(frozen=True)
 class IteratedResult:
-    coefficient: KPair
     stage1: KPair  # the algebra of the first-listed bimodule
     stage1_other: KPair  # single-stage algebra of the second bimodule
     final: KPair
@@ -379,7 +378,6 @@ def iterated_ktheory(
     and candidate lists are intersected (the truth lies in both)."""
     notes = []
     if isinstance(spec, GraphLayers):
-        coeff = coefficient_ktheory(spec.spec)
         stage1 = KPair.of_groups(spec.cok1.group, spec.ker1.group)
         other = KPair.of_groups(spec.cok2.group, spec.ker2.group)
         # coefficient K1 is 0: the empty cut of 1 - 0 on it, acted on by 0
@@ -391,7 +389,6 @@ def iterated_ktheory(
         ]
     elif isinstance(spec, AbstractKData):
         spec.validate().require()
-        coeff = coefficient_ktheory(spec)
         data = (spec, spec.swapped())  # the first bimodule, then the second
         cuts = [[presented_cut(one_minus(a)) for a in (d.action1_k0, d.action1_k1)] for d in data]
         stage1, other = (
@@ -406,7 +403,7 @@ def iterated_ktheory(
     if final_a.k0.status != final.k0.status or final_a.k1.status != final.k1.status:
         notes.append("order comparison narrowed the candidate list")
     notes.append("both bimodule orders computed and reconciled")
-    return IteratedResult(coeff, stage1, other, final, tuple(notes))
+    return IteratedResult(stage1, other, final, tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +418,6 @@ class DiagramReport:
     ij_k0: GroupOutcome
     ij_k1: GroupOutcome
     final: KPair
-    consistent: bool
     problems: tuple  # every non-exact node and every disagreement with two_stage
 
 
@@ -554,6 +550,5 @@ def diagram_report(layers: GraphLayers, two_stage: KPair) -> DiagramReport:
         ij_k0=ij_k0,
         ij_k1=ij_k1,
         final=diagram_final,
-        consistent=not problems,
         problems=tuple(problems),
     )

@@ -40,7 +40,6 @@ from cpk.ktheory import (
     _hom_elements,
     _reconcile_pairs,
     _union_outcomes,
-    coefficient_ktheory,
     one_minus,
 )
 from cpk.model import AbstractKData, FiniteGraph, TwoGraphSpec, UnitaryChi, vertex_matrix
@@ -303,7 +302,7 @@ def per_pair_iterated_ktheory(data: AbstractKData, assume_split=False, bound=Non
     if finals[0].k0.status != final.k0.status or finals[0].k1.status != final.k1.status:
         notes.append("order comparison narrowed the candidate list")
     notes.append("both bimodule orders computed and reconciled")
-    return IteratedResult(coefficient_ktheory(data), stage1, other, final, tuple(notes))
+    return IteratedResult(stage1, other, final, tuple(notes))
 
 
 def pair_determined(pair: KPair) -> bool:

@@ -14,6 +14,7 @@ import pytest
 
 import cpk
 from cpk import abelian, cli
+from cpk.fock import DEFAULT_TOL
 from cpk.fixtures import (
     abstract_document,
     fixture_document,
@@ -66,6 +67,16 @@ def run_subprocess(argv, *python_flags, timeout=60):
         [sys.executable, *python_flags, *argv],
         capture_output=True, text=True, timeout=timeout, env=subprocess_env(), check=False,
     )
+
+
+def assumption_values(value) -> set:
+    """Every "assumption" value anywhere inside a report block."""
+    if isinstance(value, dict):
+        found = {value["assumption"]} if "assumption" in value else set()
+        return found.union(*map(assumption_values, value.values()))
+    if isinstance(value, list):
+        return set().union(*map(assumption_values, value))
+    return set()
 
 
 def final_groups(report):
@@ -269,6 +280,32 @@ class TestKtheory:
         assert rep["results"]["final"]["K1"]["group"] == "Z/2 + Z/2"
         assert rep["results"]["final"]["K1"]["assumption"] == "split-extension"
 
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("route", ["both", "iterated"])
+    def test_watermark_is_the_flag_and_every_assumption(self, fixdir, tmp_path, capsys,
+                                                         route, split):
+        # without --assume-split its K0 and K1 are AmbiguousExtension
+        ambiguous = {
+            "kind": "abstract_kdata",
+            "K0": {"rank": 1, "torsion": []},
+            "K1": {"rank": 1, "torsion": []},
+            "action1": {"K0": [[3]], "K1": [[1]]},
+            "action2": {"K0": [[3]], "K1": [[1]]},
+        }
+        paths = [
+            str(fixdir / f"{fid}.json") for fid in fixture_ids()
+            if fixture_document(fid)["kind"] in ("graph", "two_graph", "permutation",
+                                                 "abstract_kdata")
+        ]
+        paths.append(write_doc(tmp_path, ambiguous))
+        flags = ["--route", route] + (["--assume-split"] if split else [])
+        for path in paths:
+            rc, rep = run(capsys, ["ktheory", path, *flags], expect=0)
+            assert rep["assumptions"] == (["split-extension"] if split else []), path
+            assert rep["assumptions"] == sorted(assumption_values(rep["results"])), path
+        if not split:
+            assert rep["results"]["final"]["K0"]["status"] == "AmbiguousExtension"
+
     def test_refuted_split_assumption_exit_1(self, tmp_path, capsys):
         # without --assume-split both bimodule orders give K0 = K1 = Z^2; a
         # split guess that is wrong in one order makes their answers disjoint
@@ -466,6 +503,20 @@ class TestFockCheck:
             capsys, ["fock-check", str(fixdir / "ex3.5-unitary-chi.json")], expect=0
         )
         assert all(c["passed"] for c in rep["results"]["checks"])
+
+    @pytest.mark.parametrize("options, tolerance", [
+        ([], DEFAULT_TOL), (["--tol", "0"], 0.0), (["--tol", "0.25"], 0.25),
+    ])
+    def test_tolerance_reaches_the_report_and_every_check(self, fixdir, capsys,
+                                                          options, tolerance):
+        argv = ["fock-check", str(fixdir / "ex3.5-unitary-chi.json"), *options]
+        rc = cli.main(argv)
+        rep = json.loads(capsys.readouterr().out)
+        checks = rep["results"]["checks"]
+        assert rep["results"]["tolerance"] == tolerance
+        assert [c["tolerance"] for c in checks] == [tolerance] * len(checks)
+        assert [c["passed"] for c in checks] == [c["defect"] <= tolerance for c in checks]
+        assert rc == (0 if all(c["passed"] for c in checks) else 1)
 
     def test_rounding_noise_below_absurd_tolerance_exit_1(self, tmp_path, capsys):
         import math

@@ -236,7 +236,7 @@ class TestAmbiguity:
 
     def test_diagram_selects_a_candidate(self):
         rep = diagram_of(disjoint_flip_pair())
-        assert rep.consistent
+        assert not rep.problems
         assert names(rep.final.k1.group) == "Z/2 + Z/2"
 
     def test_assume_split_watermark(self):
@@ -367,7 +367,7 @@ class TestDiagram:
         rep = diagram_of(single_vertex_two_graph(2, 2))
         assert names(rep.ij_k0.group) == "Z"
         assert rep.ij_k1.group.is_trivial
-        assert rep.consistent and not rep.problems
+        assert not rep.problems
 
     def test_flip_3_3_ideal_sum(self):
         rep = diagram_of(single_vertex_two_graph(3, 3))
@@ -421,7 +421,7 @@ class TestProperties:
             # permutation layers keep every stage free, so no ambiguity
             assert pair_determined(res.final)
             rep = diagram_report(layers, res.final)
-            assert rep.consistent, rep.problems
+            assert not rep.problems, rep.problems
             assert names(rep.final.k0.group) == names(res.final.k0.group)
             assert names(rep.final.k1.group) == names(res.final.k1.group)
 
