@@ -97,14 +97,13 @@ def main(argv=None) -> int:
     os.environ.pop("CPK_EXT_BOUND", None)
     os.chdir(out)
     written = set()
-    count = 0
-    for count, (name, doc, command, options) in enumerate(entries(workloads), 1):
+    for n, (name, doc, command, options) in enumerate(entries(workloads)):
         path = f"docs/{name}.json"
         if name not in written:
             Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
             written.add(name)
-        Path(f"{count - 1:04d}.txt").write_text(run([command, path, *options]))
-    print(f"{count} reports, {len(written)} documents in {out}")
+        Path(f"{n:04d}.txt").write_text(run([command, path, *options]))
+    print(f"{n + 1} reports, {len(written)} documents in {out}")
     return 0
 
 

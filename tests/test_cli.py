@@ -14,7 +14,6 @@ import pytest
 
 import cpk
 from cpk import abelian, cli
-from cpk.fock import DEFAULT_TOL
 from cpk.fixtures import (
     abstract_document,
     fixture_document,
@@ -24,6 +23,7 @@ from cpk.fixtures import (
     unitary_document,
     write_fixtures,
 )
+from cpk.fock import DEFAULT_TOL
 
 from support import two_graph_from_matrices
 from test_ktheory import disjoint_flip_pair
