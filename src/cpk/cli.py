@@ -43,7 +43,6 @@ from .fixtures import (
     graph_document,
     write_fixtures,
 )
-from .fock import DEFAULT_TOL, build_fock, fock_suite
 from .ktheory import (
     GraphLayers,
     KPair,
@@ -55,6 +54,7 @@ from .ktheory import (
     pimsner_class_maps,
 )
 from .model import (
+    DEFAULT_TOL,
     AbstractKData,
     FiniteGraph,
     TwoGraphSpec,
@@ -395,6 +395,7 @@ def cmd_ktheory(args, report: dict) -> int:
         raise SchemaError(f"ktheory does not accept documents of kind {kind!r}")
     split = args.assume_split
     results = {"kind": kind}
+    coefficient = coefficient_ktheory(model)
 
     if kind == "graph":
         cuts = [hom_cut(one_minus(f)) for f in pimsner_class_maps(model)]
@@ -419,7 +420,7 @@ def cmd_ktheory(args, report: dict) -> int:
             ideal_sum = KPair.of_groups(data.cok_theta.group, data.ker_theta.group)
             results["ideal_sum"] = ideal_sum.describe()
         else:
-            diag = diagram_report(data, final)
+            diag = diagram_report(data, final, coefficient)
             results["ideal_sum"] = {"K0": diag.ij_k0.describe(), "K1": diag.ij_k1.describe()}
             results["diagram"] = {
                 "final": diag.final.describe(),
@@ -431,7 +432,7 @@ def cmd_ktheory(args, report: dict) -> int:
             }
             if diag.problems:
                 report["status"] = "route-inconsistency"
-    results["coefficient"] = results["toeplitz_corner"] = coefficient_ktheory(model).describe()
+    results["coefficient"] = results["toeplitz_corner"] = coefficient.describe()
     results["final"] = final.describe()
     report["results"] = results
     # every outcome solved under --assume-split carries the assumption, and
@@ -441,6 +442,9 @@ def cmd_ktheory(args, report: dict) -> int:
 
 
 def cmd_fock_check(args, report: dict) -> int:
+    # imported here: scipy, which cpk.fock loads, is needed by no other command
+    from .fock import build_fock, fock_suite
+
     tol = DEFAULT_TOL if args.tol is None else args.tol
     if not 0 <= tol < math.inf:
         raise UsageError(f"--tol must be a finite non-negative number, got {tol}")

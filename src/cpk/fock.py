@@ -17,25 +17,28 @@ of its rightmost factor. Where a block is empty (N <= 2 for reordering,
 N <= 1 for chi commutation and the adjoint, N = 0 for all) the relation
 is reported as defect 0.0, a vacuous pass.
 
-Each check batches its products over generators instead of forming one
-small sparse matrix per relation. With L creators stacked vertically, L @ X
-holds T_a X for every stacked generator a as a D-row block, so one scipy
-call gives a whole family of products: T_e T_f for every layer-1 e, and
-T_f T_e for every layer-2 f (chi commutation), T_b T_c for every b
-(reordering). Reordering then multiplies k copies of L along the diagonal
-by that stack, which gives T_a T_b T_c for every a and b: two calls per
-last letter c. The Toeplitz inner products take the conjugate transpose of
-the layer's creators side by side, covariance one product per layer, and
-the adjoint compares each creator's leading block with a row range of the
-annihilators side by side, conjugate transposed. A residual is a signed
-sum of row ranges of such stacks, read straight from their CSR arrays.
-_worst, the one path from residuals to a bound, stacks them, summing
-duplicate positions, and bounds every block in one _block_bounds pass.
-Memory: residuals go in chunks of at most as many entries as all the
-creators hold (a larger residual is a chunk of its own). Reordering holds
-L, the layer-2 triple stacks, the layer-1 stack of the last letter it
-walks (until its chunk is bounded, the one before too) and the chunk; no
-chunk drops or remakes a stack.
+Each check makes a small, fixed number of scipy objects, whatever the
+number of generators and relations. Every matrix it hands to scipy is built
+straight from CSR arrays: the creators' leading rows and columns stacked
+vertically (_stack), the conjugate transposes of a stack's blocks
+(_adjoints) and copies of a stack along the diagonal (_diagonal_copies).
+With L a stack of k creators, k copies of L along the diagonal times a
+stack of k blocks X_c hold L @ X_c for every c, one scipy product for a
+whole family: every Toeplitz inner product T_e* T_f of a layer, every chi
+commutation product T_e T_f (and T_f T_e), and every T_b T_c of reordering,
+whose triples T_a T_b T_c then take one more product per last letter c.
+Covariance is one product (_gram), the adjoint check none.
+
+A residual is a signed sum of row ranges of such stacks, read straight from
+their CSR arrays. _worst, the one path from residuals to a bound, gathers
+them in chunks, sums each chunk in one pass over one copy of its terms'
+entries (_stack_residuals), with the rounding and entry order that chained
+scipy additions give, so that every bound is bit for bit theirs, and
+bounds every block in one _block_bounds pass. Memory: a chunk gathers at most as
+many entries as all the creators hold (a larger residual is a chunk of its
+own). Reordering holds the copies of L, the layer-2 triple stacks, one
+layer-1 triple stack at a time, the rows of L @ T_c not yet used and the
+chunk; no chunk drops or remakes a stack.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ import scipy.sparse as sp
 from .abelian import PreconditionError
 from .exactseq import ResourceLimitError
 from .model import (
+    DEFAULT_TOL,
     FiniteGraph,
     TwoGraphSpec,
     UnitaryChi,
@@ -58,7 +62,6 @@ from .model import (
     vertex_matrix,
 )
 
-DEFAULT_TOL = 1e-10
 BASIS_CAP = 200_000
 
 
@@ -154,13 +157,11 @@ class FockRep:
         self._enumerate_words(by_rng)
         self.totals = self.bidegrees.sum(axis=1)
         self.creators, self._pulled = self._cross_basis()
-        self.projections = {
-            v: sp.diags(
-                [1.0 if u == v else 0.0 for u in self.vertex],
-                format="csr", dtype=complex,
-            )
-            for v in self.vertices
-        }
+        # P_v is 1 on the words at vertex v: one diagonal entry per word
+        at = {v: i for i, v in enumerate(self.vertices)}
+        words = np.arange(self.dimension)
+        self.projections = _split(self.vertices, np.array([at[v] for v in self.vertex]),
+                                  words, words, np.ones(len(words), dtype=complex), len(words))
 
     # -- basis ------------------------------------------------------------
 
@@ -364,19 +365,32 @@ class FockRep:
         return len(self.first)
 
 
-def _matrix(rows, cols, vals, size: int) -> sp.csr_matrix:
-    """The size x size matrix with vals[i] at (rows[i], cols[i]); repeated
-    positions sum."""
-    return sp.coo_matrix((vals, (rows, cols)), shape=(size, size), dtype=complex).tocsr()
+def _index_type(*sizes):
+    """The index type scipy itself chooses for a matrix of these sizes."""
+    return np.int32 if max(sizes) < 2**31 else np.int64
+
+
+def _csr(data, indices, indptr, shape) -> sp.csr_matrix:
+    """A CSR matrix straight from its arrays, its indices in the type scipy
+    itself would choose, so that scipy copies nothing."""
+    index = _index_type(*shape, len(data))
+    return sp.csr_matrix((data, indices.astype(index, copy=False),
+                          indptr.astype(index, copy=False)), shape=shape)
 
 
 def _split(letters, owner, rows, cols, vals, size: int) -> dict:
-    """One size x size matrix per letter, in order: letter i holds the
-    entries (rows, cols, vals) whose owner is i."""
-    order = np.argsort(owner, kind="stable")
-    bounds = np.searchsorted(owner[order], np.arange(len(letters) + 1))
-    return {x: _matrix(rows[order[a:b]], cols[order[a:b]], vals[order[a:b]], size)
-            for x, a, b in zip(letters, bounds, bounds[1:])}
+    """One size x size CSR matrix per letter, in order: letter i holds the
+    entries (rows, cols, vals) whose owner is i, each row's by column. No
+    position repeats within a letter. scipy converts the letters' matrices,
+    stacked vertically, from coordinates in one pass, and each letter's is
+    a row range of that stack."""
+    stacked = sp.coo_matrix((vals, (owner.astype(np.int64) * size + rows, cols)),
+                            shape=(len(letters) * size, size)).tocsr()
+    ptr = stacked.indptr
+    return {x: _csr(stacked.data[ptr[i * size]:ptr[(i + 1) * size]],
+                    stacked.indices[ptr[i * size]:ptr[(i + 1) * size]],
+                    ptr[i * size:(i + 1) * size + 1] - ptr[i * size], (size, size))
+            for i, x in enumerate(letters)}
 
 
 class _FlatCrossing(NamedTuple):
@@ -507,22 +521,108 @@ def _report(name, defect, tol) -> DefectReport:
     return DefectReport(name, defect, tol, defect <= tol)
 
 
+def _rows(m: sp.csr_matrix) -> np.ndarray:
+    """The row of every stored entry of a CSR matrix."""
+    return np.repeat(np.arange(m.shape[0], dtype=m.indptr.dtype), m.indptr[1:] - m.indptr[:-1])
+
+
+def _regroup(data, rows, cols, shape) -> sp.csr_matrix:
+    """The CSR matrix with data[i] at (rows[i], cols[i]), each row listing
+    its entries in their given order: one stable sort by row."""
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    if (rows[1:] < rows[:-1]).any():
+        # each entry's position packed in below its row makes every key
+        # unique, so a plain in-place sort is stable
+        shift = len(rows).bit_length()
+        order = rows.astype(np.int64) << shift
+        order |= np.arange(len(rows))
+        order.sort()
+        order &= (1 << shift) - 1
+        data, cols = data[order], cols[order]
+    return _csr(data, cols, indptr, shape)
+
+
+def _leading(data, indices, indptr, cols: int):
+    """The arrays of a CSR matrix cut to its leading `cols` columns."""
+    keep = indices < cols
+    if keep.all():
+        return data, indices, indptr
+    return data[keep], indices[keep], np.concatenate(([0], np.cumsum(keep)))[indptr]
+
+
+def _stack(mats, rows: int, cols: int = None) -> sp.csr_matrix:
+    """The leading `rows` rows, and `cols` columns (all when None), of CSR
+    matrices of one width, stacked vertically, from their arrays."""
+    ends = [m.indptr[rows] for m in mats]
+    shifts = np.cumsum([0] + ends[:-1])
+    arrays = (np.concatenate([m.data[:end] for m, end in zip(mats, ends)]),
+              np.concatenate([m.indices[:end] for m, end in zip(mats, ends)]),
+              np.concatenate([[0]] + [m.indptr[1:rows + 1] + shift
+                                      for m, shift in zip(mats, shifts)]))
+    if cols is None:
+        cols = mats[0].shape[1]
+    return _csr(*_leading(*arrays, cols), (rows * len(mats), cols))
+
+
+def _columns(m: sp.csr_matrix, cols: int) -> sp.csr_matrix:
+    """The leading `cols` columns of a CSR matrix, from its arrays."""
+    return _csr(*_leading(m.data, m.indices, m.indptr, cols), (m.shape[0], cols))
+
+
+def _blocks(stack: sp.csr_matrix, blocks: int):
+    """For every stored entry of a CSR stack of `blocks` equal blocks, its
+    row within its block and the column it takes when the blocks stand side
+    by side."""
+    height, width = stack.shape[0] // blocks, stack.shape[1]
+    row = _rows(stack)
+    column = row // height
+    row -= column * height
+    column *= width
+    column += stack.indices
+    return row, column
+
+
+def _adjoints(stack: sp.csr_matrix, blocks: int) -> sp.csr_matrix:
+    """The conjugate transposes of the blocks of a CSR stack of `blocks`
+    equal blocks, stacked vertically, from its arrays. Each row lists its
+    entries by column, as scipy's own transposition leaves them."""
+    row, column = _blocks(stack, blocks)
+    return _regroup(np.conj(stack.data), column, row,
+                    (blocks * stack.shape[1], stack.shape[0] // blocks))
+
+
+def _gram(stack: sp.csr_matrix, blocks: int) -> sp.csr_matrix:
+    """B_1 B_1* + ... + B_k B_k* over the k = `blocks` equal blocks of a CSR
+    stack: the blocks side by side times their conjugate transposes stacked
+    vertically (as _adjoints makes them), one scipy product of two
+    matrices built from the stack's arrays."""
+    height, width = stack.shape[0] // blocks, blocks * stack.shape[1]
+    row, column = _blocks(stack, blocks)
+    adjoints = _regroup(np.conj(stack.data), column, row, (width, height))
+    beside = _regroup(stack.data, row, column, (height, width))
+    del row, column
+    return beside @ adjoints
+
+
 def _left_stack(rep: FockRep, gens):
     """The creators of gens stacked vertically, and the first row of each
     generator's block: the D rows of stack @ X from at[a] on are T_a X."""
     at = {x: i * rep.dimension for i, x in enumerate(gens)}
-    return sp.vstack([rep.creators[x] for x in gens], format="csr"), at
+    return _stack([rep.creators[x] for x in gens], rep.dimension), at
 
 
 def _diagonal_copies(m: sp.csr_matrix, copies: int) -> sp.csr_matrix:
-    """copies of a CSR matrix along the diagonal, built from its arrays."""
+    """copies of a CSR matrix along the diagonal, built from its arrays:
+    row block i of copies @ X is m times row block i of X."""
+    if copies == 1:
+        return m
     rows, cols = m.shape
-    shift = np.arange(copies)[:, None]
+    shift = np.arange(copies, dtype=_index_type(rows * copies, cols * copies, m.nnz * copies))
+    shift = shift[:, None]
     indptr = np.append(0, (m.indptr[1:] + m.indptr[-1] * shift).ravel())
-    return sp.csr_matrix(
-        (np.tile(m.data, copies), (m.indices + cols * shift).ravel(), indptr),
-        shape=(rows * copies, cols * copies),
-    )
+    return _csr(np.tile(m.data, copies), (m.indices + cols * shift).ravel(), indptr,
+                (rows * copies, cols * copies))
 
 
 def _budget(rep: FockRep) -> int:
@@ -533,33 +633,126 @@ def _budget(rep: FockRep) -> int:
 
 def _stack_residuals(chunk, rows: int, cols: int) -> sp.csr_matrix:
     """The residuals of a chunk stacked vertically in CSR, rows x cols
-    each, duplicate positions summed. Layer j holds the j-th term of every
-    residual, copied straight from its stack's arrays (empty rows where a
-    residual has fewer terms), and scipy adds the layers."""
-    total = None
-    for j in range(max(map(len, chunk))):
-        spans = [terms[j][0].indptr[terms[j][1]:terms[j][1] + rows + 1] if j < len(terms)
-                 else None for terms in chunk]
-        size = sum(int(ptr[-1] - ptr[0]) for ptr in spans if ptr is not None)
-        # the index type scipy itself would choose, so that it copies nothing
-        index = np.int32 if max(size, len(chunk) * rows, cols) < 2**31 else np.int64
-        data = np.empty(size, dtype=complex)
-        indices = np.empty(size, dtype=index)
-        indptr = np.zeros(len(chunk) * rows + 1, dtype=index)
-        filled = 0
-        for i, (terms, ptr) in enumerate(zip(chunk, spans)):
-            if ptr is not None:
-                stack, _, coeff = terms[j]
-                lo, hi = ptr[0], ptr[-1]
-                np.multiply(stack.data[lo:hi], coeff, out=data[filled:filled + hi - lo])
-                indices[filled:filled + hi - lo] = stack.indices[lo:hi]
-                indptr[i * rows + 1:(i + 1) * rows + 1] = ptr[1:] + (filled - lo)
-                filled += hi - lo
+    each, summed in one pass over one copy of their terms' entries.
+
+    Layer j holds the j-th term of every residual. The sum is bit for bit
+    the one that chaining scipy's + over the layers gives, and so is every
+    bound: each position adds its terms in layer order, (t0 + t1) + t2 and
+    so on, and each row lists its entries in the order scipy leaves. An
+    addition merges by column when both sides list every row by increasing
+    column; otherwise it lists a row's entries, then the positions the
+    added layer brings in its own order, and reverses the row. Either way
+    it drops the sums that are exactly zero. Precondition: a term's rows
+    store each position at most once."""
+    depth = max(map(len, chunk))
+    spans = [(terms[j], i, j) for j in range(depth) for i, terms in enumerate(chunk)
+             if j < len(terms)]
+    ptrs = [stack.indptr[first:first + rows + 1] for (stack, first, _), _, _ in spans]
+    sizes = [int(ptr[-1] - ptr[0]) for ptr in ptrs]
+    data = np.empty(sum(sizes), dtype=complex)
+    indices = np.empty(sum(sizes), dtype=_index_type(cols))
+    at = 0
+    for ((stack, _, coeff), _, _), ptr, size in zip(spans, ptrs, sizes):
+        np.multiply(stack.data[ptr[0]:ptr[-1]], coeff, out=data[at:at + size])
+        indices[at:at + size] = stack.indices[ptr[0]:ptr[-1]]
+        at += size
+    # lengths[t, r]: the entries of row r of term t
+    lengths = np.diff(np.concatenate(ptrs).reshape(len(ptrs), rows + 1))
+    shape = (len(chunk) * rows, cols)
+    if len(spans) == depth * len(chunk):
+        total = _aligned_sum(data, indices, lengths, depth, shape)
+        if total is not None:
+            return total
+    # the stacked row and column of every entry, as one key
+    key = np.repeat((np.array([i for _, i, _ in spans]) * rows)[:, None] + np.arange(rows),
+                    lengths.ravel())
+    key *= cols
+    key += indices
+    ends = np.cumsum(np.bincount([j for _, _, j in spans], weights=sizes)).astype(int)
+    return _sorted_sum(data, key, ends, shape)
+
+
+def _aligned_sum(data, indices, lengths, depth: int, shape):
+    """_stack_residuals when every residual has `depth` terms and each term
+    lists the same columns, row by row, as its residual's first, as the
+    honest residuals of a permutation chi do: the sum is elementwise, and
+    the rows keep the first term's order, reversed by each addition unless
+    that order is by increasing column. None when the terms differ, or
+    when a sum is exactly zero before the last layer (a position that
+    leaves the sum may come back in a new place)."""
+    residuals = len(lengths) // depth
+    each = int(lengths[:residuals].sum())
+    if not ((lengths.reshape(depth, -1) == lengths[:residuals].ravel()).all()
+            and (indices.reshape(depth, -1) == indices[:each]).all()):
+        return None
+    values = data.reshape(depth, -1)
+    sums = values[0]
+    for j in range(1, depth):
+        sums = sums + values[j] if j == 1 else np.add(sums, values[j], out=sums)
+        if j < depth - 1 and not sums.all():
+            return None
+    kept = np.flatnonzero(sums) if depth > 1 else np.arange(each)
+    # term t of the first layer is residual t's, so its row r is stacked
+    # row t * rows + r: the entry's place among the rows' ends
+    row = np.searchsorted(np.cumsum(lengths[:residuals]), kept, side="right")
+    flip = depth % 2 == 0 and not _by_column(indices[:each], lengths[:residuals])
+    flip = slice(None, None, -1 if flip else 1)
+    return _regroup(sums[kept][flip], row[flip], indices[kept][flip], shape)
+
+
+def _by_column(indices, lengths) -> bool:
+    """Whether every row lists its columns in increasing order, given the
+    rows' lengths in order."""
+    if lengths.max(initial=0) < 2:
+        return True
+    ends = np.cumsum(lengths)
+    increasing = np.diff(indices) > 0
+    increasing[ends[(ends > 0) & (ends < len(indices))] - 1] = True
+    return bool(increasing.all())
+
+
+def _sorted_sum(data, key, ends, shape) -> sp.csr_matrix:
+    """_stack_residuals in general, for two layers or more (a chunk of one
+    layer is aligned): each entry's stacked row and column as one key,
+    layer j being entries ends[j - 1] to ends[j]. The positions are the
+    distinct keys in order; the layers are added in turn, as scipy adds
+    them, with a slot per position whose order is its row's order."""
+    order = np.argsort(key, kind="stable")
+    new = np.diff(key[order], prepend=-1) != 0
+    position = np.empty(len(key), dtype=np.intp)
+    position[order] = np.cumsum(new) - 1
+    keys = key[order][new]
+    del order, new
+    row = keys // shape[1]
+    sums = np.zeros(len(keys), dtype=complex)
+    alive = np.zeros(len(keys), dtype=bool)
+    slot = np.zeros(len(keys), dtype=np.int64)
+    start = 0
+    for j, end in enumerate(ends):
+        at = position[start:end]
+        merged = False
+        if j:
+            held = np.flatnonzero(alive)
+            same = row[held[1:]] == row[held[:-1]]
+            # both sides list every row by increasing column
+            merged = ((slot[held[1:]] > slot[held[:-1]])[same].all()
+                      and (np.diff(key[start:end]) > 0).all())
+        if not merged:
+            # new positions go after the others of their rows
+            born = np.flatnonzero(~alive[at])
+            slot[at[born]] = j * len(key) + born
+        sums[at] += data[start:end]
+        alive[at] = True
+        if j:
+            alive &= sums != 0
+            if merged:
+                slot = np.arange(len(keys))
             else:
-                indptr[i * rows + 1:(i + 1) * rows + 1] = filled
-        layer = sp.csr_matrix((data, indices, indptr), shape=(len(chunk) * rows, cols))
-        total = layer if total is None else total + layer
-    return total
+                np.negative(slot, out=slot)
+        start = end
+    kept = np.flatnonzero(alive)
+    kept = kept[np.argsort(slot[kept])]
+    return _regroup(sums[kept], row[kept], keys[kept] % shape[1], shape)
 
 
 def _worst(residuals, rows: int, cols: int, budget: int) -> float:
@@ -594,29 +787,33 @@ def _worst(residuals, rows: int, cols: int, budget: int) -> float:
 def check_toeplitz(rep: FockRep, tol: float = DEFAULT_TOL):
     """T_e* T_f = delta P_rng(e) within each layer, and P_src(e) T_e = T_e,
     on the sub-block of degrees <= N-1. Per layer, the creators' leading
-    columns stacked vertically give every source residual in one product,
-    and side by side, conjugate transposed, times one creator's leading
-    columns, every inner product T_e* T_f with that f."""
+    columns stacked vertically give every source residual as a row range,
+    and k copies of their conjugate transposes along the diagonal, times
+    that stack, every inner product T_e* T_f in one product."""
     n = rep.leading(rep.degree - 1)
     dim, budget = rep.dimension, _budget(rep)
     reports = []
     for layer, edges in ((1, rep.edges1), (2, rep.edges2)):
         if not edges:
             continue
-        blocks = [rep.creators[e.id][:, :n] for e in edges]
-        adjoint = sp.hstack(blocks, format="csr").getH().tocsr()
-        grams = [adjoint @ block for block in blocks]
+        k = len(edges)
+        blocks = _stack([rep.creators[e.id] for e in edges], dim, n)
+        # row block j * k + i of grams is T_i* T_j
+        grams = _diagonal_copies(_adjoints(blocks, k), k) @ blocks
         inner = _worst(
-            ([(grams[j], i * n, 1.0)]
+            ([(grams, (j * k + i) * n, 1.0)]
              + ([(rep.projections[e.rng], 0, -1.0)] if i == j else [])
-             for j in range(len(edges)) for i, e in enumerate(edges)),
+             for j in range(k) for i, e in enumerate(edges)),
             n, n, budget,
         )
         # P_src(e) is a 0/1 diagonal, so P_src(e) T_e - T_e is exactly
         # -(1 - P_src(e)) T_e: the rows of T_e at words of another source
-        outside = np.concatenate([1.0 - rep.projections[e.src].diagonal() for e in edges])
-        stray = sp.diags(outside) @ sp.vstack(blocks, format="csr")
-        compat = _worst(([(stray, i * dim, -1.0)] for i in range(len(edges))), dim, n, budget)
+        outside = np.concatenate([rep.projections[e.src].diagonal() != 1 for e in edges])
+        lengths = np.diff(blocks.indptr) * outside
+        _, at = _ranges(blocks.indptr[:-1], lengths)
+        stray = _csr(blocks.data[at], blocks.indices[at],
+                     np.concatenate(([0], np.cumsum(lengths))), blocks.shape)
+        compat = _worst(([(stray, i * dim, -1.0)] for i in range(k)), dim, n, budget)
         reports.append(_report(f"inner product, layer {layer}", inner, tol))
         reports.append(_report(f"source compatibility, layer {layer}", compat, tol))
     return reports
@@ -626,40 +823,43 @@ def check_covariance_defect(rep: FockRep, layer: int = 1,
                             tol: float = DEFAULT_TOL) -> DefectReport:
     """Sum of T_e T_e* over the layer equals 1 minus the projection onto
     words with no letter from that layer, on degrees <= N-1. The creators'
-    leading rows side by side, times their conjugate transpose, give the
-    sum in one product."""
+    leading rows side by side, times their conjugate transposes stacked
+    vertically, give the sum in one product."""
     edges = rep.edges1 if layer == 1 else rep.edges2
     if not edges:
         raise PreconditionError(f"layer {layer} has no edges")
     n = rep.leading(rep.degree - 1)
-    rows = sp.hstack([rep.creators[e.id] for e in edges], format="csr")[:n]
-    total = rows @ rows.getH()
-    vacuum = (rep.bidegrees[:n, layer - 1] == 0).astype(float)
-    expected = sp.diags(1.0 - vacuum, format="csr", dtype=complex)
+    total = _gram(_stack([rep.creators[e.id] for e in edges], n), len(edges))
+    # 1 minus the relative vacuum: 1 on the words with a letter of the layer
+    lettered = rep.bidegrees[:n, layer - 1] > 0
+    expected = _csr(np.ones(np.count_nonzero(lettered), dtype=complex), np.flatnonzero(lettered),
+                    np.concatenate(([0], np.cumsum(lettered))), (n, n))
     defect = _worst([[(total, 0, 1.0), (expected, 0, -1.0)]], n, n, _budget(rep))
     return _report(f"covariance, layer {layer}", defect, tol)
 
 
 def check_chi_commutation(rep: FockRep, tol: float = DEFAULT_TOL) -> DefectReport:
     """T_e T_f = sum of chi coefficients times T_f' T_e' on degrees <= N-2;
-    non-composable products must vanish. One layer's creators stacked
-    vertically, times one creator of the other layer (its leading columns),
-    give every product of the two layers ending in it, one scipy call per
-    generator."""
+    non-composable products must vanish. Copies of one layer's creators
+    stacked vertically, along the diagonal, times the other layer's leading
+    columns stacked vertically, give every product of the two layers in
+    that order: one scipy product per direction."""
     if not rep.edges2:
         raise PreconditionError("single-layer representation has no chi")
-    n = rep.leading(rep.degree - 2)
-    left1, at1 = _left_stack(rep, [e.id for e in rep.edges1])
-    left2, at2 = _left_stack(rep, [f.id for f in rep.edges2])
-    ef = {f.id: left1 @ rep.creators[f.id][:, :n] for f in rep.edges2}
-    fe = {e.id: left2 @ rep.creators[e.id][:, :n] for e in rep.edges1}
+    n, dim = rep.leading(rep.degree - 2), rep.dimension
+    ones, twos = [e.id for e in rep.edges1], [f.id for f in rep.edges2]
+    left1, at1 = _left_stack(rep, ones)
+    left2, at2 = _left_stack(rep, twos)
+    # row block (f, e) of ef is T_e T_f, and row block (e, f) of fe is T_f T_e
+    ef = _diagonal_copies(left1, len(twos)) @ _columns(left2, n)
+    fe = _diagonal_copies(left2, len(ones)) @ _columns(left1, n)
     residuals = (
-        [(ef[f.id], at1[e.id], 1.0)]
-        + [(fe[e2], at2[f2], -c) for f2, e2, c in rep.crossing_fwd.get((e.id, f.id), ())]
-        for e in rep.edges1 for f in rep.edges2
+        [(ef, at2[f] * len(ones) + at1[e], 1.0)]
+        + [(fe, at1[e2] * len(twos) + at2[f2], -c)
+           for f2, e2, c in rep.crossing_fwd.get((e, f), ())]
+        for e in ones for f in twos
     )
-    return _report("chi commutation",
-                   _worst(residuals, rep.dimension, n, _budget(rep)), tol)
+    return _report("chi commutation", _worst(residuals, dim, n, _budget(rep)), tol)
 
 
 def check_left_action_adjoint(rep: FockRep, tol: float = DEFAULT_TOL) -> DefectReport:
@@ -668,13 +868,12 @@ def check_left_action_adjoint(rep: FockRep, tol: float = DEFAULT_TOL) -> DefectR
     while the creator used the inverse, so agreement certifies unitarity of
     the crossing, not just consistent bookkeeping. The bound is the same for
     a matrix and its conjugate transpose, so each residual is taken as the
-    creator's leading block minus a row range of the annihilators side by
-    side, conjugate transposed in one call."""
-    n = rep.leading(rep.degree - 2)
-    adjoints = rep.annihilator(n)
-    conj = sp.hstack(list(adjoints.values()), format="csr").getH().tocsr()
-    residuals = ([(rep.creators[x][:n, :n], 0, 1.0), (conj, i * n, -1.0)]
-                 for i, x in enumerate(adjoints))
+    creator's leading block minus the annihilator's conjugate transpose:
+    row block i of two stacks built from arrays."""
+    n, letters = rep.leading(rep.degree - 2), list(rep.layer_of)
+    conj = _adjoints(_stack(list(rep.annihilator(n).values()), n), len(letters))
+    leading = _stack([rep.creators[x] for x in letters], n, n)
+    residuals = ([(leading, i * n, 1.0), (conj, i * n, -1.0)] for i in range(len(letters)))
     return _report("left action adjoint", _worst(residuals, n, n, _budget(rep)), tol)
 
 
@@ -684,37 +883,48 @@ def check_reordering(rep: FockRep, tol: float = DEFAULT_TOL) -> DefectReport:
     combination, on degrees <= N-3. A word already in normal order is its
     own normal form, so its residual is identically zero and is skipped.
 
-    L @ T_c (its leading columns) holds T_b T_c for every b, and k copies of
-    L along the diagonal, made once per check, times that hold T_a T_b T_c
-    for every a and b. Each residual is a signed sum of row ranges of these
-    triple stacks. A word out of normal order has a layer-2 letter, so its
-    normal form ends in one: the layer-2 stacks are made once for the
-    check. With c outermost, each layer-1 stack is made once, for its own
-    run of residuals, so the check takes two scipy products per letter, 2k
-    in all."""
+    With L the creators stacked vertically, k copies of L along the
+    diagonal, made once per check, times the leading columns of L hold
+    L @ T_c, that is T_b T_c for every b and c, in one product; the same
+    copies times the rows of one c hold T_a T_b T_c for every a and b. Each
+    residual is a signed sum of row ranges of these triple stacks. A word
+    out of normal order has a layer-2 letter, so its normal form ends in
+    one: the layer-2 stacks are made once for the check. With c outermost,
+    each layer-1 stack is made once, for its own run of residuals, so the
+    check takes one scipy product per letter and one more, k + 1 in all.
+    The rows of each c are copied out of the first product and dropped
+    once their stack is made, so at most one layer-1 stack is held."""
     if not rep.edges2:
         raise PreconditionError("single-layer representation has no chi")
     n = rep.leading(rep.degree - 3)
     gens = list(rep.layer_of)
+    k, span = len(gens), len(gens) * rep.dimension
     left, at = _left_stack(rep, gens)
     # row block (b, a) of outer @ (L @ X) is T_a T_b X
-    outer = _diagonal_copies(left, len(gens))
-
-    def triple(c):
-        return outer @ (left @ rep.creators[c][:, :n])
-
-    layer2 = {f.id: triple(f.id) for f in rep.edges2}
+    outer = _diagonal_copies(left, k)
+    leading = _columns(left, n)
+    del left  # outer holds its copies
+    # rows [at[c] * k, at[c] * k + span) of inner are L @ T_c
+    inner = outer @ leading
+    del leading
+    pending = {}
+    for c in gens:
+        ptr = inner.indptr[at[c] * k:at[c] * k + span + 1]
+        pending[c] = _csr(inner.data[ptr[0]:ptr[-1]].copy(),
+                          inner.indices[ptr[0]:ptr[-1]].copy(), ptr - ptr[0], (span, n))
+    del inner
+    layer2 = {f.id: outer @ pending.pop(f.id) for f in rep.edges2}
 
     def residuals():
         for c in gens:
-            last = layer2[c] if c in layer2 else triple(c)
+            last = layer2[c] if c in layer2 else outer @ pending.pop(c)
             for b, a in itertools.product(gens, repeat=2):
                 layers = [rep.layer_of[g] for g in (a, b, c)]
                 if layers == sorted(layers):
                     continue
-                terms = [(last, at[b] * len(gens) + at[a], 1.0)]
+                terms = [(last, at[b] * k + at[a], 1.0)]
                 for (h1, h2, h3), coeff in rep.normal_order((a, b, c)).items():
-                    terms.append((layer2[h3], at[h2] * len(gens) + at[h1], -coeff))
+                    terms.append((layer2[h3], at[h2] * k + at[h1], -coeff))
                 yield terms
 
     worst = _worst(residuals(), rep.dimension, n, _budget(rep))

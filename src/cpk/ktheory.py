@@ -429,7 +429,7 @@ def _presented_sequence(nodes, matrices) -> ExactSequence:
     return ExactSequence(tuple(p.group for p in nodes), tuple(homs))
 
 
-def diagram_report(layers: GraphLayers, two_stage: KPair) -> DiagramReport:
+def diagram_report(layers: GraphLayers, two_stage: KPair, coefficient: KPair) -> DiagramReport:
     """Fill the nine corners and verify both six-term cross-check sequences.
 
     The ideal-sum K-groups are presented directly as the cokernel and kernel
@@ -442,7 +442,8 @@ def diagram_report(layers: GraphLayers, two_stage: KPair) -> DiagramReport:
     cokernel by the flanking kernel, so no group is enumerated here. The
     final groups are cross-checked against `two_stage`, the final K-pair the
     two-stage route already computed; any mismatch or non-exact node is
-    reported as a problem, never silent.
+    reported as a problem, never silent. The four corners KK-equivalent to
+    the coefficients read `coefficient`, the pair coefficient_ktheory gives.
     """
     nv = len(layers.spec.vertices)
     eye = IntMatrix.identity(nv)
@@ -523,7 +524,7 @@ def diagram_report(layers: GraphLayers, two_stage: KPair) -> DiagramReport:
             )
 
     # corner identifications use K(compacts tensor B) = K(B)
-    coeff = (str(FgAbGroup.free(nv)), str(FgAbGroup.trivial()))
+    coeff = (str(coefficient.k0.group), str(coefficient.k1.group))
     corners = {
         "11": {"K0": coeff[0], "K1": coeff[1], "note": "compacts over the coefficients"},
         "12": {"K0": coeff[0], "K1": coeff[1],

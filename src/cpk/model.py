@@ -26,6 +26,9 @@ from .abelian import (
 from .exactseq import ResourceLimitError
 
 PULLBACK_CAP = 200_000
+# The default defect tolerance of the Fock relation checks. It lives here,
+# not in cpk.fock, so that the command line reads it without loading scipy.
+DEFAULT_TOL = 1e-10
 
 
 class Edge(NamedTuple):

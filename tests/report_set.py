@@ -1,6 +1,7 @@
 """Write the report-comparison set: the argv, exit code, standard output and
-standard error of every report in it, one file per report, so that the
-reports of two checkouts can be compared with ``diff -r``.
+standard error of every report in it, one file per report, and the hashes
+of the Fock operators, so that two checkouts can be compared with
+``diff -r``.
 
     PYTHONPATH=src python3 tests/report_set.py OUT
     PYTHONPATH=../parent/src python3 tests/report_set.py OUT_PARENT
@@ -8,7 +9,8 @@ reports of two checkouts can be compared with ``diff -r``.
 
 cpk is imported from the path as given, so one copy of this script runs
 against any checkout; the bench document generators are read from
-bench/workloads.py next to it. The set holds 2075 reports:
+bench/workloads.py next to it. The set holds 2075 reports and 70 operator
+files. The reports are:
 
 - every bundled fixture under ``ktheory`` with no flags, ``--route
   iterated``, ``--assume-split`` and ``--format text``, and under
@@ -20,6 +22,12 @@ bench/workloads.py next to it. The set holds 2075 reports:
 - the 576 ``abstract_doc`` documents (both multipliers in 2..25) under no
   flags, ``--assume-split`` and ``--route iterated`` (1728).
 
+The operator files cover the 10 bundled fixtures that fock-check accepts,
+at degrees 0 to 6: for every creator, annihilator (on the whole basis) and
+vertex projection, the sha256 of its data, indices and indptr arrays, its
+shape and their dtypes. Case <fixture> at degree d goes to
+OUT/operators/<fixture>-<d>.txt.
+
 Report n goes to OUT/<n>.txt. Every document is written once, to
 OUT/docs/<name>.json, and each command runs in-process through cpk.cli.main
 from OUT with the relative path docs/<name>.json, so the input block of a
@@ -28,6 +36,7 @@ report reads the same whatever OUT is. CPK_EXT_BOUND is unset for the run.
 
 import argparse
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -37,6 +46,7 @@ from pathlib import Path
 
 from cpk import cli
 from cpk.fixtures import fixture_document, fixture_ids
+from cpk.fock import build_fock
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -53,6 +63,8 @@ CYCLIC_SIZES = (8, 16, 24, 32, 48, 64, 128)
 BENCH_SEED = 11
 BENCH_COUNTS = (("ktheory-graph", 156), ("ktheory-abstract", 50), ("fock-check", 50))
 ABSTRACT_FLAGS = ([], ["--assume-split"], ["--route", "iterated"])
+FOCK_KINDS = ("graph", "two_graph", "permutation", "unitary_chi")
+FOCK_DEGREES = range(7)
 
 
 def entries(workloads):
@@ -73,6 +85,22 @@ def entries(workloads):
         doc = workloads.abstract_doc(p1, p2)
         for options in ABSTRACT_FLAGS:
             yield f"abstract-{p1}-{p2}", doc, "ktheory", options
+
+
+def operator_hashes(model, degree: int) -> str:
+    """One line per creator, annihilator and vertex projection of the Fock
+    build: the sha256 of each CSR array, the shape and the dtypes."""
+    rep = build_fock(model, degree)
+    lines = []
+    for kind, operators in (("creator", rep.creators),
+                            ("annihilator", rep.annihilator(rep.dimension)),
+                            ("projection", rep.projections)):
+        for name, m in operators.items():
+            arrays = (m.data, m.indices, m.indptr)
+            digests = " ".join(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays)
+            dtypes = " ".join(str(a.dtype) for a in arrays)
+            lines.append(f"{kind} {name}: {digests} shape {m.shape} dtypes {dtypes}\n")
+    return "".join(lines)
 
 
 def run(argv: list) -> str:
@@ -103,7 +131,15 @@ def main(argv=None) -> int:
             Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
             written.add(name)
         Path(f"{n:04d}.txt").write_text(run([command, path, *options]))
-    print(f"{n + 1} reports, {len(written)} documents in {out}")
+    (out / "operators").mkdir(exist_ok=True)
+    cases = 0
+    for fid in fixture_ids():
+        kind, model = cli.parse_document(fixture_document(fid))
+        if kind in FOCK_KINDS:
+            for degree in FOCK_DEGREES:
+                Path(f"operators/{fid}-{degree}.txt").write_text(operator_hashes(model, degree))
+                cases += 1
+    print(f"{n + 1} reports, {len(written)} documents, {cases} operator files in {out}")
     return 0
 
 

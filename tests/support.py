@@ -583,6 +583,31 @@ def norm_bound(block) -> float:
     return float(min(one_inf, np.hypot.reduce(sub.data)))
 
 
+def chained_residuals(chunk, rows: int, cols: int) -> sp.csr_matrix:
+    """The residuals of a chunk stacked vertically by chaining scipy's +:
+    layer j holds the j-th term of every residual, copied from its stack's
+    rows (empty rows where a residual has fewer terms), and the layers are
+    added in order. The reference for cpk.fock._stack_residuals."""
+    total = None
+    for j in range(max(map(len, chunk))):
+        data, indices, indptr = [], [], [np.zeros(1, dtype=np.int64)]
+        for terms in chunk:
+            if j < len(terms):
+                stack, first, coeff = terms[j]
+                ptr = stack.indptr[first:first + rows + 1]
+                data.append(np.multiply(stack.data[ptr[0]:ptr[-1]], coeff))
+                indices.append(stack.indices[ptr[0]:ptr[-1]])
+                indptr.append(indptr[-1][-1] + ptr[1:] - ptr[0])
+            else:
+                indptr.append(np.full(rows, indptr[-1][-1]))
+        layer = sp.csr_matrix(
+            (np.concatenate(data), np.concatenate(indices), np.concatenate(indptr)),
+            shape=(len(chunk) * rows, cols),
+        )
+        total = layer if total is None else total + layer
+    return total
+
+
 def _subblock_norm(mat, rows, cols) -> float:
     return norm_bound(mat.tocsr()[rows, :][:, cols])
 

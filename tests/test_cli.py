@@ -474,8 +474,8 @@ class TestKtheory:
     def test_route_inconsistency_exits_3(self, fixdir, capsys, monkeypatch):
         real = cli.diagram_report
 
-        def tampered(layers, two_stage):
-            diag = real(layers, two_stage)
+        def tampered(layers, two_stage, coefficient):
+            diag = real(layers, two_stage, coefficient)
             return types.SimpleNamespace(
                 **{**diag.__dict__, "problems": ("injected mismatch",)}
             )

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse._compressed import _cs_matrix
 
@@ -26,6 +26,7 @@ from cpk.fock import (
     check_toeplitz,
     fock_suite,
     _block_bounds,
+    _stack_residuals,
     _worst,
 )
 from cpk.model import (
@@ -37,6 +38,7 @@ from cpk.model import (
 )
 from support import (
     basis_words,
+    chained_residuals,
     chi_same_index,
     norm_bound,
     reference_basis,
@@ -425,6 +427,70 @@ class TestChunks:
             assert _worst(residuals, 1, 1, budget) == 2.0, at
 
 
+# values with exact cancellations, so that sums and partial sums vanish
+EXACT = st.sampled_from([0.0, 1.0, -1.0, 0.5, -0.5, 1j, -1j, 0.5 - 0.5j, -0.5 + 0.5j])
+COEFF = st.sampled_from([1.0, -1.0, 0.5, -1j, 0.6 + 0.8j])
+
+
+@st.composite
+def residual_chunks(draw):
+    """A chunk of residuals as _worst hands it on, with its rows and
+    columns: each residual 1-4 terms, each term coeff times `rows` rows of a
+    CSR stack that lists a row's columns in any order, at most once each,
+    explicit zeros included. Positions repeat across terms and layers. In
+    an aligned chunk every residual has the same number of terms, and a
+    residual's terms share its first's pattern and rows, some its values
+    too, so that partial sums cancel."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    aligned = draw(st.booleans())
+    depth = draw(st.integers(1, 4))
+    entry = st.one_of(EXACT, ENTRY)
+
+    def pattern():
+        height = rows * draw(st.integers(1, 3))
+        picked = [draw(st.permutations(range(cols)))[:draw(st.integers(0, cols))]
+                  for _ in range(height)]
+        indptr = np.cumsum([0] + [len(p) for p in picked])
+        return height, np.array([c for p in picked for c in p], dtype=np.int32), indptr
+
+    def stack(shape):
+        height, indices, indptr = shape
+        data = np.array([draw(entry) for _ in indices], dtype=complex)
+        return sp.csr_matrix((data, indices, indptr), shape=(height, cols))
+
+    chunk = []
+    for _ in range(draw(st.integers(1, 5))):
+        shape = pattern()
+        first = draw(st.integers(0, shape[0] - rows))
+        terms = []
+        for _ in range(depth if aligned else draw(st.integers(1, 4))):
+            if not aligned:
+                shape = pattern()
+                first = draw(st.integers(0, shape[0] - rows))
+            echo = aligned and terms and draw(st.booleans())
+            terms.append((terms[0][0] if echo else stack(shape), first, draw(COEFF)))
+        # as _worst keeps them: terms with entries in their rows
+        terms = [t for t in terms if t[0].indptr[t[1]] < t[0].indptr[t[1] + rows]]
+        if terms:
+            chunk.append(terms)
+    assume(chunk)
+    return chunk, rows, cols
+
+
+class TestOnePassSums:
+    @PROPERTY
+    @given(residual_chunks())
+    def test_one_pass_sum_is_the_chained_scipy_sum(self, drawn):
+        chunk, rows, cols = drawn
+        got, want = _stack_residuals(chunk, rows, cols), chained_residuals(chunk, rows, cols)
+        assert got.shape == want.shape
+        # the same entries, stored in the same order
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
+        assert np.array_equal(_block_bounds(got, rows), _block_bounds(want, rows))
+
+
 @st.composite
 def two_layer_specs(draw):
     """A flip with m, n <= 3, a commuting permutation pair on up to six
@@ -538,8 +604,10 @@ class TestCosts:
         ("ex3.5-unitary-chi", 6),
         ("ex4.6-flip-3-3", 5),
     ])
-    def test_reordering_takes_two_products_per_last_letter(self, fid, degree, monkeypatch):
-        # each triple stack is made once, however many chunks the residuals take
+    def test_reordering_takes_one_product_per_last_letter_and_one_more(
+            self, fid, degree, monkeypatch):
+        # L @ T_c for every c in one product, then each triple stack once,
+        # however many chunks the residuals take
         log, matmul, block_bounds = [], _cs_matrix._matmul_sparse, fock._block_bounds
 
         def product(self, other):
@@ -557,7 +625,26 @@ class TestCosts:
         log.clear()
         assert check_reordering(rep).passed
         assert log.count("chunk") > 1
-        assert log.count("product") == 2 * len(rep.layer_of)
+        assert log.count("product") == len(rep.layer_of) + 1
+
+    @pytest.mark.parametrize("fid, degree, made", [
+        ("ex3.5-flip-2-2", 5, 75),
+        ("ex3.5-unitary-chi", 6, 80),
+    ])
+    def test_scipy_matrices_made_by_the_suite(self, fid, degree, made, monkeypatch):
+        # every compressed sparse matrix scipy makes, the build's included:
+        # a fixed few per check, not a few per generator or relation (a
+        # per-letter build with chained additions made 138 and 200)
+        count, init = [], _cs_matrix.__init__
+
+        def counted(self, *args, **kwargs):
+            count.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(_cs_matrix, "__init__", counted)
+        _, spec = parse_document(fixture_document(fid))
+        fock_suite(build_fock(spec, degree))
+        assert len(count) == made
 
     def test_the_rep_holds_flat_tables_not_per_word_dicts(self):
         # a dict of crossings per word held about 545 bytes a word here,

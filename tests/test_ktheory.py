@@ -207,7 +207,7 @@ class TestIteratedGraphs:
 def diagram_of(spec: TwoGraphSpec) -> DiagramReport:
     """The diagram cross-check of a graph pair against its two-stage answer."""
     layers = GraphLayers(spec)
-    return diagram_report(layers, iterated_ktheory(layers).final)
+    return diagram_report(layers, iterated_ktheory(layers).final, coefficient_ktheory(spec))
 
 
 def disjoint_flip_pair() -> "TwoGraphSpec":
@@ -420,7 +420,7 @@ class TestProperties:
             res = iterated_ktheory(layers)
             # permutation layers keep every stage free, so no ambiguity
             assert pair_determined(res.final)
-            rep = diagram_report(layers, res.final)
+            rep = diagram_report(layers, res.final, coefficient_ktheory(spec))
             assert not rep.problems, rep.problems
             assert names(rep.final.k0.group) == names(res.final.k0.group)
             assert names(rep.final.k1.group) == names(res.final.k1.group)

@@ -13,10 +13,14 @@ diagonal. A kernel basis comes only from
 cpk.abelian.hom_kernel_lattice: it alone calls kernel_basis. Residuals are
 bounded only through cpk.fock._worst: it alone calls _block_bounds. In
 cpk.abelian only the int64 product _word_product uses numpy, so the Smith
-elimination has one implementation, in Python ints.
+elimination has one implementation, in Python ints. Importing the command
+line loads no scipy: only fock-check needs it.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -175,3 +179,13 @@ def test_only_the_word_product_uses_numpy_in_abelian():
         if isinstance(node, (ast.Import, ast.ImportFrom)) and uses_numpy(node)
     ]
     assert imports == ["import numpy as np"], imports
+
+
+def test_importing_the_command_line_loads_no_scipy():
+    # cpk.fock, and scipy with it, is imported by cmd_fock_check when it runs
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    code = ("import sys, cpk.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]", result.stdout
