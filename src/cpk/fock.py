@@ -730,13 +730,13 @@ def _sorted_sum(data, key, ends, shape) -> sp.csr_matrix:
     start = 0
     for j, end in enumerate(ends):
         at = position[start:end]
-        merged = False
-        if j:
+        # scipy merges by column when the layer and the sum so far both
+        # list every row by increasing column
+        merged = j > 0 and (np.diff(key[start:end]) > 0).all()
+        if merged:
             held = np.flatnonzero(alive)
             same = row[held[1:]] == row[held[:-1]]
-            # both sides list every row by increasing column
-            merged = ((slot[held[1:]] > slot[held[:-1]])[same].all()
-                      and (np.diff(key[start:end]) > 0).all())
+            merged = (slot[held[1:]] > slot[held[:-1]])[same].all()
         if not merged:
             # new positions go after the others of their rows
             born = np.flatnonzero(~alive[at])
