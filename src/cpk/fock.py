@@ -34,9 +34,9 @@ their CSR arrays. _worst, the one path from residuals to a bound, gathers
 them in chunks, sums each chunk in one pass over one copy of its terms'
 entries (_stack_residuals), with the rounding and entry order that chained
 scipy additions give, so that every bound is bit for bit theirs, and
-bounds every block in one _block_bounds pass. Memory: a chunk gathers at most as
-many entries as all the creators hold (a larger residual is a chunk of its
-own). Reordering holds the copies of L, the layer-2 triple stacks, one
+bounds every block in one _block_bounds pass. Memory: a chunk gathers at
+most as many entries as all the creators hold (a larger residual is a chunk
+of its own). Reordering holds the copies of L, the layer-2 triple stacks, one
 layer-1 triple stack at a time, the rows of L @ T_c not yet used and the
 chunk; no chunk drops or remakes a stack.
 """
@@ -583,11 +583,12 @@ def _blocks(stack: sp.csr_matrix, blocks: int):
     return row, column
 
 
-def _adjoints(stack: sp.csr_matrix, blocks: int) -> sp.csr_matrix:
+def _adjoints(stack: sp.csr_matrix, blocks: int, placed=None) -> sp.csr_matrix:
     """The conjugate transposes of the blocks of a CSR stack of `blocks`
-    equal blocks, stacked vertically, from its arrays. Each row lists its
-    entries by column, as scipy's own transposition leaves them."""
-    row, column = _blocks(stack, blocks)
+    equal blocks, stacked vertically, from its arrays and the _blocks
+    placement of its entries (computed when not `placed`). Each row lists
+    its entries by column, as scipy's own transposition leaves them."""
+    row, column = _blocks(stack, blocks) if placed is None else placed
     return _regroup(np.conj(stack.data), column, row,
                     (blocks * stack.shape[1], stack.shape[0] // blocks))
 
@@ -595,12 +596,12 @@ def _adjoints(stack: sp.csr_matrix, blocks: int) -> sp.csr_matrix:
 def _gram(stack: sp.csr_matrix, blocks: int) -> sp.csr_matrix:
     """B_1 B_1* + ... + B_k B_k* over the k = `blocks` equal blocks of a CSR
     stack: the blocks side by side times their conjugate transposes stacked
-    vertically (as _adjoints makes them), one scipy product of two
-    matrices built from the stack's arrays."""
-    height, width = stack.shape[0] // blocks, blocks * stack.shape[1]
+    vertically (_adjoints), one scipy product of two matrices built from
+    the stack's arrays."""
     row, column = _blocks(stack, blocks)
-    adjoints = _regroup(np.conj(stack.data), column, row, (width, height))
-    beside = _regroup(stack.data, row, column, (height, width))
+    adjoints = _adjoints(stack, blocks, (row, column))
+    beside = _regroup(stack.data, row, column,
+                      (stack.shape[0] // blocks, blocks * stack.shape[1]))
     del row, column
     return beside @ adjoints
 
@@ -659,6 +660,8 @@ def _stack_residuals(chunk, rows: int, cols: int) -> sp.csr_matrix:
     # lengths[t, r]: the entries of row r of term t
     lengths = np.diff(np.concatenate(ptrs).reshape(len(ptrs), rows + 1))
     shape = (len(chunk) * rows, cols)
+    # an aligned chunk is summed elementwise: the sort's index arrays would
+    # raise its peak memory by about 60%
     if len(spans) == depth * len(chunk):
         total = _aligned_sum(data, indices, lengths, depth, shape)
         if total is not None:
