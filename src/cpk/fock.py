@@ -32,13 +32,14 @@ Covariance is one product (_gram), the adjoint check none.
 A residual is a signed sum of row ranges of such stacks, read straight from
 their CSR arrays. _worst, the one path from residuals to a bound, gathers
 them in chunks, sums each chunk in one pass over one copy of its terms'
-entries (_stack_residuals), with the rounding and entry order that chained
-scipy additions give, so that every bound is bit for bit theirs, and
-bounds every block in one _block_bounds pass. Memory: a chunk gathers at
-most as many entries as all the creators hold (a larger residual is a chunk
-of its own). Reordering holds the copies of L, the layer-2 triple stacks, one
-layer-1 triple stack at a time, the rows of L @ T_c not yet used and the
-chunk; no chunk drops or remakes a stack.
+entries into canonical order, with layer-order sums (_stack_residuals:
+each position's terms added in the order they are listed, exact zeros
+dropped, every row by increasing column), and bounds every block in one
+_block_bounds pass. Memory: a chunk gathers at most as many entries as all
+the creators hold (a larger residual is a chunk of its own). Reordering
+holds the copies of L, the layer-2 triple stacks, one layer-1 triple stack
+at a time, the rows of L @ T_c not yet used and the chunk; no chunk drops
+or remakes a stack.
 """
 
 from __future__ import annotations
@@ -636,126 +637,71 @@ def _stack_residuals(chunk, rows: int, cols: int) -> sp.csr_matrix:
     """The residuals of a chunk stacked vertically in CSR, rows x cols
     each, summed in one pass over one copy of their terms' entries.
 
-    Layer j holds the j-th term of every residual. The sum is bit for bit
-    the one that chaining scipy's + over the layers gives, and so is every
-    bound: each position adds its terms in layer order, (t0 + t1) + t2 and
-    so on, and each row lists its entries in the order scipy leaves. An
-    addition merges by column when both sides list every row by increasing
-    column; otherwise it lists a row's entries, then the positions the
-    added layer brings in its own order, and reverses the row. Either way
-    it drops the sums that are exactly zero. Precondition: a term's rows
-    store each position at most once."""
-    depth = max(map(len, chunk))
-    spans = [(terms[j], i, j) for j in range(depth) for i, terms in enumerate(chunk)
+    Layer j holds the j-th term of every residual. The sum comes out in
+    canonical form: each position adds its terms in layer order, (t0 + t1)
+    + t2 and so on, a sum that is exactly zero is dropped, and every row
+    lists its entries by increasing column. When every residual has the
+    chunk's number of terms and each term lists its residual's first
+    term's columns, row by row, as the honest residuals of a permutation
+    chi do, the layers are added elementwise, in place, and sorted only if
+    their order is not already canonical; any other chunk takes one stable
+    sort of its entries by (row, column). Precondition: a term's rows store
+    each position at most once."""
+    depth, residuals = max(map(len, chunk)), len(chunk)
+    spans = [(terms[j], i) for j in range(depth) for i, terms in enumerate(chunk)
              if j < len(terms)]
-    ptrs = [stack.indptr[first:first + rows + 1] for (stack, first, _), _, _ in spans]
+    ptrs = [stack.indptr[first:first + rows + 1] for (stack, first, _), _ in spans]
     sizes = [int(ptr[-1] - ptr[0]) for ptr in ptrs]
     data = np.empty(sum(sizes), dtype=complex)
     indices = np.empty(sum(sizes), dtype=_index_type(cols))
     at = 0
-    for ((stack, _, coeff), _, _), ptr, size in zip(spans, ptrs, sizes):
+    for ((stack, _, coeff), _), ptr, size in zip(spans, ptrs, sizes):
         np.multiply(stack.data[ptr[0]:ptr[-1]], coeff, out=data[at:at + size])
         indices[at:at + size] = stack.indices[ptr[0]:ptr[-1]]
         at += size
     # lengths[t, r]: the entries of row r of term t
     lengths = np.diff(np.concatenate(ptrs).reshape(len(ptrs), rows + 1))
-    shape = (len(chunk) * rows, cols)
-    # an aligned chunk is summed elementwise: the sort's index arrays would
-    # raise its peak memory by about 60%
-    if len(spans) == depth * len(chunk):
-        total = _aligned_sum(data, indices, lengths, depth, shape)
-        if total is not None:
-            return total
+    each = int(lengths[:residuals].sum())
+    aligned = (len(spans) == depth * residuals
+               and (lengths.reshape(depth, -1) == lengths[:residuals].ravel()).all()
+               and (indices.reshape(depth, -1) == indices[:each]).all())
+    if aligned:
+        # every layer holds the first layer's positions
+        spans, lengths = spans[:residuals], lengths[:residuals]
     # the stacked row and column of every entry, as one key
-    key = np.repeat((np.array([i for _, i, _ in spans]) * rows)[:, None] + np.arange(rows),
+    key = np.repeat((np.array([i for _, i in spans]) * rows)[:, None] + np.arange(rows),
                     lengths.ravel())
     key *= cols
-    key += indices
-    ends = np.cumsum(np.bincount([j for _, _, j in spans], weights=sizes)).astype(int)
-    return _sorted_sum(data, key, ends, shape)
-
-
-def _aligned_sum(data, indices, lengths, depth: int, shape):
-    """_stack_residuals when every residual has `depth` terms and each term
-    lists the same columns, row by row, as its residual's first, as the
-    honest residuals of a permutation chi do: the sum is elementwise, and
-    the rows keep the first term's order, reversed by each addition unless
-    that order is by increasing column. None when the terms differ, or
-    when a sum is exactly zero before the last layer (a position that
-    leaves the sum may come back in a new place)."""
-    residuals = len(lengths) // depth
-    each = int(lengths[:residuals].sum())
-    if not ((lengths.reshape(depth, -1) == lengths[:residuals].ravel()).all()
-            and (indices.reshape(depth, -1) == indices[:each]).all()):
-        return None
-    values = data.reshape(depth, -1)
-    sums = values[0]
-    for j in range(1, depth):
-        sums = sums + values[j] if j == 1 else np.add(sums, values[j], out=sums)
-        if j < depth - 1 and not sums.all():
-            return None
-    kept = np.flatnonzero(sums) if depth > 1 else np.arange(each)
-    # term t of the first layer is residual t's, so its row r is stacked
-    # row t * rows + r: the entry's place among the rows' ends
-    row = np.searchsorted(np.cumsum(lengths[:residuals]), kept, side="right")
-    flip = depth % 2 == 0 and not _by_column(indices[:each], lengths[:residuals])
-    flip = slice(None, None, -1 if flip else 1)
-    return _regroup(sums[kept][flip], row[flip], indices[kept][flip], shape)
-
-
-def _by_column(indices, lengths) -> bool:
-    """Whether every row lists its columns in increasing order, given the
-    rows' lengths in order."""
-    if lengths.max(initial=0) < 2:
-        return True
-    ends = np.cumsum(lengths)
-    increasing = np.diff(indices) > 0
-    increasing[ends[(ends > 0) & (ends < len(indices))] - 1] = True
-    return bool(increasing.all())
-
-
-def _sorted_sum(data, key, ends, shape) -> sp.csr_matrix:
-    """_stack_residuals in general, for two layers or more (a chunk of one
-    layer is aligned): each entry's stacked row and column as one key,
-    layer j being entries ends[j - 1] to ends[j]. The positions are the
-    distinct keys in order; the layers are added in turn, as scipy adds
-    them, with a slot per position whose order is its row's order."""
-    order = np.argsort(key, kind="stable")
-    new = np.diff(key[order], prepend=-1) != 0
-    position = np.empty(len(key), dtype=np.intp)
-    position[order] = np.cumsum(new) - 1
-    keys = key[order][new]
-    del order, new
-    row = keys // shape[1]
-    sums = np.zeros(len(keys), dtype=complex)
-    alive = np.zeros(len(keys), dtype=bool)
-    slot = np.zeros(len(keys), dtype=np.int64)
-    start = 0
-    for j, end in enumerate(ends):
-        at = position[start:end]
-        # scipy merges by column when the layer and the sum so far both
-        # list every row by increasing column
-        merged = j > 0 and (np.diff(key[start:end]) > 0).all()
-        if merged:
-            held = np.flatnonzero(alive)
-            same = row[held[1:]] == row[held[:-1]]
-            merged = (slot[held[1:]] > slot[held[:-1]])[same].all()
-        if not merged:
-            # new positions go after the others of their rows
-            born = np.flatnonzero(~alive[at])
-            slot[at[born]] = j * len(key) + born
-        sums[at] += data[start:end]
-        alive[at] = True
-        if j:
-            alive &= sums != 0
-            if merged:
-                slot = np.arange(len(keys))
-            else:
-                np.negative(slot, out=slot)
-        start = end
-    kept = np.flatnonzero(alive)
-    kept = kept[np.argsort(slot[kept])]
-    return _regroup(sums[kept], row[kept], keys[kept] % shape[1], shape)
+    key += indices[:len(key)]
+    del indices, lengths
+    if aligned:
+        sums = data[:each]
+        for j in range(1, depth):
+            sums += data[j * each:(j + 1) * each]
+    else:
+        # a stable sort keeps each position's terms in layer order, and
+        # add.at adds them one after another: np.add.reduceat would not
+        order = np.argsort(key, kind="stable")
+        key, data = key[order], data[order]
+        del order
+        new = np.empty(len(key), dtype=bool)
+        new[:1] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        key = key[new]
+        position = np.cumsum(new)
+        position -= 1
+        sums = np.zeros(len(key), dtype=complex)
+        np.add.at(sums, position, data)
+        del position
+    del data
+    nonzero = sums != 0
+    sums, key = sums[nonzero], key[nonzero]
+    if aligned and (key[1:] < key[:-1]).any():
+        order = np.argsort(key)
+        sums, key = sums[order], key[order]
+    row, column = np.divmod(key, cols)
+    del key
+    return _regroup(sums, row, column, (residuals * rows, cols))
 
 
 def _worst(residuals, rows: int, cols: int, budget: int) -> float:
