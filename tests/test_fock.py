@@ -496,8 +496,9 @@ class TestOnePassSums:
 
     def test_an_aligned_sum_holds_little_beyond_its_entries(self):
         # a permutation stack and a rescaled copy: every row holds one
-        # entry, and every sum is kept; the elementwise sum allocates no
-        # sort keys or positions, which would take about 60% more
+        # entry, and every sum is kept; the elementwise sum keys only the
+        # first layer's entries and sorts nothing, where a stable sort of
+        # every entry peaks about half as high again
         rows = 50_000
         perm = np.random.default_rng(0).permutation(rows)
         stack = sp.csr_matrix((np.ones(rows, dtype=complex), perm, np.arange(rows + 1)),
