@@ -184,13 +184,6 @@ class IntMatrix:
         n = self.rows
         return self.cols == n == other.rows == other.cols and (self @ other).is_identity()
 
-    def apply(self, vector) -> tuple:
-        """Matrix times a plain vector (sequence of ints)."""
-        vec = [int(x) for x in vector]
-        if len(vec) != self.cols:
-            raise DimensionError("apply: bad vector length")
-        return tuple([sum(map(mul, row, vec)) for row in self._data])
-
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
         return IntMatrix._of_rows(
@@ -759,14 +752,18 @@ class Presentation:
 
     def _coordinates(self, vectors: IntMatrix) -> list:
         """Canonical generator coordinates of the class of each column, or
-        None for a column outside the numerator lattice."""
+        None for a column outside the numerator lattice. U of the relations
+        maps every solved column in one product."""
         u = factor(self.rels).U
+        xs = solve(self.basis, vectors)
+        ys = iter((u @ IntMatrix.from_columns([x for x in xs if x is not None],
+                                              rows=u.cols)).columns())
         out = []
-        for x in solve(self.basis, vectors):
+        for x in xs:
             if x is None:
                 out.append(None)
                 continue
-            y = u.apply(x)
+            y = next(ys)
             out.append(tuple([y[i] % d if d else y[i] for i, d in zip(self._kept, self._orders)]))
         return out
 

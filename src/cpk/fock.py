@@ -60,7 +60,6 @@ from .model import (
     UnitaryChi,
     validate_chi,
     validate_graph,
-    vertex_matrix,
 )
 
 BASIS_CAP = 200_000
@@ -166,38 +165,22 @@ class FockRep:
 
     # -- basis ------------------------------------------------------------
 
-    def _count_words(self) -> int:
-        """The basis size: the entry sum of M1^a M2^b over a + b <= N, from
-        row vectors ones @ M1^a @ M2^b. Raises as soon as the running total
-        passes BASIS_CAP, so a huge degree is refused in bounded time."""
-        m1t = vertex_matrix(FiniteGraph(self.vertices, self.edges1)).transpose()
-        m2t = vertex_matrix(FiniteGraph(self.vertices, self.edges2)).transpose()
-        total = 0
-        row1 = (1,) * len(self.vertices)
-        for a in range(self.degree + 1):
-            row = row1
-            for b in range(self.degree + 1 - a):
-                if not any(row):
-                    break
-                total += sum(row)
-                if total > BASIS_CAP:
-                    raise ResourceLimitError(
-                        f"basis would hold at least {total} words (cap {BASIS_CAP}); "
-                        f"lower the degree"
-                    )
-                row = m2t.apply(row)
-            row1 = m1t.apply(row1)
-        return total
-
     def _enumerate_words(self, by_rng):
         """Fill first, suffix, vertex and bidegrees level by level: word k of
         length L + 1 is first[k] prepended to word suffix[k] of length L. A
         layer-2 letter goes only in front of words without layer-1 letters,
         so every word is in normal form. Each level is ordered by (layer-2
         count, letters); the letters compare as (first letter, letter rank of
-        the suffix within its level), so no letter tuple is ever built."""
-        self._count_words()
+        the suffix within its level), so no letter tuple is ever built.
+
+        Each level is counted from the level below before it is made, and
+        the build is refused as soon as the basis through it passes
+        BASIS_CAP, so a huge degree is refused in bounded time. The build
+        stops at the first empty level: no longer word exists."""
         letter_rank = {x: r for r, x in enumerate(sorted(self.layer_of))}
+        # grow[v][has a layer-1 letter]: the words x.t one word t at v makes
+        grow = {v: (len(xs), sum(self.layer_of[x.id] == 1 for x in xs))
+                for v, xs in by_rng.items()}
         self.first = [None] * len(self.vertices)
         self.suffix = [None] * len(self.vertices)
         self.vertex = list(self.vertices)
@@ -205,7 +188,20 @@ class FockRep:
         twos = [0] * len(self.vertices)
         # rank[t - start]: the letter rank of word t within its level
         start, rank = 0, [0] * len(self.vertices)
-        for _ in range(self.degree):
+        total = 0
+        for level in range(self.degree + 1):
+            size = (sum(grow[v][o > 0] for v, o in zip(self.vertex[start:], ones[start:]))
+                    if level else len(self.vertices))
+            if not size:
+                break
+            total += size
+            if total > BASIS_CAP:
+                raise ResourceLimitError(
+                    f"basis would hold at least {total} words (cap {BASIS_CAP}); "
+                    f"lower the degree"
+                )
+            if not level:
+                continue
             end = len(self.first)
             made = sorted(
                 (letter_rank[x.id], rank[t - start], x, t)
@@ -276,9 +272,11 @@ class FockRep:
         def word(x, t):
             return by_key[np.searchsorted(keys, t * size + x)]
 
-        starts = np.searchsorted(self.totals, np.arange(self.degree + 2))
+        # the basis holds levels 0 to top, top <= degree
+        top = int(self.totals.max(initial=-1))
+        starts = np.searchsorted(self.totals, np.arange(top + 2))
         below = crossed = (np.zeros(0, dtype=int),) * 3 + (np.zeros(0, dtype=complex),)
-        for level in range(1, self.degree + 1) if self.edges2 else ():
+        for level in range(1, top + 1) if self.edges2 else ():
             at_level = np.arange(starts[level], starts[level + 1])
             # the words x.t of both layers: each layer-2 front of t (t's own
             # first letter, when that is in layer 2) pulled past x by chi
@@ -296,7 +294,7 @@ class FockRep:
                                       _times(coeff[image], fwd.coeff[img]))
             below = (j[kept], front[kept], target[kept], coeff)
             pulled.append(below)
-            if level == self.degree:
+            if level == top:
                 continue
             # y (x) x.t for layer-2 y and layer-1 x: chi^-1 takes y x to x' y',
             # and y' (x) t is a crossing one level down, or the word y'.t when
@@ -494,8 +492,10 @@ def _inverse_crossing(fwd):
 
 def build_fock(spec, N: int) -> FockRep:
     """Enumerate all normal-form words of total degree <= N and assemble the
-    creation operators. The basis size is counted up front in exact integer
-    arithmetic and refused as soon as the count passes the cap."""
+    creation operators. Each level (word length) is counted from the level
+    below before it is built, and the basis is refused as soon as the count
+    passes the cap. The build stops at its first empty level, so a document
+    with no vertices stops at level 0 whatever N is."""
     if N < 0:
         raise PreconditionError("truncation degree must be >= 0")
     if isinstance(spec, FiniteGraph):

@@ -9,7 +9,7 @@ of the Fock operators, so that two checkouts can be compared with
 
 cpk is imported from the path as given, so one copy of this script runs
 against any checkout; the bench document generators are read from
-bench/workloads.py next to it. The set holds 2075 reports and 70 operator
+bench/workloads.py next to it. The set holds 2085 reports and 70 operator
 files. The reports are:
 
 - every bundled fixture under ``ktheory`` with no flags, ``--route
@@ -20,7 +20,9 @@ files. The reports are:
 - the first 156 ``ktheory-graph``, 50 ``ktheory-abstract`` and 50
   ``fock-check`` bench documents of seed 11, with their bench options (256);
 - the 576 ``abstract_doc`` documents (both multipliers in 2..25) under no
-  flags, ``--assume-split`` and ``--route iterated`` (1728).
+  flags, ``--assume-split`` and ``--route iterated`` (1728);
+- the 10 bundled fixtures that fock-check accepts under ``fock-check
+  --degree 3000``, where most bases pass the cap and are refused (10).
 
 The operator files cover the 10 bundled fixtures that fock-check accepts,
 at degrees 0 to 6: for every creator, annihilator (on the whole basis) and
@@ -85,6 +87,10 @@ def entries(workloads):
         doc = workloads.abstract_doc(p1, p2)
         for options in ABSTRACT_FLAGS:
             yield f"abstract-{p1}-{p2}", doc, "ktheory", options
+    for fid in fixture_ids():
+        doc = fixture_document(fid)
+        if doc["kind"] in FOCK_KINDS:
+            yield f"fixture-{fid}", doc, "fock-check", ["--degree", "3000"]
 
 
 def operator_hashes(model, degree: int) -> str:

@@ -201,7 +201,7 @@ def substitute_solution(f0: GroupHom, f1: GroupHom, outcomes) -> ExactSequence:
         proj_cols = []
         for t in range(big.n_generators):
             ambient = gen_lift(middle, t)
-            proj_cols.append(lifts.apply(ambient[n_sub:]))
+            proj_cols.append((lifts @ IntMatrix.column_vector(ambient[n_sub:])).column(0))
         proj = GroupHom(big, h.dom, IntMatrix.from_columns(proj_cols, rows=h.dom.n_generators))
         assert hom_well_defined(incl)
         assert hom_well_defined(proj)

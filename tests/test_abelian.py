@@ -433,12 +433,12 @@ def test_solve_agrees_with_sympy_on_lattice_membership(problem):
     # a column lies in the lattice exactly when adding it to the generators
     # changes neither the rank nor the product of the invariant factors
     gens, x0, others = problem
-    columns = [list(gens.apply(x0))] + others
+    columns = [list((gens @ IntMatrix.column_vector(x0)).column(0))] + others
     xs = solve(gens, IntMatrix.from_columns(columns, rows=gens.rows))
     assert xs[0] is not None
     for column, x in zip(columns, xs):
         if x is not None:
-            assert gens.apply(x) == tuple(column)
+            assert (gens @ IntMatrix.column_vector(x)).column(0) == tuple(column)
         grown = IntMatrix.hstack(gens, IntMatrix.column_vector(column))
         assert (x is None) == (sympy_rank_and_product(grown) != sympy_rank_and_product(gens))
 

@@ -560,6 +560,20 @@ class TestFockCheck:
         assert time.perf_counter() - start < 1.0
         assert "at least" in rep["error"]
 
+    @pytest.mark.parametrize("doc", [
+        {"kind": "graph", "vertices": [], "edges": []},
+        {"kind": "permutation", "vertices": [], "perm1": {}, "perm2": {}},
+    ], ids=["graph", "permutation"])
+    def test_no_vertices_stop_at_the_empty_first_level(self, tmp_path, doc):
+        # the basis ends at level 0, so the degree costs neither time nor
+        # memory; in a subprocess so that a build linear in it fails here
+        path = write_doc(tmp_path, doc)
+        done = run_subprocess(["-m", "cpk.cli", "fock-check", path, "--degree", str(10**12)],
+                              timeout=10)
+        assert done.returncode == 1, done.stderr
+        assert "Traceback" not in done.stderr
+        assert json.loads(done.stdout)["error"] == "layer 1 has no edges"
+
     @pytest.mark.parametrize("degree", [1100, 3000])
     def test_deep_basis_gives_a_report(self, fixdir, degree):
         # the circle's basis has one word per length, so it stays far below

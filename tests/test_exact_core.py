@@ -237,7 +237,7 @@ def presentations_and_vectors(draw):
     for _ in range(draw(st.integers(1, 5))):
         if num.cols and draw(st.booleans()):
             c = draw(st.lists(st.integers(-4, 4), min_size=num.cols, max_size=num.cols))
-            vectors.append(num.apply(c))
+            vectors.append((num @ IntMatrix.column_vector(c)).column(0))
         else:
             vectors.append(
                 tuple(draw(st.lists(st.integers(-9, 9), min_size=num.rows, max_size=num.rows)))

@@ -119,6 +119,19 @@ class TestBasis:
             build_fock(rose(10), 6)
         assert "1111111" in str(err.value)
 
+    def test_level_is_counted_before_it_is_made(self):
+        # level 2 of rose(500) would hold 250000 words; counting it from
+        # level 1 refuses the build before one of them is made
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError) as err:
+                build_fock(rose(500), 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "at least 250501 words" in str(err.value)
+        assert peak < 2 << 20
+
     def test_negative_degree(self):
         with pytest.raises(PreconditionError):
             build_fock(rose(2), -1)
