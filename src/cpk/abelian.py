@@ -7,17 +7,21 @@ form, homomorphisms given by integer matrices on generators, and
 presentations N/D of lattices D <= N <= Z^n with explicit generator lifts
 (the workhorse for computing induced maps on quotients and kernels).
 
-There is one word-size path: _word_product multiplies two matrices in numpy
-int64 when a bound proves every partial sum exact, and returns Python ints.
-No other function here uses numpy, so the Smith elimination itself stays in
-Python ints (tests/test_layout.py enforces this).
+IntMatrix @ is the one integer product, with two paths. It builds each row
+of A @ B as a combination of B's rows over the nonzero entries of A's row,
+in Python ints. When that nonzero work, nnz(A) * cols(B), reaches
+WORD_PRODUCT_MIN, it first offers the product to _word_product, which
+multiplies in numpy int64 when a bound proves every partial sum exact and
+returns Python ints. No other function here uses numpy, so the Smith
+elimination itself stays in Python ints (tests/test_layout.py enforces this).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from operator import add, mul, sub
+from itertools import compress
+from operator import add, sub
 from typing import Iterable, Optional
 
 import numpy as np
@@ -42,11 +46,13 @@ class InternalError(RuntimeError):
 class IntMatrix:
     """Immutable dense matrix of Python ints.
 
-    Entries are arbitrary-precision Python ints. A product of at least
-    WORD_PRODUCT_MIN multiply-adds runs in int64 only when max|A| and max|B|
-    are each below 2**63 and max|A| * max|B| * inner < 2**63, which bounds
-    every partial sum; any other product runs in Python ints. So no
-    operation can overflow.
+    Entries are arbitrary-precision Python ints, and rows are tuples that
+    products may share: A @ B reuses B's row where A's row is one unit
+    entry. A product whose nonzero work nnz(A) * cols(B) reaches
+    WORD_PRODUCT_MIN runs in int64 only when max|A| and max|B| are each
+    below 2**63 and max|A| * max|B| * inner < 2**63, which bounds every
+    partial sum; any other product is a row combination over A's nonzeros
+    in Python ints. So no operation can overflow.
 
     >>> a = IntMatrix([[1, 2], [3, 4]])
     >>> a @ IntMatrix.identity(2) == a
@@ -171,16 +177,23 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise DimensionError(f"matmul: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        rows = _word_product(self, other)
+        a, inner, cols = self._data, self.cols, other.cols
+        rows = None
+        # the nonzero count is taken only when the dense work could clear the bar
+        if (
+            len(a) * inner * cols >= WORD_PRODUCT_MIN
+            and sum([inner - row.count(0) for row in a]) * cols >= WORD_PRODUCT_MIN
+        ):
+            rows = _word_product(self, other)
         if rows is None:
-            ot = other.columns()
-            rows = tuple([tuple([sum(map(mul, row, col)) for col in ot]) for row in self._data])
-        return IntMatrix._of_rows(rows, other.cols)
+            rows = _row_combination(a, other._data, cols)
+        return IntMatrix._of_rows(rows, cols)
 
     def is_inverse_of(self, other: "IntMatrix") -> bool:
-        """Is self @ other the identity? The product is built like any other,
-        so a large one runs in int64 under the bound of _word_product. For
-        square integer matrices this makes both unimodular."""
+        """Is self @ other the identity? The product is built like any other:
+        over self's nonzeros, or in int64 under the bound of _word_product
+        when its nonzero work reaches WORD_PRODUCT_MIN. For square integer
+        matrices this makes both unimodular."""
         n = self.rows
         return self.cols == n == other.rows == other.cols and (self @ other).is_identity()
 
@@ -240,15 +253,58 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self._data]!r}, cols={self.cols})"
 
 
-# A product of at least this many multiply-adds (rows * inner * cols) goes
-# through int64 when the bound allows: below it, converting to numpy and
-# back costs more than the Python-int loop saves (the two break even at 6**3).
-WORD_PRODUCT_MIN = 8**3
+# A product whose nonzero work, nnz(A) * cols(B), reaches this goes through
+# int64 when the bound allows. The row combination costs about one C-level
+# add per unit of that work (less when a row is one unit term), while int64
+# converts every entry of both factors and of the product. Timed on every
+# product of tests/report_set.py, whose large factors have unit entries, the
+# row combination is faster below about 2**17; on dense factors of small
+# non-unit entries int64 is faster from a few hundred. 2**14 keeps a dense
+# 32x32x32 product in int64 and a permutation of 64 rows out of it.
+WORD_PRODUCT_MIN = 2**14
+
+# Terms a row combination chains before it makes a tuple: deep enough that
+# the cut costs nothing measurable, shallow enough for any C stack.
+_CHAIN = 256
+
+
+def _row_combination(a: tuple, b: tuple, cols: int) -> tuple:
+    """The rows of a @ b, given as row tuples, in Python ints: row i is the
+    sum of x * b[k] over the nonzero entries x = a[i][k] (Gustavson,
+    ACM TOMS 4(3), 1978), so zeros of a cost nothing. A lone unit term
+    reuses b's row tuple, and a zero row of a gives one shared zero tuple.
+
+    The terms of a row are chained as C-level maps and made a tuple once,
+    so no partial sum is built; the chain is cut every _CHAIN terms, because
+    pulling an entry through it nests one C call per term.
+    """
+    zero = (0,) * cols
+    inner = range(len(b))
+    out = []
+    for row in a:
+        acc, depth = None, 0
+        for k in compress(inner, row):
+            x, brow = row[k], b[k]
+            if acc is None:
+                acc = brow if x == 1 else map(x.__mul__, brow)
+                continue
+            if x == 1:
+                acc = map(add, acc, brow)
+            elif x == -1:
+                acc = map(sub, acc, brow)
+            else:
+                acc = map(add, acc, map(x.__mul__, brow))
+            depth += 1
+            if depth == _CHAIN:
+                acc, depth = tuple(acc), 0
+        out.append(zero if acc is None else acc if type(acc) is tuple else tuple(acc))
+    return tuple(out)
 
 
 def _word_product(a: IntMatrix, b: IntMatrix) -> Optional[tuple]:
     """The rows of a @ b as tuples of Python ints, computed in numpy int64,
-    or None when the product is below WORD_PRODUCT_MIN or the bound fails.
+    or None when the bound fails. IntMatrix.__matmul__ calls it only for a
+    product whose nonzero work reaches WORD_PRODUCT_MIN.
 
     Every partial sum of an entry is at most inner * max|a| * max|b| in
     absolute value, so a bound below 2**63, with max|a| and max|b| each below
@@ -257,8 +313,6 @@ def _word_product(a: IntMatrix, b: IntMatrix) -> Optional[tuple]:
     2008). The bound is an if, not an assert, so it holds under python -O.
     """
     inner = a.cols
-    if a.rows * inner * b.cols < WORD_PRODUCT_MIN:
-        return None
     top_a, top_b = (max(max(map(max, m)), -min(map(min, m))) for m in (a._data, b._data))
     # each factor on its own must fit too: a zero factor makes the bound 0
     if max(top_a, top_b) >= 2**63 or inner * top_a * top_b >= 2**63:

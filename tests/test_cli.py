@@ -390,14 +390,15 @@ class TestKtheory:
     def test_word_product_bound_holds_under_python_O(self):
         # 3 * b = 1 - 2^64 wraps to 1 in int64; the no-overflow bound is an
         # if, not an assert, so the product still leaves int64 under -O
+        # (at 128x128 the nonzero work reaches the int64 path's minimum)
         code = (
             "import sys\n"
             "if __debug__:\n"
             "    sys.exit(99)\n"
             "from cpk.abelian import IntMatrix\n"
             "def diag(first):\n"
-            "    return IntMatrix([[first if i == j == 0 else int(i == j) for j in range(8)]\n"
-            "                      for i in range(8)])\n"
+            "    return IntMatrix([[first if i == j == 0 else int(i == j) for j in range(128)]\n"
+            "                      for i in range(128)])\n"
             "a, b = diag(3), diag(-6148914691236517205)\n"
             "sys.exit(a.is_inverse_of(b) or (a @ b)[0, 0] != 1 - 2**64)\n"
         )

@@ -1,13 +1,15 @@
 """The factor-once exact core.
 
 Property tests for the Smith normal form with tracked inverse transforms
-and its per-command cache, for the int64 products under their no-overflow
-bound, for block solves against one factorization
+and its per-command cache, for the one integer product (a row combination
+over the left factor's nonzeros, and int64 under its no-overflow bound for
+large nonzero work), for block solves against one factorization
 (block reduce, generator round trips, verify_exact witnesses), and
 deterministic guards on the number of Smith normal form calls a diagram
 run makes.
 """
 
+import contextlib
 import json
 import sys
 from math import gcd
@@ -145,8 +147,8 @@ def entry_bound(m) -> int:
 @PROPERTY
 @given(word_size_pairs())
 def test_word_size_products_equal_python_int_products(pair):
-    # every product here has at least 512 multiply-adds, so the bound alone
-    # decides the int64 path, and both paths give the exact product
+    # _word_product checks only the bound, so the bound alone decides whether
+    # it runs in int64, and both paths give the exact product
     a, b = pair
     expected = python_product(a, b)
     tops = entry_bound(a), entry_bound(b)
@@ -199,11 +201,121 @@ def diag(first: int, n: int = 8) -> IntMatrix:
     return IntMatrix([[first if i == j == 0 else int(i == j) for j in range(n)] for i in range(n)])
 
 
+@contextlib.contextmanager
+def word_product_results():
+    """The list of what each _word_product call returned inside the block."""
+    results, word = [], abelian._word_product
+
+    def spy(a, b):
+        results.append(word(a, b))
+        return results[-1]
+
+    with mock.patch.object(abelian, "_word_product", spy):
+        yield results
+
+
 def test_a_product_that_wraps_in_int64_is_not_an_inverse():
-    # 3 * b = 1 - 2^64, which int64 wraps to 1; the bound sends it to Python
-    a, b = diag(3), diag(-6148914691236517205)
-    assert not a.is_inverse_of(b)
-    assert (a @ b)[0, 0] == 1 - 2**64
+    # 3 * b = 1 - 2^64, which int64 wraps to 1; at 128x128 the nonzero work
+    # reaches WORD_PRODUCT_MIN, so @ offers the product to _word_product,
+    # whose bound sends it to Python
+    a, b = diag(3, 128), diag(-6148914691236517205, 128)
+    assert a.rows * a.cols >= abelian.WORD_PRODUCT_MIN
+    with word_product_results() as results:
+        assert not a.is_inverse_of(b)
+        assert (a @ b)[0, 0] == 1 - 2**64
+    assert results == [None, None]
+
+
+# ---------------------------------------------------------------------------
+# the row combination: exact at any density, int64 only for large nonzero work
+
+
+def entry_of(kind: str, rnd) -> int:
+    """One nonzero entry: a unit, a small int, or one near +-2^63 or +-2^100."""
+    if kind == "unit":
+        return rnd.choice((1, -1))
+    if kind == "small":
+        return rnd.choice((-1, 1)) * rnd.randint(2, 9)
+    return rnd.choice((-1, 1)) * (2 ** int(kind[2:]) + rnd.randint(-9, 9))
+
+
+@st.composite
+def matrices_of_any_density(draw, rows, cols):
+    """Each entry nonzero with the drawn density, its kind drawn from a
+    drawn mix of one or two of units, small ints and entries near 2^63 or
+    2^100; up to three rows are then zeroed."""
+    density = draw(st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0]))
+    kinds = draw(st.lists(st.sampled_from(["unit", "small", "2^63", "2^100"]), min_size=1, max_size=2))
+    rnd = draw(st.randoms(use_true_random=True))
+    data = [
+        [entry_of(rnd.choice(kinds), rnd) if rnd.random() < density else 0 for _ in range(cols)]
+        for _ in range(rows)
+    ]
+    for i in draw(st.sets(st.integers(0, rows - 1), max_size=3)) if rows else ():
+        data[i] = [0] * cols
+    return IntMatrix(data, cols=cols)
+
+
+@st.composite
+def products_of_any_density(draw):
+    """Sides 0..12, or 26..40 so that dense enough products reach
+    WORD_PRODUCT_MIN."""
+    sides = st.integers(26, 40) if draw(st.booleans()) else st.integers(0, 12)
+    r, k, c = draw(sides), draw(sides), draw(sides)
+    return draw(matrices_of_any_density(r, k)), draw(matrices_of_any_density(k, c))
+
+
+@PROPERTY
+@given(products_of_any_density())
+def test_products_of_any_density_equal_python_int_products(pair):
+    # 0xk and kx0 factors, zero rows, and products on both sides of
+    # WORD_PRODUCT_MIN, both inside and past the int64 bound
+    a, b = pair
+    out = a @ b
+    assert (out.rows, out.cols) == (a.rows, b.cols)
+    assert out._data == python_product(a, b)
+    assert out == IntMatrix(python_product(a, b), cols=b.cols)
+
+
+def test_rows_shared_with_the_right_factor_compare_and_hash_as_copies():
+    b = IntMatrix([[1, -2, 3], [0, 5, 0], [7, 0, -9]])
+    snapshot = b.to_lists()
+    swap = IntMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    shared = swap @ b
+    assert [row is b._data[k] for row, k in zip(shared._data, (1, 2, 0))] == [True] * 3
+    copy = IntMatrix([[0, 5, 0], [7, 0, -9], [1, -2, 3]])
+    assert shared == copy and hash(shared) == hash(copy)
+    assert {shared: "x"}[copy] == "x"
+    assert shared != b and (swap @ shared) != shared
+    assert IntMatrix.identity(3) @ b == b and hash(IntMatrix.identity(3) @ b) == hash(b)
+    assert b.to_lists() == snapshot
+
+
+def test_rows_longer_than_one_map_chain():
+    # 600 nonzeros a row: the row combination cuts its chain of maps twice
+    k = 600
+    a = IntMatrix([[(-1) ** j * (2**70 + j) for j in range(k)], [1, -1, 3] * (k // 3)])
+    b = IntMatrix([[j % 7 - 3, 1, -(j % 5)] for j in range(k)])
+    assert k > 2 * abelian._CHAIN
+    assert (a @ b)._data == python_product(a, b)
+
+
+def test_only_large_nonzero_work_goes_to_int64():
+    n = 32
+    dense = IntMatrix([[(i * 7 + j * 3) % 9 + 1 for j in range(n)] for i in range(n)])
+    assert n**3 >= abelian.WORD_PRODUCT_MIN
+    with word_product_results() as results:
+        assert (dense @ dense)._data == python_product(dense, dense)
+    assert len(results) == 1 and results[0] is not None
+
+    n = 64
+    perm = IntMatrix([[int(j == (3 * i + 1) % n) for j in range(n)] for i in range(n)])
+    square = IntMatrix([[(i * 5 + j) % 11 - 5 for j in range(n)] for i in range(n)])
+    assert n**3 >= abelian.WORD_PRODUCT_MIN > n * n
+    with word_product_results() as results:
+        assert (perm @ square)._data == python_product(perm, square)
+        assert (IntMatrix.zeros(n, n) @ square).is_zero()
+    assert results == []
 
 
 # ---------------------------------------------------------------------------
