@@ -9,8 +9,9 @@ presentations N/D of lattices D <= N <= Z^n with explicit generator lifts
 
 IntMatrix @ is the one integer product, with two paths. It builds each row
 of A @ B as a combination of B's rows over the nonzero entries of A's row,
-in Python ints. When that nonzero work, nnz(A) * cols(B), reaches
-WORD_PRODUCT_MIN, it first offers the product to _word_product, which
+in Python ints. When that work, weighted by the terms that are not +-1,
+reaches WORD_PRODUCT_MIN and twice the entries int64 would convert
+(_int64_pays), it first offers the product to _word_product, which
 multiplies in numpy int64 when a bound proves every partial sum exact and
 returns Python ints. No other function here uses numpy, so the Smith
 elimination itself stays in Python ints (tests/test_layout.py enforces this).
@@ -48,11 +49,11 @@ class IntMatrix:
 
     Entries are arbitrary-precision Python ints, and rows are tuples that
     products may share: A @ B reuses B's row where A's row is one unit
-    entry. A product whose nonzero work nnz(A) * cols(B) reaches
-    WORD_PRODUCT_MIN runs in int64 only when max|A| and max|B| are each
-    below 2**63 and max|A| * max|B| * inner < 2**63, which bounds every
-    partial sum; any other product is a row combination over A's nonzeros
-    in Python ints. So no operation can overflow.
+    entry. A product that _int64_pays, by the weighted work of A's nonzero
+    terms, runs in int64 only when max|A| and max|B| are each below 2**63
+    and max|A| * max|B| * inner < 2**63, which bounds every partial sum;
+    any other product is a row combination over A's nonzeros in Python
+    ints. So no operation can overflow.
 
     >>> a = IntMatrix([[1, 2], [3, 4]])
     >>> a @ IntMatrix.identity(2) == a
@@ -179,10 +180,10 @@ class IntMatrix:
             raise DimensionError(f"matmul: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         a, inner, cols = self._data, self.cols, other.cols
         rows = None
-        # the nonzero count is taken only when the dense work could clear the bar
+        # a's entries are counted only when its dense work could reach the bar
         if (
-            len(a) * inner * cols >= WORD_PRODUCT_MIN
-            and sum([inner - row.count(0) for row in a]) * cols >= WORD_PRODUCT_MIN
+            NON_UNIT_WEIGHT * len(a) * inner * cols >= WORD_PRODUCT_MIN
+            and _int64_pays(a, inner, cols)
         ):
             rows = _word_product(self, other)
         if rows is None:
@@ -192,8 +193,8 @@ class IntMatrix:
     def is_inverse_of(self, other: "IntMatrix") -> bool:
         """Is self @ other the identity? The product is built like any other:
         over self's nonzeros, or in int64 under the bound of _word_product
-        when its nonzero work reaches WORD_PRODUCT_MIN. For square integer
-        matrices this makes both unimodular."""
+        when _int64_pays. For square integer matrices this makes both
+        unimodular."""
         n = self.rows
         return self.cols == n == other.rows == other.cols and (self @ other).is_identity()
 
@@ -253,15 +254,23 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self._data]!r}, cols={self.cols})"
 
 
-# A product whose nonzero work, nnz(A) * cols(B), reaches this goes through
-# int64 when the bound allows. The row combination costs about one C-level
-# add per unit of that work (less when a row is one unit term), while int64
-# converts every entry of both factors and of the product. Timed on every
-# product of tests/report_set.py, whose large factors have unit entries, the
-# row combination is faster below about 2**17; on dense factors of small
-# non-unit entries int64 is faster from a few hundred. 2**14 keeps a dense
-# 32x32x32 product in int64 and a permutation of 64 rows out of it.
+# The int64 path is offered a product whose weighted work, cols(B) times the
+# +-1 terms of A plus NON_UNIT_WEIGHT per other nonzero term of A, reaches
+# WORD_PRODUCT_MIN and twice the entries int64 converts (those of A, B and
+# A @ B). The row combination costs one C-level add per +-1 term and column,
+# on small ints that Python does not allocate; another term multiplies and
+# allocates per column. int64 costs a fixed setup and a conversion per entry.
+# Timed product by product, against taking the faster path for each one,
+# the rule's total is within 0.2% on the products of ktheory-graph and of
+# ktheory-abstract bench documents (the row combination always wins on the
+# latter) and of the cyclic pair at n = 128, and within 10% on dense and
+# sparse k x k factors (k = 3..128, unit and small entries); counting
+# nonzeros alone was 2x off on the last two. A dense product of non-unit
+# entries goes to int64 from 8x8x8, a dense one of units from 26x26x26; a
+# permutation of 64 rows, or a 128 x 128 factor of two units a row, stays
+# out of it.
 WORD_PRODUCT_MIN = 2**14
+NON_UNIT_WEIGHT = 32
 
 # Terms a row combination chains before it makes a tuple: deep enough that
 # the cut costs nothing measurable, shallow enough for any C stack.
@@ -301,10 +310,25 @@ def _row_combination(a: tuple, b: tuple, cols: int) -> tuple:
     return tuple(out)
 
 
+def _int64_pays(a: tuple, inner: int, cols: int) -> bool:
+    """Should a product of a, given as row tuples, with an inner x cols
+    matrix be offered to int64? Yes when its weighted work reaches
+    WORD_PRODUCT_MIN and twice the entries int64 converts (the rule above
+    WORD_PRODUCT_MIN). The units of a are counted, in a second pass, only
+    when its nonzeros could reach the bar at full weight."""
+    rows = len(a)
+    bar = max(WORD_PRODUCT_MIN, 2 * (rows * inner + inner * cols + rows * cols))
+    nonzeros = rows * inner - sum([row.count(0) for row in a])
+    if NON_UNIT_WEIGHT * nonzeros * cols < bar:
+        return False
+    units = sum([row.count(1) + row.count(-1) for row in a])
+    return (units + NON_UNIT_WEIGHT * (nonzeros - units)) * cols >= bar
+
+
 def _word_product(a: IntMatrix, b: IntMatrix) -> Optional[tuple]:
     """The rows of a @ b as tuples of Python ints, computed in numpy int64,
     or None when the bound fails. IntMatrix.__matmul__ calls it only for a
-    product whose nonzero work reaches WORD_PRODUCT_MIN.
+    product that _int64_pays.
 
     Every partial sum of an entry is at most inner * max|a| * max|b| in
     absolute value, so a bound below 2**63, with max|a| and max|b| each below

@@ -388,19 +388,22 @@ class TestKtheory:
         assert "unimodular" in rep["error"]
 
     def test_word_product_bound_holds_under_python_O(self):
-        # 3 * b = 1 - 2^64 wraps to 1 in int64; the no-overflow bound is an
-        # if, not an assert, so the product still leaves int64 under -O
-        # (at 128x128 the nonzero work reaches the int64 path's minimum)
+        # (a @ b)[0, 0] = 1 - 2^64 wraps to 1 in int64; @ offers both products
+        # to _word_product, whose no-overflow bound is an if, not an assert,
+        # so the product still leaves int64 under -O
         code = (
             "import sys\n"
             "if __debug__:\n"
             "    sys.exit(99)\n"
+            "from cpk import abelian\n"
             "from cpk.abelian import IntMatrix\n"
-            "def diag(first):\n"
-            "    return IntMatrix([[first if i == j == 0 else int(i == j) for j in range(128)]\n"
-            "                      for i in range(128)])\n"
-            "a, b = diag(3), diag(-6148914691236517205)\n"
-            "sys.exit(a.is_inverse_of(b) or (a @ b)[0, 0] != 1 - 2**64)\n"
+            "n, c = 32, -6148914691236517205\n"
+            "a = IntMatrix([[(3 if i == 0 else 1) * (j <= i) for j in range(n)] for i in range(n)])\n"
+            "b = IntMatrix([[(c if j == 0 else 1) * ((i == j) - (i == j + 1)) for j in range(n)]\n"
+            "               for i in range(n)])\n"
+            "word, seen = abelian._word_product, []\n"
+            "abelian._word_product = lambda a, b: seen.append(word(a, b)) or seen[-1]\n"
+            "sys.exit(a.is_inverse_of(b) or (a @ b)[0, 0] != 1 - 2**64 or seen != [None, None])\n"
         )
         done = run_subprocess(["-c", code], "-O")
         assert done.returncode == 0, done.stderr

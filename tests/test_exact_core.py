@@ -2,11 +2,11 @@
 
 Property tests for the Smith normal form with tracked inverse transforms
 and its per-command cache, for the one integer product (a row combination
-over the left factor's nonzeros, and int64 under its no-overflow bound for
-large nonzero work), for block solves against one factorization
-(block reduce, generator round trips, verify_exact witnesses), and
-deterministic guards on the number of Smith normal form calls a diagram
-run makes.
+over the left factor's nonzeros, and int64 under its no-overflow bound
+where the weighted work pays for it), for block solves against one
+factorization (block reduce, generator round trips, verify_exact
+witnesses), and deterministic guards on the number of Smith normal form
+calls a diagram run makes.
 """
 
 import contextlib
@@ -153,7 +153,9 @@ def test_word_size_products_equal_python_int_products(pair):
     expected = python_product(a, b)
     tops = entry_bound(a), entry_bound(b)
     in_int64 = max(tops) < 2**63 and tops[0] * tops[1] * a.cols < 2**63
-    assert (abelian._word_product(a, b) is not None) == in_int64
+    word = abelian._word_product(a, b)
+    assert (word is not None) == in_int64
+    assert word is None or word == expected
     assert (a @ b)._data == expected
     square = a.rows == a.cols == b.cols
     assert a.is_inverse_of(b) == (square and expected == IntMatrix.identity(a.rows)._data)
@@ -172,8 +174,11 @@ def test_products_at_the_bound(r, k, c, top, sign):
     for other, in_int64 in ((below, True), (below + 1, False)):
         a = IntMatrix([[top] * k] * r)
         b = IntMatrix([[sign * other] * c] * k)
-        assert (abelian._word_product(a, b) is not None) == in_int64
-        assert (a @ b)._data == ((sign * k * top * other,) * c,) * r
+        expected = ((sign * k * top * other,) * c,) * r
+        word = abelian._word_product(a, b)
+        assert (word is not None) == in_int64
+        assert word is None or word == expected
+        assert (a @ b)._data == expected
 
 
 @PROPERTY
@@ -192,13 +197,24 @@ def test_a_zero_factor_beside_entries_past_int64(r, k, c, big, zero_first):
     )
     a, b = (zero, other) if zero_first else (other, zero)
     in_int64 = entry_bound(other) < 2**63
-    assert (abelian._word_product(a, b) is not None) == in_int64
+    word = abelian._word_product(a, b)
+    assert (word is not None) == in_int64
+    assert word is None or word == IntMatrix.zeros(r, c)._data
     assert (a @ b)._data == python_product(a, b) == IntMatrix.zeros(r, c)._data
     assert not a.is_inverse_of(b)
 
 
-def diag(first: int, n: int = 8) -> IntMatrix:
-    return IntMatrix([[first if i == j == 0 else int(i == j) for j in range(n)] for i in range(n)])
+def wrapping_pair(n: int = 32) -> tuple:
+    """(A, B) with A @ B = diag(1 - 2^64, 1, ..., 1), which int64 wraps to
+    the identity. A is lower triangular of ones but for A[0][0] = 3, dense
+    enough for @ to offer the product to int64; B is the inverse of that
+    triangle of ones with its first column scaled by c, and 3 * c = 1 - 2^64."""
+    c = -6148914691236517205
+    a = IntMatrix([[(3 if i == 0 else 1) * (j <= i) for j in range(n)] for i in range(n)])
+    b = IntMatrix(
+        [[(c if j == 0 else 1) * ((i == j) - (i == j + 1)) for j in range(n)] for i in range(n)]
+    )
+    return a, b
 
 
 @contextlib.contextmanager
@@ -215,11 +231,10 @@ def word_product_results():
 
 
 def test_a_product_that_wraps_in_int64_is_not_an_inverse():
-    # 3 * b = 1 - 2^64, which int64 wraps to 1; at 128x128 the nonzero work
-    # reaches WORD_PRODUCT_MIN, so @ offers the product to _word_product,
-    # whose bound sends it to Python
-    a, b = diag(3, 128), diag(-6148914691236517205, 128)
-    assert a.rows * a.cols >= abelian.WORD_PRODUCT_MIN
+    # (a @ b)[0, 0] = 1 - 2^64, which int64 wraps to 1; @ offers the product
+    # to _word_product, whose bound sends it to Python
+    a, b = wrapping_pair()
+    assert abelian._int64_pays(a._data, a.cols, b.cols)
     with word_product_results() as results:
         assert not a.is_inverse_of(b)
         assert (a @ b)[0, 0] == 1 - 2**64
@@ -227,30 +242,34 @@ def test_a_product_that_wraps_in_int64_is_not_an_inverse():
 
 
 # ---------------------------------------------------------------------------
-# the row combination: exact at any density, int64 only for large nonzero work
+# the row combination: exact at any density, int64 only where it pays
 
 
-def entry_of(kind: str, rnd) -> int:
-    """One nonzero entry: a unit, a small int, or one near +-2^63 or +-2^100."""
-    if kind == "unit":
-        return rnd.choice((1, -1))
-    if kind == "small":
-        return rnd.choice((-1, 1)) * rnd.randint(2, 9)
-    return rnd.choice((-1, 1)) * (2 ** int(kind[2:]) + rnd.randint(-9, 9))
+NONZERO_ENTRIES = {
+    "unit": st.sampled_from([1, -1]),
+    "small": st.integers(2, 9) | st.integers(-9, -2),
+    "2^63": near(2**63),
+    "2^100": near(2**100),
+}
 
 
 @st.composite
 def matrices_of_any_density(draw, rows, cols):
-    """Each entry nonzero with the drawn density, its kind drawn from a
-    drawn mix of one or two of units, small ints and entries near 2^63 or
-    2^100; up to three rows are then zeroed."""
-    density = draw(st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0]))
-    kinds = draw(st.lists(st.sampled_from(["unit", "small", "2^63", "2^100"]), min_size=1, max_size=2))
-    rnd = draw(st.randoms(use_true_random=True))
-    data = [
-        [entry_of(rnd.choice(kinds), rnd) if rnd.random() < density else 0 for _ in range(cols)]
-        for _ in range(rows)
+    """Entries nonzero with a drawn density (0 to 1), each of a kind from a
+    drawn mix of one or two of units, small ints and entries near +-2^63 or
+    +-2^100; up to three rows are then zeroed. Past 8 rows or columns the
+    matrix repeats a drawn block of at most 8x8, shifted by a drawn step
+    every 8 rows, so that every entry is drawn by Hypothesis and shrinks."""
+    density = draw(st.sampled_from([0, 1, 4, 10, 20]))
+    kinds = draw(st.lists(st.sampled_from(sorted(NONZERO_ENTRIES)), min_size=1, max_size=2))
+    entry = st.one_of([NONZERO_ENTRIES[kind] for kind in kinds])
+    p, q = min(rows, 8), min(cols, 8)
+    block = [
+        [draw(entry) if draw(st.integers(0, 19)) < density else 0 for _ in range(q)]
+        for _ in range(p)
     ]
+    step = draw(st.integers(0, 7))
+    data = [[block[i % p][(j + step * (i // p)) % q] for j in range(cols)] for i in range(rows)]
     for i in draw(st.sets(st.integers(0, rows - 1), max_size=3)) if rows else ():
         data[i] = [0] * cols
     return IntMatrix(data, cols=cols)
@@ -258,8 +277,8 @@ def matrices_of_any_density(draw, rows, cols):
 
 @st.composite
 def products_of_any_density(draw):
-    """Sides 0..12, or 26..40 so that dense enough products reach
-    WORD_PRODUCT_MIN."""
+    """Sides 0..12, or 26..40 so that dense enough products are offered to
+    int64."""
     sides = st.integers(26, 40) if draw(st.booleans()) else st.integers(0, 12)
     r, k, c = draw(sides), draw(sides), draw(sides)
     return draw(matrices_of_any_density(r, k)), draw(matrices_of_any_density(k, c))
@@ -268,8 +287,8 @@ def products_of_any_density(draw):
 @PROPERTY
 @given(products_of_any_density())
 def test_products_of_any_density_equal_python_int_products(pair):
-    # 0xk and kx0 factors, zero rows, and products on both sides of
-    # WORD_PRODUCT_MIN, both inside and past the int64 bound
+    # 0xk and kx0 factors, zero rows, and products on both sides of the
+    # int64 dispatch, both inside and past the int64 bound
     a, b = pair
     out = a @ b
     assert (out.rows, out.cols) == (a.rows, b.cols)
@@ -300,21 +319,35 @@ def test_rows_longer_than_one_map_chain():
     assert (a @ b)._data == python_product(a, b)
 
 
-def test_only_large_nonzero_work_goes_to_int64():
-    n = 32
-    dense = IntMatrix([[(i * 7 + j * 3) % 9 + 1 for j in range(n)] for i in range(n)])
-    assert n**3 >= abelian.WORD_PRODUCT_MIN
-    with word_product_results() as results:
-        assert (dense @ dense)._data == python_product(dense, dense)
-    assert len(results) == 1 and results[0] is not None
+def dense_square(n: int, low: int) -> IntMatrix:
+    """n x n with every entry in low..9."""
+    return IntMatrix([[(i * 7 + j * 3) % (10 - low) + low for j in range(n)] for i in range(n)])
 
+
+def test_only_work_that_pays_goes_to_int64():
+    # int64: a dense 32x32x32 product with small entries, and a dense 8x8x8
+    # one of non-unit entries (weighted work 8 * 64 * NON_UNIT_WEIGHT = 2^14)
+    for n, low in ((32, 1), (8, 2)):
+        dense = dense_square(n, low)
+        with word_product_results() as results:
+            assert (dense @ dense)._data == python_product(dense, dense)
+        assert len(results) == 1 and results[0] is not None
+
+    # Python ints: a 64x64 permutation, a zero matrix, and a 128x128 factor of
+    # two units a row, whose work 2^15 is below twice the entries int64
+    # converts; a dense 7x7x7 product of non-unit entries
     n = 64
     perm = IntMatrix([[int(j == (3 * i + 1) % n) for j in range(n)] for i in range(n)])
     square = IntMatrix([[(i * 5 + j) % 11 - 5 for j in range(n)] for i in range(n)])
-    assert n**3 >= abelian.WORD_PRODUCT_MIN > n * n
+    n = 128
+    pairs = IntMatrix([[int(j in (i, (5 * i + 3) % n)) for j in range(n)] for i in range(n)])
+    wide = dense_square(n, -9)
+    small = dense_square(7, 2)
     with word_product_results() as results:
         assert (perm @ square)._data == python_product(perm, square)
-        assert (IntMatrix.zeros(n, n) @ square).is_zero()
+        assert (IntMatrix.zeros(64, 64) @ square).is_zero()
+        assert (pairs @ wide)._data == python_product(pairs, wide)
+        assert (small @ small)._data == python_product(small, small)
     assert results == []
 
 
