@@ -366,75 +366,86 @@ class SnfResult:
         return sum(1 for d in self.diagonal if d != 0)
 
 
-def _eye_lists(n: int) -> list:
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = 1
-    return rows
+def _eye_rows(n: int) -> list:
+    """The rows of the n x n identity, as slices of one tuple."""
+    line = (0,) * (n - 1) + (1,) + (0,) * (n - 1)
+    return [line[n - 1 - i : 2 * n - 1 - i] for i in range(n)]
 
 
-def _frozen(rows: list, cols: int) -> IntMatrix:
-    return IntMatrix._of_rows(tuple([tuple(row) for row in rows]), cols)
+def _plus_multiple(x: list, q: int, y: list) -> list:
+    """x + q * y entry by entry; a unit q takes C-level maps, as in
+    _row_combination."""
+    if q == 1:
+        return list(map(add, x, y))
+    if q == -1:
+        return list(map(sub, x, y))
+    return [s + q * t for s, t in zip(x, y)]
 
 
 def smith_normal_form(m: IntMatrix) -> SnfResult:
     """Compute U, S, V with U @ m @ V = S diagonal, d1 | d2 | ... >= 0.
 
-    Pivoting always promotes a nonzero entry of minimal absolute value, which
-    keeps intermediate entries small in practice. Every elementary operation
-    on U or V is mirrored by its inverse on Uinv or Vinv. The result is
-    certified on every call: U @ Uinv = I and V @ Vinv = I (so both
-    transforms are unimodular), U @ m = S @ Vinv (which with V @ Vinv = I is
-    the factorization identity), and the divisibility chain.
+    Pivoting always promotes a nonzero entry of minimal absolute value, the
+    first one in row-major order, which keeps intermediate entries small in
+    practice. No nonzero is below 1, so the scan stops at the first unit,
+    and it passes over zero rows at C speed. Every elementary operation on
+    U or V is mirrored by its inverse on Uinv or Vinv; a unit multiplier,
+    nearly every one on graph inputs, adds or subtracts rows with C-level
+    maps. A column step changes one entry of the working matrix, in the
+    pivot row: when the column pass runs, the pivot's column is 0 below it
+    (the row pass cleared it) and above it (each earlier pivot's row is 0
+    past that pivot). The result is certified on every call: U @ Uinv = I
+    and V @ Vinv = I (so both transforms are unimodular), U @ m = S @ Vinv
+    (which with V @ Vinv = I is the factorization identity), and the
+    divisibility chain.
 
     >>> smith_normal_form(IntMatrix([[2, 4], [6, 8]])).diagonal
     (2, 4)
     """
     r, c = m.rows, m.cols
     a = m.to_lists()
-    u = _eye_lists(r)
-    uinv_t = _eye_lists(r)  # rows are the columns of Uinv
-    v_t = _eye_lists(c)  # rows are the columns of V
-    vinv = _eye_lists(c)
+    # a transform's row is replaced, never changed in place, so U and Uinv,
+    # and V and Vinv, start from the same identity rows
+    u = _eye_rows(r)
+    uinv_t = u[:]  # rows are the columns of Uinv
+    v_t = _eye_rows(c)  # rows are the columns of V
+    vinv = v_t[:]
 
     def add_row(i, j, q):  # row_i += q * row_j; on Uinv col_j -= q * col_i
-        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
-        uinv_t[j] = [x - q * y for x, y in zip(uinv_t[j], uinv_t[i])]
-
-    def add_col(j, k, q):  # col_j += q * col_k; on Vinv row_k -= q * row_j
-        for row in a:
-            row[j] += q * row[k]
-        v_t[j] = [x + q * y for x, y in zip(v_t[j], v_t[k])]
-        vinv[k] = [x - q * y for x, y in zip(vinv[k], vinv[j])]
+        a[i] = _plus_multiple(a[i], q, a[j])
+        u[i] = _plus_multiple(u[i], q, u[j])
+        uinv_t[j] = _plus_multiple(uinv_t[j], -q, uinv_t[i])
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
         uinv_t[i], uinv_t[j] = uinv_t[j], uinv_t[i]
 
-    def swap_cols(i, j):
-        for row in a:
+    def swap_cols(i, j):  # i, j >= t, so the rows above t are 0 in both
+        for row in a[t:]:
             row[i], row[j] = row[j], row[i]
         v_t[i], v_t[j] = v_t[j], v_t[i]
         vinv[i], vinv[j] = vinv[j], vinv[i]
 
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-        uinv_t[i] = [-x for x in uinv_t[i]]
-
+    # Invariant: at step t a row s < t is 0 but for its pivot a[s][s], and
+    # the rows from t on are 0 before column t. Step s cleared column s
+    # below the pivot and row s past it, and no later operation refills
+    # them: a row operation adds a row that is 0 in column s, and a column
+    # operation or swap acts on columns past s.
     t = 0
     while t < min(r, c):
-        best = None
-        pi = pj = -1
+        best = 0
         for i in range(t, r):
-            for j in range(t, c):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    pi, pj = i, j
-        if best is None:
+            row = a[i]
+            for j in compress(range(c), row):  # a zero row costs no Python step
+                x = abs(row[j])
+                if not best or x < best:
+                    best, pi, pj = x, i, j
+                    if x == 1:
+                        break
+            if best == 1:
+                break
+        if not best:
             break
         if pi != t:
             swap_rows(t, pi)
@@ -442,11 +453,14 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
             swap_cols(t, pj)
         while True:
             if a[t][t] < 0:
-                negate_row(t)
+                a[t] = [-x for x in a[t]]
+                u[t] = [-x for x in u[t]]
+                uinv_t[t] = [-x for x in uinv_t[t]]
+            p = a[t][t]
             restart = False
             for i in range(t + 1, r):
                 if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
+                    q = a[i][t] // p
                     if q:
                         add_row(i, t, -q)
                     if a[i][t] != 0:
@@ -455,12 +469,18 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
                         break
             if restart:
                 continue
+            # Column t is now 0 but for the pivot: below it by the row pass,
+            # above it by the invariant. So col_j -= q * col_t changes a[t][j]
+            # alone; only V and Vinv take a whole row operation.
+            row = a[t]
             for j in range(t + 1, c):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
+                if row[j] != 0:
+                    q = row[j] // p
                     if q:
-                        add_col(j, t, -q)
-                    if a[t][j] != 0:
+                        row[j] -= q * p
+                        v_t[j] = _plus_multiple(v_t[j], -q, v_t[t])
+                        vinv[t] = _plus_multiple(vinv[t], q, vinv[j])
+                    if row[j] != 0:
                         swap_cols(t, j)
                         restart = True
                         break
@@ -468,12 +488,11 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
                 continue
             # pivot is alone in its row and column; force divisibility,
             # which a unit pivot has already
-            d = a[t][t]
-            if d == 1:
+            if p == 1:
                 break
             bad = -1
             for i in range(t + 1, r):
-                if any(x % d != 0 for x in a[i][t + 1 :]):
+                if any(x % p != 0 for x in a[i][t + 1 :]):
                     bad = i
                     break
             if bad >= 0:
@@ -489,26 +508,27 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
             raise InternalError(f"SNF divisibility chain broken: {diag}")
     # S is built from the diagonal alone, so the identity below also
     # certifies that every off-diagonal entry was cleared
-    s_rows = tuple([
-        tuple([diag[i] if j == i else 0 for j in range(c)]) for i in range(r)
-    ])
+    zero = (0,) * c
+    vinv_rows = tuple(map(tuple, vinv))
+    s_rows = tuple([zero[:i] + (d,) + zero[i + 1 :] for i, d in enumerate(diag)])
     s_vinv = tuple([
-        tuple([diag[i] * x for x in vinv[i]]) if i < len(diag) else (0,) * c
-        for i in range(r)
+        row if d == 1 else zero if d == 0 else tuple([d * x for x in row])
+        for d, row in zip(diag, vinv_rows)
     ])
+    pad = (zero,) * (r - len(diag))
     result = SnfResult(
-        U=_frozen(u, r),
-        S=IntMatrix._of_rows(s_rows, c),
-        V=_frozen(v_t, c).transpose(),
-        Uinv=_frozen(uinv_t, r).transpose(),
-        Vinv=_frozen(vinv, c),
+        U=IntMatrix._of_rows(tuple(map(tuple, u)), r),
+        S=IntMatrix._of_rows(s_rows + pad, c),
+        V=IntMatrix._of_rows(tuple(zip(*v_t)), c),
+        Uinv=IntMatrix._of_rows(tuple(zip(*uinv_t)), r),
+        Vinv=IntMatrix._of_rows(vinv_rows, c),
         diagonal=diag,
     )
     if not result.U.is_inverse_of(result.Uinv):
         raise InternalError("SNF transform U is not unimodular: U @ Uinv != I")
     if not result.V.is_inverse_of(result.Vinv):
         raise InternalError("SNF transform V is not unimodular: V @ Vinv != I")
-    if (result.U @ m)._data != s_vinv:
+    if (result.U @ m)._data != s_vinv + pad:
         raise InternalError("SNF factorization identity U @ M @ V == S failed")
     return result
 
@@ -830,19 +850,21 @@ class Presentation:
 
     def _coordinates(self, vectors: IntMatrix) -> list:
         """Canonical generator coordinates of the class of each column, or
-        None for a column outside the numerator lattice. U of the relations
-        maps every solved column in one product."""
+        None for a column outside the numerator lattice. The kept rows of U
+        of the relations, the only ones read, map every solved column in one
+        product; solve's tuples of Python ints are its columns as they are."""
         u = factor(self.rels).U
         xs = solve(self.basis, vectors)
-        ys = iter((u @ IntMatrix.from_columns([x for x in xs if x is not None],
-                                              rows=u.cols)).columns())
+        solved = [x for x in xs if x is not None]
+        kept = IntMatrix._of_rows(tuple([u._data[i] for i in self._kept]), u.cols)
+        rows = tuple(zip(*solved)) if solved else ((),) * u.cols
+        ys = iter((kept @ IntMatrix._of_rows(rows, len(solved))).columns())
         out = []
         for x in xs:
             if x is None:
                 out.append(None)
                 continue
-            y = next(ys)
-            out.append(tuple([y[i] % d if d else y[i] for i, d in zip(self._kept, self._orders)]))
+            out.append(tuple([y % d if d else y for y, d in zip(next(ys), self._orders)]))
         return out
 
     def reduce(self, vector) -> tuple:

@@ -41,6 +41,7 @@ from .fixtures import (
     fixture_document,
     fixture_ids,
     graph_document,
+    indented_json,
     write_fixtures,
 )
 from .ktheory import (
@@ -345,7 +346,7 @@ def _emit(report: dict, fmt: str):
         _flatten("", report, lines)
         print("\n".join(lines))
     else:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(indented_json(report))
 
 
 _STATUS_CODES = {
@@ -478,8 +479,7 @@ def cmd_pullback(args, report: dict) -> int:
     result = pullback_graph(graph, cover_map)
     out_doc = graph_document(result)
     with _named_path(), open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(out_doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(indented_json(out_doc) + "\n")
     report["results"] = {
         "written": str(args.out),
         "vertices": len(result.vertices),
@@ -583,11 +583,10 @@ def _error_report(report: dict, status: str, message: str, fmt: str) -> int:
 
 def main(argv=None) -> int:
     """Run one command, with automatic garbage collection off until it
-    returns. Reference counting frees what a command allocates: its own
-    objects form no cycles, and json's indenting encoder leaves a fixed few
-    dozen, collected later. Left on, the collector would rerun its full
-    passes over every object numpy and scipy hold, inside the largest
-    documents."""
+    returns. Reference counting frees what a command allocates: its
+    objects, the report writer's included, form no cycles. Left on, the
+    collector would rerun its full passes over every object numpy and
+    scipy hold, inside the largest documents."""
     collecting = gc.isenabled()
     gc.disable()
     clear_factors()  # each command factors each distinct matrix once

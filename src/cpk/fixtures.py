@@ -5,9 +5,9 @@ Fixture ids are stable, opaque strings; every document is schema-valid and
 every two-layer fixture resolves without ambiguity.
 """
 
-import json
 import math
 import os
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -202,6 +202,78 @@ def fixture_document(fid: str) -> dict:
     raise KeyError(f"unknown fixture id {fid!r}")
 
 
+def indented_json(value) -> str:
+    """value as json.dumps(value, indent=2, sort_keys=True) writes it, for
+    the types a report or document holds: dicts with str keys, lists and
+    tuples, str, int, float, bool and None. json takes its C encoder only
+    without an indent, so this writer exists to keep the same bytes at C
+    speed for strings and numbers.
+
+    >>> print(indented_json({"b": [1, 2.5, None], "a": {"x": True}, "c": []}))
+    {
+      "a": {
+        "x": true
+      },
+      "b": [
+        1,
+        2.5,
+        null
+      ],
+      "c": []
+    }
+    """
+    parts = []
+    _put_json(value, "\n", parts)
+    return "".join(parts)
+
+
+def _put_json(value, newline: str, parts: list) -> None:
+    """Append the text of value to parts; newline starts its own lines."""
+    if isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts.append(sep + encode_basestring_ascii(key) + ": ")
+            _put_json(value[key], inner, parts)
+            sep = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            parts.append(sep)
+            _put_json(item, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "]")
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if value != value:
+            parts.append("NaN")
+        elif value in (math.inf, -math.inf):
+            parts.append("Infinity" if value > 0 else "-Infinity")
+        else:
+            parts.append(float.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def write_fixtures(directory: str):
     """Materialize every fixture as <id>.json; returns the written paths."""
     os.makedirs(directory, exist_ok=True)
@@ -209,7 +281,6 @@ def write_fixtures(directory: str):
     for fid in fixture_ids():
         path = os.path.join(directory, f"{fid}.json")
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(fixture_document(fid), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(indented_json(fixture_document(fid)) + "\n")
         paths.append(path)
     return paths

@@ -12,8 +12,10 @@ from cpk.abelian import (
     FgAbGroup,
     GroupHom,
     IntMatrix,
+    InternalError,
     PreconditionError,
     Presentation,
+    SnfResult,
     cokernel,
     factor,
     hom_cut,
@@ -693,3 +695,156 @@ def reference_fock_suite(rep, tol=DEFAULT_TOL):
         worst = max(worst, _subblock_norm(d, idx, idx))
     report("left action adjoint", worst)
     return reports
+
+
+# ---------------------------------------------------------------------------
+# the Smith elimination as it stood before its pivot scan stopped at the
+# first unit and its column steps touched only the pivot row: an oracle
+# that must return exactly the same U, S, V, Uinv, Vinv and diagonal
+
+
+def _eye_lists(n: int) -> list:
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    return rows
+
+
+def _frozen(rows: list, cols: int) -> IntMatrix:
+    return IntMatrix._of_rows(tuple([tuple(row) for row in rows]), cols)
+
+
+def reference_smith_normal_form(m: IntMatrix) -> SnfResult:
+    """Compute U, S, V with U @ m @ V = S diagonal, d1 | d2 | ... >= 0.
+
+    Pivoting always promotes a nonzero entry of minimal absolute value, which
+    keeps intermediate entries small in practice. Every elementary operation
+    on U or V is mirrored by its inverse on Uinv or Vinv. The result is
+    certified on every call: U @ Uinv = I and V @ Vinv = I (so both
+    transforms are unimodular), U @ m = S @ Vinv (which with V @ Vinv = I is
+    the factorization identity), and the divisibility chain.
+
+    >>> reference_smith_normal_form(IntMatrix([[2, 4], [6, 8]])).diagonal
+    (2, 4)
+    """
+    r, c = m.rows, m.cols
+    a = m.to_lists()
+    u = _eye_lists(r)
+    uinv_t = _eye_lists(r)  # rows are the columns of Uinv
+    v_t = _eye_lists(c)  # rows are the columns of V
+    vinv = _eye_lists(c)
+
+    def add_row(i, j, q):  # row_i += q * row_j; on Uinv col_j -= q * col_i
+        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
+        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+        uinv_t[j] = [x - q * y for x, y in zip(uinv_t[j], uinv_t[i])]
+
+    def add_col(j, k, q):  # col_j += q * col_k; on Vinv row_k -= q * row_j
+        for row in a:
+            row[j] += q * row[k]
+        v_t[j] = [x + q * y for x, y in zip(v_t[j], v_t[k])]
+        vinv[k] = [x - q * y for x, y in zip(vinv[k], vinv[j])]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+        uinv_t[i], uinv_t[j] = uinv_t[j], uinv_t[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        v_t[i], v_t[j] = v_t[j], v_t[i]
+        vinv[i], vinv[j] = vinv[j], vinv[i]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+        uinv_t[i] = [-x for x in uinv_t[i]]
+
+    t = 0
+    while t < min(r, c):
+        best = None
+        pi = pj = -1
+        for i in range(t, r):
+            for j in range(t, c):
+                x = a[i][j]
+                if x != 0 and (best is None or abs(x) < best):
+                    best = abs(x)
+                    pi, pj = i, j
+        if best is None:
+            break
+        if pi != t:
+            swap_rows(t, pi)
+        if pj != t:
+            swap_cols(t, pj)
+        while True:
+            if a[t][t] < 0:
+                negate_row(t)
+            restart = False
+            for i in range(t + 1, r):
+                if a[i][t] != 0:
+                    q = a[i][t] // a[t][t]
+                    if q:
+                        add_row(i, t, -q)
+                    if a[i][t] != 0:
+                        swap_rows(t, i)  # strictly smaller pivot
+                        restart = True
+                        break
+            if restart:
+                continue
+            for j in range(t + 1, c):
+                if a[t][j] != 0:
+                    q = a[t][j] // a[t][t]
+                    if q:
+                        add_col(j, t, -q)
+                    if a[t][j] != 0:
+                        swap_cols(t, j)
+                        restart = True
+                        break
+            if restart:
+                continue
+            # pivot is alone in its row and column; force divisibility,
+            # which a unit pivot has already
+            d = a[t][t]
+            if d == 1:
+                break
+            bad = -1
+            for i in range(t + 1, r):
+                if any(x % d != 0 for x in a[i][t + 1 :]):
+                    bad = i
+                    break
+            if bad >= 0:
+                add_row(t, bad, 1)
+                continue
+            break
+        t += 1
+
+    diag = tuple([a[i][i] for i in range(min(r, c))])
+    for i, d in enumerate(diag):
+        later = diag[i + 1] if i + 1 < len(diag) else 0
+        if d < 0 or (later != 0 and (d == 0 or later % d != 0)):
+            raise InternalError(f"SNF divisibility chain broken: {diag}")
+    # S is built from the diagonal alone, so the identity below also
+    # certifies that every off-diagonal entry was cleared
+    s_rows = tuple([
+        tuple([diag[i] if j == i else 0 for j in range(c)]) for i in range(r)
+    ])
+    s_vinv = tuple([
+        tuple([diag[i] * x for x in vinv[i]]) if i < len(diag) else (0,) * c
+        for i in range(r)
+    ])
+    result = SnfResult(
+        U=_frozen(u, r),
+        S=IntMatrix._of_rows(s_rows, c),
+        V=_frozen(v_t, c).transpose(),
+        Uinv=_frozen(uinv_t, r).transpose(),
+        Vinv=_frozen(vinv, c),
+        diagonal=diag,
+    )
+    if not result.U.is_inverse_of(result.Uinv):
+        raise InternalError("SNF transform U is not unimodular: U @ Uinv != I")
+    if not result.V.is_inverse_of(result.Vinv):
+        raise InternalError("SNF transform V is not unimodular: V @ Vinv != I")
+    if (result.U @ m)._data != s_vinv:
+        raise InternalError("SNF factorization identity U @ M @ V == S failed")
+    return result

@@ -11,6 +11,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cpk
 from cpk import abelian, cli
@@ -19,6 +21,7 @@ from cpk.fixtures import (
     fixture_document,
     fixture_ids,
     graph_document,
+    indented_json,
     two_graph_document,
     unitary_document,
     write_fixtures,
@@ -859,6 +862,56 @@ class TestReports:
         assert exc.value.code == 0
 
 
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(2**200), 2**200)
+    | st.floats()  # NaN and +-inf included
+    | st.sampled_from([-0.0, 1e-300, float("nan"), float("inf"), float("-inf")])
+    | st.text()  # non-ASCII, surrogates and control characters included
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestReportWriter:
+    """indented_json, the one writer of indented JSON in the package, gives
+    the bytes of json.dumps(value, indent=2, sort_keys=True)."""
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(JSON_VALUES)
+    def test_same_bytes_as_json(self, value):
+        assert indented_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_edge_values(self):
+        value = {"": [[], {}, (), -0.0, 1e-300, 2**100, -(2**70), True, False, None],
+                 "\u00e9\x00\n\ud800": float("nan"), "z": [float("inf"), -float("inf")]}
+        assert indented_json(value) == json.dumps(value, indent=2, sort_keys=True)
+        assert indented_json([]) == "[]" and indented_json({}) == "{}"
+
+    @pytest.mark.parametrize("key", [1, 2.5, None, True, ("a",)])
+    def test_a_key_that_is_not_a_string_raises(self, key):
+        with pytest.raises(TypeError):
+            indented_json({key: 1})
+        with pytest.raises(TypeError):
+            indented_json([{"a": {key: 1}}])
+
+    def test_a_value_of_no_json_type_raises(self):
+        with pytest.raises(TypeError):
+            indented_json({"a": {1, 2}})
+
+    def test_written_fixtures_are_indented_as_json_writes_them(self, fixdir):
+        for fid in fixture_ids():
+            text = (fixdir / f"{fid}.json").read_text()
+            assert text == json.dumps(fixture_document(fid), indent=2, sort_keys=True) + "\n"
+
+
 def times_document(p1, p2):
     """Abstract K-data (Z, Z): bimodule i multiplies K0 by p_i, fixes K1."""
     z = {"rank": 1, "torsion": []}
@@ -905,8 +958,8 @@ class TestCommandLifetime:
         assert not abelian._factors
 
     def test_cyclic_garbage_does_not_grow_with_the_work(self, tmp_path, capsys):
-        # what keeps leaving collection off safe: the little cyclic garbage
-        # a command leaves does not depend on how much it computes
+        # what keeps leaving collection off safe: once warm, a command
+        # leaves no cyclic garbage, however much it computes
         small = write_doc(tmp_path, times_document(2, 2), "small.json")
         large = write_doc(tmp_path, times_document(25, 25), "large.json")
         left = []
@@ -918,7 +971,7 @@ class TestCommandLifetime:
                 left.append(gc.collect())
         finally:
             gc.enable()
-        assert left[1] == left[2], left
+        assert left[1] == left[2] == 0, left
 
 
 class TestNoTraceback:

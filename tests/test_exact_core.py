@@ -15,6 +15,7 @@ import sys
 from math import gcd
 from unittest import mock
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +33,7 @@ from cpk.abelian import (
     smith_normal_form,
 )
 from cpk.exactseq import ExactSequence, verify_exact
-from support import gen_lift, solve_columns, subquotient
+from support import gen_lift, reference_smith_normal_form, solve_columns, subquotient
 
 PROPERTY = settings(max_examples=150, deadline=None, database=None, derandomize=True)
 
@@ -80,6 +81,58 @@ def test_cached_factorization_equals_a_fresh_one(m):
     for name in ("U", "S", "V", "Uinv", "Vinv", "diagonal"):
         assert getattr(first, name) == getattr(fresh, name), name
     assert factor(m) is first
+
+
+@st.composite
+def sparse_unit_matrices(draw, max_side=24):
+    """Matrices up to max_side square of 0 and +-1, the entries of graph
+    inputs, with up to three entries of other sizes written over them."""
+    rows = draw(st.integers(0, max_side))
+    cols = draw(st.integers(0, max_side))
+    data = [[0] * cols for _ in range(rows)]
+    if rows and cols:
+        cell = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+        units = st.lists(st.tuples(cell, st.sampled_from([1, -1])), max_size=3 * max(rows, cols))
+        others = st.lists(st.tuples(cell, st.integers(-12, 12)), max_size=3)
+        for (i, j), x in draw(units) + draw(others):
+            data[i][j] = x
+    return IntMatrix(data, cols=cols)
+
+
+def assert_same_as_reference(m):
+    res, ref = smith_normal_form(m), reference_smith_normal_form(m)
+    for name in ("U", "S", "V", "Uinv", "Vinv", "diagonal"):
+        assert getattr(res, name) == getattr(ref, name), name
+    return res
+
+
+@PROPERTY
+@given(int_matrices() | sparse_unit_matrices())
+def test_snf_equals_the_reference_elimination(m):
+    # same pivots and the same operations in the same order: every
+    # transform, S and the diagonal are exactly the reference's
+    assert_same_as_reference(m)
+
+
+@pytest.mark.parametrize(
+    "rows, cols, diagonal",
+    [
+        ([[4, 6]], 2, (2,)),  # a column remainder restarts the pass
+        ([[3], [5]], 1, (1,)),  # a row remainder restarts the pass
+        ([[2, 0], [0, 3]], 2, (1, 6)),  # the divisibility fix
+        ([[-2, 4], [6, -8]], 2, (2, 4)),  # negative pivots
+        ([[0, 0, 0], [0, -3, 0], [0, 0, 0], [0, 6, 0]], 3, (3, 0, 0)),  # zero rows, columns
+        ([[0, 0], [0, 0]], 2, (0, 0)),
+        ([], 3, ()),  # 0 x k
+        ([[], [], []], 0, ()),  # k x 0
+        ([], 0, ()),
+        ([[2**64 + 2, 2**70], [2**63, 3 * 2**65]], 2, (2, abs((2**64 + 2) * 3 * 2**65 - 2**133) // 2)),
+        ([[-(2**65), 1, 0], [0, 2**100, -1]], 3, (1, 1)),  # past 2**63, with units
+    ],
+)
+def test_snf_edge_cases_equal_the_reference(rows, cols, diagonal):
+    res = assert_same_as_reference(IntMatrix(rows, cols=cols))
+    assert res.diagonal == diagonal
 
 
 def test_is_inverse_of_rejects_non_inverses():
