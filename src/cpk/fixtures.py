@@ -1,5 +1,5 @@
-"""Bundled desk-scale fixtures and the JSON document builders they share
-with the command line layer.
+"""Bundled desk-scale fixtures, and the JSON document builders and the
+indented JSON writer they share with the command line layer.
 
 Fixture ids are stable, opaque strings; every document is schema-valid and
 every two-layer fixture resolves without ambiguity.
