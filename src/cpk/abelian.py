@@ -20,6 +20,7 @@ elimination itself stays in Python ints (tests/test_layout.py enforces this).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 from math import gcd
 from itertools import compress
 from operator import add, sub
@@ -533,27 +534,46 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     return result
 
 
-_factors: dict = {}
+_answers: dict = {}
 
 
 def factor(m: IntMatrix) -> SnfResult:
     """The certified Smith form of m, factored once per distinct matrix.
 
     Results are kept by content (IntMatrix and SnfResult are immutable, so
-    sharing one is safe) until clear_factors(), which cpk.cli.main calls on
-    entry and on return: the cache holds every factorization of one command,
-    with no bound, and nothing else in the package keeps one. A miss calls
-    smith_normal_form, which checks every certificate.
+    sharing one is safe) in the command's answer table, until
+    clear_factors(), which cpk.cli.main calls on entry and on return: the
+    table holds every factorization of one command, with no bound, and
+    nothing else in the package keeps one. A miss calls smith_normal_form,
+    which checks every certificate.
     """
-    res = _factors.get(m)
+    res = _answers.get(m)
     if res is None:
-        res = _factors[m] = smith_normal_form(m)
+        res = _answers[m] = smith_normal_form(m)
     return res
 
 
+def once_per_command(fn):
+    """fn with its answers kept in the command's table beside the
+    factorizations, keyed by fn and its positional arguments, so a repeated
+    call hands back the first call's result. The arguments hash by content
+    (IntMatrix, FgAbGroup, GroupHom and tuples of them, ints, bools), and fn
+    returns an immutable value other than None. An exception is never
+    stored, so a cap trips on every call."""
+
+    def remembered(*args):
+        key = (fn, args)
+        out = _answers.get(key)
+        if out is None:
+            out = _answers[key] = fn(*args)
+        return out
+
+    return wraps(fn)(remembered)
+
+
 def clear_factors() -> None:
-    """Forget every cached factorization."""
-    _factors.clear()
+    """Forget every answer of the command, its factorizations included."""
+    _answers.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -978,8 +998,10 @@ def _cut(f: GroupHom) -> tuple:
     return m, IntMatrix._of_rows(coords[rank:], w.cols)
 
 
+@once_per_command
 def hom_cut(f: GroupHom) -> tuple:
-    """(coker f, ker f) as groups, from the factorization of _cut.
+    """(coker f, ker f) as groups, from the factorization of _cut, once per
+    map and command.
 
     >>> hom_cut(GroupHom(FgAbGroup(0, (4,)), FgAbGroup(0, (2,)), IntMatrix([[1]])))
     (FgAbGroup(free_rank=0, torsion=()), FgAbGroup(free_rank=0, torsion=(2,)))
@@ -988,16 +1010,20 @@ def hom_cut(f: GroupHom) -> tuple:
     return cokernel(m), cokernel(rels)
 
 
+@once_per_command
 def presented_cut(f: GroupHom) -> tuple:
     """(coker f, ker f) as presentations, for pieces that a further map acts
     on, both read from the one factorization of _cut: Z^{cod gens} modulo M,
     and K = hom_kernel_lattice(f) modulo the rows of Vinv @ W below the
-    rank. So basis @ rels is exactly R_dom.
+    rank. So basis @ rels is exactly R_dom. A map is cut once per command,
+    and every later call hands back the same two presentations.
 
     >>> f = GroupHom(FgAbGroup(0, (4,)), FgAbGroup(0, (2,)), IntMatrix([[1]]))
     >>> cok, ker = presented_cut(f)
     >>> str(cok.group), str(ker.group), ker.basis @ ker.rels
     ('0', 'Z/2', IntMatrix([[4]], cols=1))
+    >>> presented_cut(f)[1] is ker
+    True
     """
     m, rels = _cut(f)
     return Presentation.cokernel_of(m), Presentation(hom_kernel_lattice(f), rels)

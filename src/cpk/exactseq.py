@@ -30,6 +30,7 @@ from .abelian import (
     hom_image_lattice,
     hom_kernel_lattice,
     hom_well_defined,
+    once_per_command,
     solve,
 )
 
@@ -186,14 +187,15 @@ def _middle_groups(n_group: FgAbGroup, q_group: FgAbGroup):
 
 def extension_candidates(
     n_group: FgAbGroup, q_group: FgAbGroup, bound: Optional[int] = None
-) -> list:
+) -> tuple:
     """All iso-classes G fitting into 0 -> N -> G -> Q -> 0.
 
     Every extension is classified by one class datum per torsion factor of Q
     (an element of N/qN); enumerating those and collecting the middle groups
     gives exactly the realizable set. Result is sorted by (free rank,
     invariant factors) and always contains the split group N + Q. When
-    Ext(Q, N) vanishes that is the only one, found without enumerating.
+    Ext(Q, N) vanishes that is the only one, found without enumerating. Each
+    (N, Q, bound) is answered once per command.
 
     >>> from cpk.abelian import FgAbGroup
     >>> [str(g) for g in extension_candidates(FgAbGroup(0, (2,)), FgAbGroup(0, (2,)))]
@@ -201,8 +203,13 @@ def extension_candidates(
     """
     if bound is None:
         bound = ext_bound()  # read first, so a bad setting is always reported
+    return _candidates(n_group, q_group, bound)
+
+
+@once_per_command
+def _candidates(n_group: FgAbGroup, q_group: FgAbGroup, bound: int) -> tuple:
     if ext_trivial(q_group, n_group):
-        return [n_group.direct_sum(q_group)]
+        return (n_group.direct_sum(q_group),)
     torsion_product = n_group.torsion_order * q_group.torsion_order
     if torsion_product > bound:
         raise ResourceLimitError(
@@ -219,7 +226,7 @@ def extension_candidates(
         raise ResourceLimitError(
             f"extension enumeration would scan {total} classes (cap {_ENUM_CAP})"
         )
-    return [FgAbGroup(*k) for k in sorted(set(_middle_groups(n_group, q_group)))]
+    return tuple([FgAbGroup(*k) for k in sorted(set(_middle_groups(n_group, q_group)))])
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +280,16 @@ def solve_six_term(
     0 -> coker(f0) -> X0 -> ker(f1) -> 0 and X1 in
     0 -> coker(f1) -> X1 -> ker(f0) -> 0. Each is Determined exactly when one
     candidate middle group exists (in particular whenever the quotient is
-    free); otherwise every candidate is reported. X0 is solved first.
+    free); otherwise every candidate is reported. X0 is solved first. Each
+    distinct pair of cuts is solved once per command.
     """
+    if bound is None and not assume_split:
+        bound = ext_bound()
+    return _six_term(cut0, cut1, assume_split, bound)
+
+
+@once_per_command
+def _six_term(cut0: tuple, cut1: tuple, assume_split: bool, bound: Optional[int]) -> tuple:
     outcomes = []
     for (sub, _), (_, quot) in ((cut0, cut1), (cut1, cut0)):
         cert = ExtensionCertificate(sub=sub, quotient=quot)
@@ -283,5 +298,5 @@ def solve_six_term(
             continue
         cands = extension_candidates(sub, quot, bound)
         status = DETERMINED if len(cands) == 1 else AMBIGUOUS
-        outcomes.append(GroupOutcome(status, tuple(cands), cert))
+        outcomes.append(GroupOutcome(status, cands, cert))
     return tuple(outcomes)

@@ -9,8 +9,6 @@ import math
 import os
 from json.encoder import encode_basestring_ascii
 
-import numpy as np
-
 from .model import (
     AbstractKData,
     FiniteGraph,

@@ -315,6 +315,14 @@ def pair_groups(pair: KPair) -> tuple:
     return (pair.k0.group, pair.k1.group)
 
 
+def times_document(p1, p2):
+    """Abstract K-data (Z, Z): bimodule i multiplies K0 by p_i, fixes K1."""
+    z = {"rank": 1, "torsion": []}
+    return {"kind": "abstract_kdata", "K0": z, "K1": z,
+            "action1": {"K0": [[p1]], "K1": [[1]]},
+            "action2": {"K0": [[p2]], "K1": [[1]]}}
+
+
 def permutation_bimodule(vertices, perm) -> FiniteGraph:
     """The graph of a coefficient-permuting automorphism: one edge per
     vertex, running v -> perm[v], so the vertex matrix is the permutation

@@ -20,6 +20,7 @@ from cpk.abelian import (
     FgAbGroup,
     GroupHom,
     IntMatrix,
+    clear_factors,
     cokernel,
     hom_cut,
     kernel_basis,
@@ -246,6 +247,7 @@ def _minor_gcd_oracle(m: IntMatrix):
 
 
 def _check_against_oracle(m: IntMatrix):
+    clear_factors()  # one matrix is one command's worth of answers, as in cli.main
     rank, torsion = _minor_gcd_oracle(m)
     group = cokernel(m)
     assert group.free_rank == m.rows - rank, m.to_lists()

@@ -28,7 +28,7 @@ from cpk.fixtures import (
 )
 from cpk.fock import DEFAULT_TOL
 
-from support import two_graph_from_matrices
+from support import times_document, two_graph_from_matrices
 from test_ktheory import disjoint_flip_pair
 
 
@@ -912,17 +912,9 @@ class TestReportWriter:
             assert text == json.dumps(fixture_document(fid), indent=2, sort_keys=True) + "\n"
 
 
-def times_document(p1, p2):
-    """Abstract K-data (Z, Z): bimodule i multiplies K0 by p_i, fixes K1."""
-    z = {"rank": 1, "torsion": []}
-    return {"kind": "abstract_kdata", "K0": z, "K1": z,
-            "action1": {"K0": [[p1]], "K1": [[1]]},
-            "action2": {"K0": [[p2]], "K1": [[1]]}}
-
-
 class TestCommandLifetime:
     """cli.main runs a command with automatic garbage collection off and an
-    empty factor cache, and leaves both as a later caller needs them."""
+    empty answer table, and leaves both as a later caller needs them."""
 
     def test_collection_is_off_during_the_command_and_restored_after(
         self, tmp_path, monkeypatch, capsys
@@ -952,10 +944,23 @@ class TestCommandLifetime:
             gc.enable()
         assert seen == [False, False]
 
-    def test_the_factor_cache_is_emptied_on_return(self, tmp_path, capsys):
+    def test_the_factor_cache_is_emptied_on_return(self, tmp_path, monkeypatch, capsys):
+        # the command's answer table holds its factorizations, cuts, Pimsner
+        # pairs and extension candidates, and none of them outlives it
         path = write_doc(tmp_path, times_document(7, 4))
+        held = []
+
+        def recording(*args, **kwargs):
+            out = iterated_ktheory(*args, **kwargs)
+            held.extend(abelian._answers)
+            return out
+
+        iterated_ktheory = cli.iterated_ktheory
+        monkeypatch.setattr(cli, "iterated_ktheory", recording)
         run(capsys, ["ktheory", path], expect=0)
-        assert not abelian._factors
+        kinds = {key[0].__name__ if isinstance(key, tuple) else "factor" for key in held}
+        assert kinds == {"factor", "hom_cut", "presented_cut", "_six_term", "_candidates"}
+        assert not abelian._answers
 
     def test_cyclic_garbage_does_not_grow_with_the_work(self, tmp_path, capsys):
         # what keeps leaving collection off safe: once warm, a command

@@ -1,12 +1,13 @@
 """The factor-once exact core.
 
 Property tests for the Smith normal form with tracked inverse transforms
-and its per-command cache, for the one integer product (a row combination
-over the left factor's nonzeros, and int64 under its no-overflow bound
-where the weighted work pays for it), for block solves against one
-factorization (block reduce, generator round trips, verify_exact
-witnesses), and deterministic guards on the number of Smith normal form
-calls a diagram run makes.
+and the per-command answer table that keeps it, for the one integer
+product (a row combination over the left factor's nonzeros, and int64
+under its no-overflow bound where the weighted work pays for it), for
+block solves against one factorization (block reduce, generator round
+trips, verify_exact witnesses), and deterministic guards on the number of
+Smith normal form calls a diagram run makes and on the exact answers a
+command repeats.
 """
 
 import contextlib
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cpk import abelian, cli
+from cpk import abelian, cli, exactseq
 from cpk.abelian import (
     FgAbGroup,
     GroupHom,
@@ -33,7 +34,13 @@ from cpk.abelian import (
     smith_normal_form,
 )
 from cpk.exactseq import ExactSequence, verify_exact
-from support import gen_lift, reference_smith_normal_form, solve_columns, subquotient
+from support import (
+    gen_lift,
+    reference_smith_normal_form,
+    solve_columns,
+    subquotient,
+    times_document,
+)
 
 PROPERTY = settings(max_examples=150, deadline=None, database=None, derandomize=True)
 
@@ -652,11 +659,58 @@ def test_diagram_factors_each_distinct_matrix_once(tmp_path, capsys):
     assert len(calls) == len(set(calls)), len(calls) - len(set(calls))
 
 
+def exact_core_calls(monkeypatch, capsys, path) -> tuple:
+    """(map cuts, extension_candidates calls, extension enumerations) made by
+    one `cpk ktheory` command, counted at the module-level names that the
+    bodies behind the answer table call."""
+    counts = {"_cut": 0, "extension_candidates": 0, "_middle_groups": 0}
+
+    def counting(name, original):
+        def counted(*args):
+            counts[name] += 1
+            return original(*args)
+        return counted
+
+    with monkeypatch.context() as patch:
+        for module, name in ((abelian, "_cut"), (exactseq, "extension_candidates"),
+                             (exactseq, "_middle_groups")):
+            patch.setattr(module, name, counting(name, getattr(module, name)))
+        rc = cli.main(["ktheory", str(path)])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 0, report
+    return counts["_cut"], counts["extension_candidates"], counts["_middle_groups"]
+
+
 def test_each_command_factors_afresh(tmp_path, monkeypatch, capsys):
-    # the factor cache lives for one cli.main call, so a repeated command
-    # repeats every factorization instead of reading the previous one's
+    # the answer table lives for one cli.main call, so a repeated command
+    # repeats every factorization, cut, Pimsner pair and extension
+    # enumeration instead of reading the previous one's
     path = tmp_path / "cyclic-16.json"
     path.write_text(json.dumps(cyclic_pair_document(16, 2)))
     first = snf_calls(monkeypatch, capsys, str(path))
     assert first > 0
     assert snf_calls(monkeypatch, capsys, str(path)) == first
+    path = tmp_path / "abstract.json"
+    path.write_text(json.dumps(times_document(25, 25)))
+    first = exact_core_calls(monkeypatch, capsys, path)
+    assert all(first), first
+    assert exact_core_calls(monkeypatch, capsys, path) == first
+
+
+@pytest.mark.parametrize("multipliers", [(3, 5), (25, 25), (13, 25)])
+def test_each_extension_is_enumerated_once_per_command(multipliers, tmp_path, capsys):
+    # both bimodule orders, and every pair of descended cuts, ask for the
+    # same extensions; the command's table answers each (sub, quot) once
+    path = tmp_path / "abstract.json"
+    path.write_text(json.dumps(times_document(*multipliers)))
+    calls = []
+    middle_groups = exactseq._middle_groups
+
+    def counting(n_group, q_group):
+        calls.append((n_group, q_group))
+        return middle_groups(n_group, q_group)
+
+    with mock.patch.object(exactseq, "_middle_groups", counting):
+        rc = cli.main(["ktheory", str(path)])
+    assert rc == 0, capsys.readouterr().out
+    assert calls and len(calls) == len(set(calls)), calls

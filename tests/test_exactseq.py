@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpk.abelian import FgAbGroup, GroupHom, IntMatrix, hom_cut
+from cpk.abelian import FgAbGroup, GroupHom, IntMatrix, clear_factors, hom_cut
 from cpk.exactseq import (
     AMBIGUOUS,
+    DEFAULT_EXT_BOUND,
     DETERMINED,
     ExactSequence,
     ResourceLimitError,
@@ -99,10 +100,10 @@ def test_arrow_endpoint_validation():
 
 def test_extension_frozen_cases():
     assert [str(g) for g in extension_candidates(Z2, Z2)] == ["Z/2 + Z/2", "Z/4"]
-    assert extension_candidates(T, FgAbGroup(2, (3,))) == [FgAbGroup(2, (3,))]
-    assert extension_candidates(Z3, Z) == [FgAbGroup(1, (3,))]
+    assert extension_candidates(T, FgAbGroup(2, (3,))) == (FgAbGroup(2, (3,)),)
+    assert extension_candidates(Z3, Z) == (FgAbGroup(1, (3,)),)
     assert [str(g) for g in extension_candidates(Z, Z2)] == ["Z", "Z + Z/2"]
-    assert extension_candidates(Z2, Z3) == [FgAbGroup(0, (6,))]  # coprime: unique
+    assert extension_candidates(Z2, Z3) == (FgAbGroup(0, (6,)),)  # coprime: unique
 
 
 def test_extension_split_always_present():
@@ -124,11 +125,24 @@ def test_extension_coprime_cyclic_unique():
 def test_vanishing_ext_skips_the_bound():
     # Ext(Q, N) = 0 leaves only the split group, whatever the torsion order
     big = FgAbGroup(0, (4999,))
-    assert extension_candidates(big, FgAbGroup.trivial(), bound=1) == [big]
+    assert extension_candidates(big, FgAbGroup.trivial(), bound=1) == (big,)
     coprime = extension_candidates(FgAbGroup(0, (125,)), FgAbGroup(1, (64,)), bound=1)
-    assert coprime == [FgAbGroup(1, (8000,))]
+    assert coprime == (FgAbGroup(1, (8000,)),)
     with pytest.raises(ResourceLimitError):
         extension_candidates(FgAbGroup(0, (2,)), FgAbGroup(0, (64,)), bound=1)
+
+
+def test_a_tripped_bound_trips_on_every_call(monkeypatch):
+    # answers are kept for the command, refusals are not
+    monkeypatch.delenv("CPK_EXT_BOUND", raising=False)
+    clear_factors()
+    for _ in range(2):
+        with pytest.raises(ResourceLimitError):
+            extension_candidates(FgAbGroup(0, (2,)), FgAbGroup(0, (64,)), bound=1)
+    cands = extension_candidates(Z2, Z2)
+    assert extension_candidates(Z2, Z2, bound=DEFAULT_EXT_BOUND) is cands
+    clear_factors()
+    assert extension_candidates(Z2, Z2) is not cands
 
 
 def test_extension_bound(monkeypatch):
