@@ -14,7 +14,8 @@ reaches WORD_PRODUCT_MIN and twice the entries int64 would convert
 (_int64_pays), it first offers the product to _word_product, which
 multiplies in numpy int64 when a bound proves every partial sum exact and
 returns Python ints. No other function here uses numpy, so the Smith
-elimination itself stays in Python ints (tests/test_layout.py enforces this).
+elimination itself stays in Python ints, and numpy is imported only when a
+product first takes that path (tests/test_layout.py enforces both).
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from math import gcd
 from itertools import compress
 from operator import add, sub
 from typing import Iterable, Optional
-
-import numpy as np
 
 
 class DimensionError(ValueError):
@@ -337,6 +336,8 @@ def _word_product(a: IntMatrix, b: IntMatrix) -> Optional[tuple]:
     (the device of FFLAS-FFPACK: Dumas, Giorgi, Pernet, ACM TOMS 35(3),
     2008). The bound is an if, not an assert, so it holds under python -O.
     """
+    import numpy as np  # here alone, so importing the package loads no numpy
+
     inner = a.cols
     top_a, top_b = (max(max(map(max, m)), -min(map(min, m))) for m in (a._data, b._data))
     # each factor on its own must fit too: a zero factor makes the bound 0

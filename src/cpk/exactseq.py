@@ -185,29 +185,23 @@ def _middle_groups(n_group: FgAbGroup, q_group: FgAbGroup):
         yield g.free_rank + q_group.free_rank, g.torsion
 
 
-def extension_candidates(
-    n_group: FgAbGroup, q_group: FgAbGroup, bound: Optional[int] = None
-) -> tuple:
+@once_per_command
+def extension_candidates(n_group: FgAbGroup, q_group: FgAbGroup, bound: int) -> tuple:
     """All iso-classes G fitting into 0 -> N -> G -> Q -> 0.
 
     Every extension is classified by one class datum per torsion factor of Q
     (an element of N/qN); enumerating those and collecting the middle groups
     gives exactly the realizable set. Result is sorted by (free rank,
     invariant factors) and always contains the split group N + Q. When
-    Ext(Q, N) vanishes that is the only one, found without enumerating. Each
+    Ext(Q, N) vanishes that is the only one, found without enumerating;
+    otherwise a torsion order product above bound is refused. Each
     (N, Q, bound) is answered once per command.
 
     >>> from cpk.abelian import FgAbGroup
-    >>> [str(g) for g in extension_candidates(FgAbGroup(0, (2,)), FgAbGroup(0, (2,)))]
+    >>> z2 = FgAbGroup(0, (2,))
+    >>> [str(g) for g in extension_candidates(z2, z2, DEFAULT_EXT_BOUND)]
     ['Z/2 + Z/2', 'Z/4']
     """
-    if bound is None:
-        bound = ext_bound()  # read first, so a bad setting is always reported
-    return _candidates(n_group, q_group, bound)
-
-
-@once_per_command
-def _candidates(n_group: FgAbGroup, q_group: FgAbGroup, bound: int) -> tuple:
     if ext_trivial(q_group, n_group):
         return (n_group.direct_sum(q_group),)
     torsion_product = n_group.torsion_order * q_group.torsion_order
@@ -269,9 +263,8 @@ class GroupOutcome:
         return out
 
 
-def solve_six_term(
-    cut0: tuple, cut1: tuple, assume_split: bool = False, bound: Optional[int] = None
-) -> tuple:
+@once_per_command
+def solve_six_term(cut0: tuple, cut1: tuple, assume_split: bool, bound: int) -> tuple:
     """The unknown groups (X0, X1) of the cyclic exact sequence
 
         A0 -f0-> B0 -> X0 -> A1 -f1-> B1 -> X1 -> A0,
@@ -280,16 +273,10 @@ def solve_six_term(
     0 -> coker(f0) -> X0 -> ker(f1) -> 0 and X1 in
     0 -> coker(f1) -> X1 -> ker(f0) -> 0. Each is Determined exactly when one
     candidate middle group exists (in particular whenever the quotient is
-    free); otherwise every candidate is reported. X0 is solved first. Each
-    distinct pair of cuts is solved once per command.
+    free); otherwise every candidate under bound is reported, or the split
+    group under assume_split. X0 is solved first. Each distinct pair of cuts
+    is solved once per command.
     """
-    if bound is None and not assume_split:
-        bound = ext_bound()
-    return _six_term(cut0, cut1, assume_split, bound)
-
-
-@once_per_command
-def _six_term(cut0: tuple, cut1: tuple, assume_split: bool, bound: Optional[int]) -> tuple:
     outcomes = []
     for (sub, _), (_, quot) in ((cut0, cut1), (cut1, cut0)):
         cert = ExtensionCertificate(sub=sub, quotient=quot)

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import gcd
-from typing import Optional, Union
+from typing import Union
 
 from .abelian import (
     FgAbGroup,
@@ -123,12 +123,7 @@ def one_minus(f: GroupHom) -> GroupHom:
     return GroupHom(f.dom, f.cod, eye - f.matrix)
 
 
-def cuntz_pimsner_ktheory(
-    cut0: tuple,
-    cut1: tuple,
-    assume_split: bool = False,
-    bound: Optional[int] = None,
-) -> KPair:
+def cuntz_pimsner_ktheory(cut0: tuple, cut1: tuple, assume_split: bool, bound: int) -> KPair:
     """K-groups of the Cuntz-Pimsner algebra from Pimsner's six-term sequence,
     given the cuts cut_d = (coker, ker) of 1 - [E] on coefficient K_d as
     groups: hom_cut(one_minus(f)), or the groups of presented_cut's pieces.
@@ -369,9 +364,7 @@ def _two_stage_order(cut0, cut1, action0: IntMatrix, action1: IntMatrix,
 
 
 def iterated_ktheory(
-    spec: Union[GraphLayers, AbstractKData],
-    assume_split: bool = False,
-    bound: Optional[int] = None,
+    spec: Union[GraphLayers, AbstractKData], assume_split: bool, bound: int
 ) -> IteratedResult:
     """K-theory of the algebra built in two stages, second bimodule over the
     first algebra. Both orders are computed; Determined answers must agree

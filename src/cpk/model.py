@@ -11,9 +11,10 @@ non-permutation commutation unitary; it is accepted by the Fock checks only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .abelian import (
     FgAbGroup,
@@ -367,10 +368,14 @@ class UnitaryChi:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        import numpy as np  # only unitary_chi documents load numpy here
+
         mat = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", mat)
 
     def validate(self, tol: float = 1e-12) -> ValidationReport:
+        import numpy as np
+
         structural = []
         semantic = []
         size = self.m * self.n
@@ -396,6 +401,8 @@ def rotation_unitary_chi(alpha: float, beta: float) -> UnitaryChi:
     """The two-angle family on (m, n) = (2, 2): block rotations by alpha on
     the first two coordinates and beta on the last two. Both angles zero
     gives the identity, the same-index pairing."""
+    import numpy as np
+
     c1, s1 = np.cos(alpha), np.sin(alpha)
     c2, s2 = np.cos(beta), np.sin(beta)
     mat = np.array(

@@ -261,7 +261,7 @@ def every_descended_action(sub_pres, quot_pres, a_sub, a_quot, assume_split):
     return g_pres.homs_to(g_pres, blocks), None
 
 
-def per_pair_iterated_ktheory(data: AbstractKData, assume_split=False, bound=None):
+def per_pair_iterated_ktheory(data: AbstractKData, assume_split: bool, bound: int):
     """iterated_ktheory on abstract K-data in the per-pair formulation: every
     coupling gets its own action (every_descended_action, no conjugacy
     classes), and each single-stage K-pair is solved from the class maps

@@ -28,6 +28,7 @@ from cpk.abelian import (
 )
 from cpk.exactseq import (
     AMBIGUOUS,
+    DEFAULT_EXT_BOUND,
     DETERMINED,
     solve_six_term,
 )
@@ -182,8 +183,8 @@ def test_criterion_6_order_symmetry_on_random_pairs(capsys):
         rng = random.Random(20260815)
         for i in range(100):
             spec = commuting_layer_spec(rng, max_vertices=5, max_powers=3)
-            a = iterated_ktheory(GraphLayers(spec))
-            b = iterated_ktheory(GraphLayers(swapped_spec(spec)))
+            a = iterated_ktheory(GraphLayers(spec), False, DEFAULT_EXT_BOUND)
+            b = iterated_ktheory(GraphLayers(swapped_spec(spec)), False, DEFAULT_EXT_BOUND)
             for degree, x, y in (("K0", a.final.k0, b.final.k0),
                                  ("K1", a.final.k1, b.final.k1)):
                 assert x.status == y.status, f"case {i} {degree}"
@@ -301,10 +302,10 @@ def test_criterion_9_extension_candidates_for_z2_by_z2(capsys):
                               "the direct sum and watermarks it") as state:
         z2 = FgAbGroup.from_divisors(0, [2])
         zero = GroupHom(z2, z2, IntMatrix([[0]]))
-        for res in solve_six_term(hom_cut(zero), hom_cut(zero)):
+        for res in solve_six_term(hom_cut(zero), hom_cut(zero), False, DEFAULT_EXT_BOUND):
             assert res.status == AMBIGUOUS
             assert sorted(str(g) for g in res.candidates) == ["Z/2 + Z/2", "Z/4"]
-        for res in solve_six_term(hom_cut(zero), hom_cut(zero), assume_split=True):
+        for res in solve_six_term(hom_cut(zero), hom_cut(zero), True, DEFAULT_EXT_BOUND):
             assert res.status == DETERMINED
             assert str(res.candidates[0]) == "Z/2 + Z/2"
             assert res.assumed_split

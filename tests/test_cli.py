@@ -326,6 +326,26 @@ class TestKtheory:
         rc, rep = run(capsys, ["ktheory", path, "--route", "iterated"], expect=4)
         assert rep["status"] == "resource-limit"
 
+    def test_a_raised_extension_bound_reaches_the_enumeration(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # Z/100 by Z/100 needs a torsion order product of 10000; the command
+        # reads the bound once and the enumeration runs under it
+        doc = {
+            "kind": "abstract_kdata",
+            "K0": {"rank": 0, "torsion": [100]},
+            "K1": {"rank": 0, "torsion": [100]},
+            "action1": {"K0": [[1]], "K1": [[1]]},
+            "action2": {"K0": [[1]], "K1": [[1]]},
+        }
+        path = write_doc(tmp_path, doc)
+        monkeypatch.delenv("CPK_EXT_BOUND", raising=False)
+        rc, rep = run(capsys, ["ktheory", path], expect=4)
+        assert rep["status"] == "resource-limit"
+        assert "torsion order product 10000 > bound 4096" in rep["error"]
+        monkeypatch.setenv("CPK_EXT_BOUND", "20000")
+        rc, rep = run(capsys, ["ktheory", path], expect=0)
+        assert len(rep["results"]["stage1"]["layer1"]["K0"]["candidates"]) == 9
+
     def test_assume_split_with_huge_prime_torsion_finishes(self, tmp_path):
         # 1 - 2**61 has the prime 2**61 - 1 as its only factor
         doc = fixture_document("ex4.7-abstract-p2")
@@ -959,7 +979,8 @@ class TestCommandLifetime:
         monkeypatch.setattr(cli, "iterated_ktheory", recording)
         run(capsys, ["ktheory", path], expect=0)
         kinds = {key[0].__name__ if isinstance(key, tuple) else "factor" for key in held}
-        assert kinds == {"factor", "hom_cut", "presented_cut", "_six_term", "_candidates"}
+        assert kinds == {"factor", "hom_cut", "presented_cut", "solve_six_term",
+                         "extension_candidates"}
         assert not abelian._answers
 
     def test_cyclic_garbage_does_not_grow_with_the_work(self, tmp_path, capsys):

@@ -99,11 +99,12 @@ def test_arrow_endpoint_validation():
 
 
 def test_extension_frozen_cases():
-    assert [str(g) for g in extension_candidates(Z2, Z2)] == ["Z/2 + Z/2", "Z/4"]
-    assert extension_candidates(T, FgAbGroup(2, (3,))) == (FgAbGroup(2, (3,)),)
-    assert extension_candidates(Z3, Z) == (FgAbGroup(1, (3,)),)
-    assert [str(g) for g in extension_candidates(Z, Z2)] == ["Z", "Z + Z/2"]
-    assert extension_candidates(Z2, Z3) == (FgAbGroup(0, (6,)),)  # coprime: unique
+    assert [str(g) for g in extension_candidates(Z2, Z2, DEFAULT_EXT_BOUND)] == ["Z/2 + Z/2", "Z/4"]
+    assert extension_candidates(T, FgAbGroup(2, (3,)), DEFAULT_EXT_BOUND) == (FgAbGroup(2, (3,)),)
+    assert extension_candidates(Z3, Z, DEFAULT_EXT_BOUND) == (FgAbGroup(1, (3,)),)
+    assert [str(g) for g in extension_candidates(Z, Z2, DEFAULT_EXT_BOUND)] == ["Z", "Z + Z/2"]
+    # coprime: unique
+    assert extension_candidates(Z2, Z3, DEFAULT_EXT_BOUND) == (FgAbGroup(0, (6,)),)
 
 
 def test_extension_split_always_present():
@@ -111,7 +112,7 @@ def test_extension_split_always_present():
     for _ in range(40):
         n = FgAbGroup.from_divisors(rng.randint(0, 2), [rng.choice([1, 2, 3, 4])])
         q = FgAbGroup.from_divisors(rng.randint(0, 1), [rng.choice([1, 2, 3, 4, 6])])
-        cands = extension_candidates(n, q)
+        cands = extension_candidates(n, q, DEFAULT_EXT_BOUND)
         assert n.direct_sum(q) in cands
         # pairwise distinct canonical forms
         assert len({(g.free_rank, g.torsion) for g in cands}) == len(cands)
@@ -119,39 +120,38 @@ def test_extension_split_always_present():
 
 def test_extension_coprime_cyclic_unique():
     for a, b in [(2, 3), (3, 4), (4, 9), (5, 6)]:
-        assert len(extension_candidates(FgAbGroup(0, (a,)), FgAbGroup(0, (b,)))) == 1
+        n, q = FgAbGroup(0, (a,)), FgAbGroup(0, (b,))
+        assert len(extension_candidates(n, q, DEFAULT_EXT_BOUND)) == 1
 
 
 def test_vanishing_ext_skips_the_bound():
     # Ext(Q, N) = 0 leaves only the split group, whatever the torsion order
     big = FgAbGroup(0, (4999,))
-    assert extension_candidates(big, FgAbGroup.trivial(), bound=1) == (big,)
-    coprime = extension_candidates(FgAbGroup(0, (125,)), FgAbGroup(1, (64,)), bound=1)
+    assert extension_candidates(big, FgAbGroup.trivial(), 1) == (big,)
+    coprime = extension_candidates(FgAbGroup(0, (125,)), FgAbGroup(1, (64,)), 1)
     assert coprime == (FgAbGroup(1, (8000,)),)
     with pytest.raises(ResourceLimitError):
-        extension_candidates(FgAbGroup(0, (2,)), FgAbGroup(0, (64,)), bound=1)
+        extension_candidates(FgAbGroup(0, (2,)), FgAbGroup(0, (64,)), 1)
 
 
-def test_a_tripped_bound_trips_on_every_call(monkeypatch):
+def test_a_tripped_bound_trips_on_every_call():
     # answers are kept for the command, refusals are not
-    monkeypatch.delenv("CPK_EXT_BOUND", raising=False)
     clear_factors()
     for _ in range(2):
         with pytest.raises(ResourceLimitError):
-            extension_candidates(FgAbGroup(0, (2,)), FgAbGroup(0, (64,)), bound=1)
-    cands = extension_candidates(Z2, Z2)
-    assert extension_candidates(Z2, Z2, bound=DEFAULT_EXT_BOUND) is cands
+            extension_candidates(FgAbGroup(0, (2,)), FgAbGroup(0, (64,)), 1)
+    cands = extension_candidates(Z2, Z2, DEFAULT_EXT_BOUND)
+    assert extension_candidates(Z2, Z2, DEFAULT_EXT_BOUND) is cands
     clear_factors()
-    assert extension_candidates(Z2, Z2) is not cands
+    assert extension_candidates(Z2, Z2, DEFAULT_EXT_BOUND) is not cands
 
 
-def test_extension_bound(monkeypatch):
+def test_extension_bound():
     big = FgAbGroup(0, (100,))
     with pytest.raises(ResourceLimitError) as exc:
-        extension_candidates(big, big)
+        extension_candidates(big, big, DEFAULT_EXT_BOUND)
     assert "CPK_EXT_BOUND" in str(exc.value)
-    monkeypatch.setenv("CPK_EXT_BOUND", "20000")
-    cands = extension_candidates(big, big)
+    cands = extension_candidates(big, big, 20000)
     assert FgAbGroup(0, (100, 100)) in cands
     assert FgAbGroup(0, (10, 1000)) in cands
 
@@ -163,7 +163,8 @@ def test_extension_bound(monkeypatch):
 def test_solver_rose():
     # coefficient (Z, 0), K-map 1-n on degree zero
     for n in range(2, 6):
-        x0, x1 = solve_six_term(hom_cut(hom(Z, Z, [[1 - n]])), hom_cut(zero(T, T)))
+        cuts = hom_cut(hom(Z, Z, [[1 - n]])), hom_cut(zero(T, T))
+        x0, x1 = solve_six_term(*cuts, False, DEFAULT_EXT_BOUND)
         assert x0.status == x1.status == DETERMINED
         assert x0.group == FgAbGroup.from_divisors(0, [n - 1])
         assert x1.group == T
@@ -171,27 +172,28 @@ def test_solver_rose():
 
 def test_solver_free_quotient_splits():
     # N = Z/2 from the cokernel of f0, Q = Z from the kernel of the zero f1
-    x0, x1 = solve_six_term(hom_cut(hom(Z, Z, [[2]])), hom_cut(zero(Z, Z)))
+    cuts = hom_cut(hom(Z, Z, [[2]])), hom_cut(zero(Z, Z))
+    x0, x1 = solve_six_term(*cuts, False, DEFAULT_EXT_BOUND)
     assert x0.status == x1.status == DETERMINED
     assert x0.group == FgAbGroup(1, (2,))
 
 
 def test_solver_ambiguous_and_assume_split():
     f0, f1 = hom(Z, Z, [[2]]), zero(Z2, Z2)
-    x0, x1 = solve_six_term(hom_cut(f0), hom_cut(f1))
+    x0, x1 = solve_six_term(hom_cut(f0), hom_cut(f1), False, DEFAULT_EXT_BOUND)
     assert x0.status == AMBIGUOUS
     assert {str(g) for g in x0.candidates} == {"Z/4", "Z/2 + Z/2"}
     assert x1.status == DETERMINED
     assert x1.group == Z2
 
-    forced = solve_six_term(hom_cut(f0), hom_cut(f1), assume_split=True)
+    forced = solve_six_term(hom_cut(f0), hom_cut(f1), True, DEFAULT_EXT_BOUND)
     assert all(x.status == DETERMINED for x in forced)
     assert forced[0].assumed_split
     assert forced[0].group == FgAbGroup(0, (2, 2))
 
 
 def test_solver_all_zero_flanks():
-    x0, x1 = solve_six_term(hom_cut(zero(T, T)), hom_cut(zero(T, T)))
+    x0, x1 = solve_six_term(hom_cut(zero(T, T)), hom_cut(zero(T, T)), False, DEFAULT_EXT_BOUND)
     assert x0.status == x1.status == DETERMINED
     assert (x0.group, x1.group) == (T, T)
 
@@ -222,10 +224,10 @@ def well_defined_homs(draw):
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(well_defined_homs(), well_defined_homs())
 def test_solver_symmetry_and_substitution(f0, f1):
-    out = solve_six_term(hom_cut(f0), hom_cut(f1))
+    out = solve_six_term(hom_cut(f0), hom_cut(f1), False, DEFAULT_EXT_BOUND)
     # reading the sequence from A1 on exchanges the two unknowns
-    assert solve_six_term(hom_cut(f1), hom_cut(f0)) == out[::-1]
-    split = solve_six_term(hom_cut(f0), hom_cut(f1), assume_split=True)
+    assert solve_six_term(hom_cut(f1), hom_cut(f0), False, DEFAULT_EXT_BOUND) == out[::-1]
+    split = solve_six_term(hom_cut(f0), hom_cut(f1), True, DEFAULT_EXT_BOUND)
     assert all_exact(verify_exact(substitute_solution(f0, f1, split)))
     for x, s in zip(out, split):
         if x.status == DETERMINED:
@@ -241,7 +243,7 @@ def test_substitution_verifies_exact():
         (hom(Z, Z, [[2]]), zero(Z, Z)),
     ]
     for f0, f1 in cases:
-        out = solve_six_term(hom_cut(f0), hom_cut(f1))
+        out = solve_six_term(hom_cut(f0), hom_cut(f1), False, DEFAULT_EXT_BOUND)
         assert all(x.status == DETERMINED for x in out)
         filled = substitute_solution(f0, f1, out)
         assert all_exact(verify_exact(filled))
@@ -249,6 +251,6 @@ def test_substitution_verifies_exact():
 
 def test_substitution_of_assumed_split_verifies():
     f0, f1 = hom(Z, Z, [[2]]), zero(Z2, Z2)
-    out = solve_six_term(hom_cut(f0), hom_cut(f1), assume_split=True)
+    out = solve_six_term(hom_cut(f0), hom_cut(f1), True, DEFAULT_EXT_BOUND)
     filled = substitute_solution(f0, f1, out)
     assert all_exact(verify_exact(filled))

@@ -30,6 +30,7 @@ from cpk.abelian import (
 )
 from cpk.exactseq import (
     AMBIGUOUS,
+    DEFAULT_EXT_BOUND,
     DETERMINED,
     UNDERDETERMINED,
     GroupOutcome,
@@ -117,7 +118,8 @@ class TestSingleStage:
         # n loops on one vertex: K0 = Z/(n-1), K1 = 0
         for n in range(2, 13):
             maps = pimsner_class_maps(rose(n))
-            pair = cuntz_pimsner_ktheory(*(hom_cut(one_minus(f)) for f in maps))
+            cuts = [hom_cut(one_minus(f)) for f in maps]
+            pair = cuntz_pimsner_ktheory(*cuts, False, DEFAULT_EXT_BOUND)
             assert pair_determined(pair)
             assert pair.k0.group == FgAbGroup.from_divisors(0, [n - 1])
             assert pair.k1.group.is_trivial
@@ -125,14 +127,16 @@ class TestSingleStage:
     def test_single_loop(self):
         # one loop: the circle algebra, K0 = K1 = Z
         maps = pimsner_class_maps(rose(1))
-        pair = cuntz_pimsner_ktheory(*(hom_cut(one_minus(f)) for f in maps))
+        cuts = [hom_cut(one_minus(f)) for f in maps]
+        pair = cuntz_pimsner_ktheory(*cuts, False, DEFAULT_EXT_BOUND)
         assert names(pair.k0.group) == "Z"
         assert names(pair.k1.group) == "Z"
 
     def test_swap_bimodule(self):
         swap = permutation_bimodule(("0", "1"), {"0": "1", "1": "0"})
         maps = pimsner_class_maps(swap)
-        pair = cuntz_pimsner_ktheory(*(hom_cut(one_minus(f)) for f in maps))
+        cuts = [hom_cut(one_minus(f)) for f in maps]
+        pair = cuntz_pimsner_ktheory(*cuts, False, DEFAULT_EXT_BOUND)
         assert names(pair.k0.group) == "Z"
         assert names(pair.k1.group) == "Z"
 
@@ -154,7 +158,8 @@ class TestSingleStage:
         with pytest.raises(PreconditionError):
             presented_cut(one_minus(bad))
         with pytest.raises(PreconditionError):
-            cuntz_pimsner_ktheory(*(hom_cut(one_minus(f)) for f in (bad, GroupHom.zero(g, g))))
+            cuts = [hom_cut(one_minus(f)) for f in (bad, GroupHom.zero(g, g))]
+            cuntz_pimsner_ktheory(*cuts, False, DEFAULT_EXT_BOUND)
 
 
 # ---------------------------------------------------------------------------
@@ -164,20 +169,21 @@ class TestSingleStage:
 class TestIteratedGraphs:
     def test_flip_matches_tensor_tor_oracle(self):
         for m, n in [(2, 2), (3, 3), (3, 5), (4, 6), (5, 3)]:
-            res = iterated_ktheory(GraphLayers(single_vertex_two_graph(m, n)))
+            layers = GraphLayers(single_vertex_two_graph(m, n))
+            res = iterated_ktheory(layers, False, DEFAULT_EXT_BOUND)
             oracle = kunneth_flip_oracle(m, n)
             assert pair_determined(res.final), (m, n)
             assert pair_groups(res.final) == pair_groups(oracle), (m, n)
 
     def test_flip_3_3_frozen(self):
-        res = iterated_ktheory(GraphLayers(single_vertex_two_graph(3, 3)))
+        res = iterated_ktheory(GraphLayers(single_vertex_two_graph(3, 3)), False, DEFAULT_EXT_BOUND)
         assert names(res.stage1.k0.group) == "Z/2"
         assert res.stage1.k1.group.is_trivial
         assert names(res.final.k0.group) == "Z/2"
         assert names(res.final.k1.group) == "Z/2"
 
     def test_torus(self):
-        res = iterated_ktheory(GraphLayers(single_vertex_two_graph(1, 1)))
+        res = iterated_ktheory(GraphLayers(single_vertex_two_graph(1, 1)), False, DEFAULT_EXT_BOUND)
         assert names(res.final.k0.group) == "Z^2"
         assert names(res.final.k1.group) == "Z^2"
 
@@ -185,7 +191,7 @@ class TestIteratedGraphs:
         spec = two_graph_from_permutations(
             ("0", "1"), {"0": "1", "1": "0"}, {"0": "1", "1": "0"}
         )
-        res = iterated_ktheory(GraphLayers(spec))
+        res = iterated_ktheory(GraphLayers(spec), False, DEFAULT_EXT_BOUND)
         assert names(res.final.k0.group) == "Z^2"
         assert names(res.final.k1.group) == "Z^2"
 
@@ -193,7 +199,8 @@ class TestIteratedGraphs:
         verts = tuple(f"{i}{j}" for i in range(2) for j in range(3))
         p1 = {f"{i}{j}": f"{(i + 1) % 2}{j}" for i in range(2) for j in range(3)}
         p2 = {f"{i}{j}": f"{i}{(j + 1) % 3}" for i in range(2) for j in range(3)}
-        res = iterated_ktheory(GraphLayers(two_graph_from_permutations(verts, p1, p2)))
+        layers = GraphLayers(two_graph_from_permutations(verts, p1, p2))
+        res = iterated_ktheory(layers, False, DEFAULT_EXT_BOUND)
         assert names(res.final.k0.group) == "Z^2"
         assert names(res.final.k1.group) == "Z^2"
 
@@ -201,13 +208,14 @@ class TestIteratedGraphs:
         spec = single_vertex_two_graph(2, 2)
         broken = type(spec)(spec.vertices, spec.edges1, spec.edges2, spec.chi[:-1])
         with pytest.raises(PreconditionError):
-            iterated_ktheory(GraphLayers(broken))
+            iterated_ktheory(GraphLayers(broken), False, DEFAULT_EXT_BOUND)
 
 
 def diagram_of(spec: TwoGraphSpec) -> DiagramReport:
     """The diagram cross-check of a graph pair against its two-stage answer."""
     layers = GraphLayers(spec)
-    return diagram_report(layers, iterated_ktheory(layers).final, coefficient_ktheory(spec))
+    final = iterated_ktheory(layers, False, DEFAULT_EXT_BOUND).final
+    return diagram_report(layers, final, coefficient_ktheory(spec))
 
 
 def disjoint_flip_pair() -> "TwoGraphSpec":
@@ -228,7 +236,7 @@ def disjoint_flip_pair() -> "TwoGraphSpec":
 
 class TestAmbiguity:
     def test_iterated_reports_candidates(self):
-        res = iterated_ktheory(GraphLayers(disjoint_flip_pair()))
+        res = iterated_ktheory(GraphLayers(disjoint_flip_pair()), False, DEFAULT_EXT_BOUND)
         assert res.final.k0.status == DETERMINED
         assert names(res.final.k0.group) == "Z/2 + Z/2"
         assert res.final.k1.status == AMBIGUOUS
@@ -240,7 +248,7 @@ class TestAmbiguity:
         assert names(rep.final.k1.group) == "Z/2 + Z/2"
 
     def test_assume_split_watermark(self):
-        res = iterated_ktheory(GraphLayers(disjoint_flip_pair()), assume_split=True)
+        res = iterated_ktheory(GraphLayers(disjoint_flip_pair()), True, DEFAULT_EXT_BOUND)
         assert res.final.k1.status == DETERMINED
         assert res.final.k1.assumed_split
         assert names(res.final.k1.group) == "Z/2 + Z/2"
@@ -254,26 +262,26 @@ class TestAbstractMode:
     def test_stage_one_of_degree_p_cover(self):
         # O of the degree-p cover bimodule: K0 = Z + Z/(p-1), K1 = Z
         for p in (2, 3, 5):
-            res = iterated_ktheory(degree_cover_data(p, p + 1))
+            res = iterated_ktheory(degree_cover_data(p, p + 1), False, DEFAULT_EXT_BOUND)
             expected = FgAbGroup.from_divisors(1, [p - 1])
             assert res.stage1.k0.group == expected
             assert names(res.stage1.k1.group) == "Z"
 
     def test_coprime_pair_completes(self):
-        res = iterated_ktheory(degree_cover_data(3, 5))
+        res = iterated_ktheory(degree_cover_data(3, 5), False, DEFAULT_EXT_BOUND)
         for outcome in (res.final.k0, res.final.k1):
             assert outcome.status == AMBIGUOUS
             assert candidate_names(outcome) == {"Z^2", "Z^2 + Z/2"}
 
     def test_small_pairs_determined(self):
         for p1, p2 in [(2, 3), (2, 5), (2, 2)]:
-            res = iterated_ktheory(degree_cover_data(p1, p2))
+            res = iterated_ktheory(degree_cover_data(p1, p2), False, DEFAULT_EXT_BOUND)
             assert pair_determined(res.final), (p1, p2)
             assert names(res.final.k0.group) == "Z^2"
             assert names(res.final.k1.group) == "Z^2"
 
     def test_assume_split_narrows_to_one(self):
-        res = iterated_ktheory(degree_cover_data(3, 5), assume_split=True)
+        res = iterated_ktheory(degree_cover_data(3, 5), True, DEFAULT_EXT_BOUND)
         assert pair_determined(res.final)
         assert res.final.k0.assumed_split
         assert names(res.final.k0.group) == "Z^2 + Z/2"
@@ -281,14 +289,14 @@ class TestAbstractMode:
 
     def test_refuted_split_assumption_is_invalid_input(self):
         spec = GraphLayers(two_graph_from_matrices([[1, 0], [1, 1]], [[1, 0], [2, 1]]))
-        res = iterated_ktheory(spec)
+        res = iterated_ktheory(spec, False, DEFAULT_EXT_BOUND)
         assert (names(res.final.k0.group), names(res.final.k1.group)) == ("Z^2", "Z^2")
         with pytest.raises(PreconditionError, match="split assumption does not hold"):
-            iterated_ktheory(spec, assume_split=True)
+            iterated_ktheory(spec, True, DEFAULT_EXT_BOUND)
 
     def test_order_symmetry_of_candidates(self):
-        a = iterated_ktheory(degree_cover_data(3, 5))
-        b = iterated_ktheory(degree_cover_data(5, 3))
+        a = iterated_ktheory(degree_cover_data(3, 5), False, DEFAULT_EXT_BOUND)
+        b = iterated_ktheory(degree_cover_data(5, 3), False, DEFAULT_EXT_BOUND)
         assert candidate_names(a.final.k0) == candidate_names(b.final.k0)
         assert candidate_names(a.final.k1) == candidate_names(b.final.k1)
 
@@ -302,7 +310,7 @@ class TestAbstractMode:
             identity_hom(g), identity_hom(z2),
             identity_hom(g), identity_hom(z2),
         )
-        res = iterated_ktheory(data)
+        res = iterated_ktheory(data, False, DEFAULT_EXT_BOUND)
         assert res.final.k0.status == UNDERDETERMINED
         assert "not determined" in res.final.k0.explanation
 
@@ -354,7 +362,7 @@ class TestAbstractMode:
             GroupHom.zero(zero, zero),
         )
         with pytest.raises(PreconditionError) as err:
-            iterated_ktheory(data)
+            iterated_ktheory(data, False, DEFAULT_EXT_BOUND)
         assert "commute" in str(err.value)
 
 
@@ -409,7 +417,8 @@ class TestProperties:
     def test_oracle_agreement_sweep(self):
         for m in range(2, 7):
             for n in range(2, 7):
-                res = iterated_ktheory(GraphLayers(single_vertex_two_graph(m, n)))
+                layers = GraphLayers(single_vertex_two_graph(m, n))
+                res = iterated_ktheory(layers, False, DEFAULT_EXT_BOUND)
                 assert pair_groups(res.final) == pair_groups(kunneth_flip_oracle(m, n))
 
     def test_random_commuting_permutation_specs(self):
@@ -417,7 +426,7 @@ class TestProperties:
         for _ in range(30):
             spec = commuting_layer_spec(rng, max_vertices=4, max_powers=2)
             layers = GraphLayers(spec)
-            res = iterated_ktheory(layers)
+            res = iterated_ktheory(layers, False, DEFAULT_EXT_BOUND)
             # permutation layers keep every stage free, so no ambiguity
             assert pair_determined(res.final)
             rep = diagram_report(layers, res.final, coefficient_ktheory(spec))
@@ -433,7 +442,7 @@ class TestProperties:
         specs += [single_vertex_two_graph(m, n) for m, n in [(2, 5), (3, 3)]]
         specs.append(disjoint_flip_pair())
         for spec in specs:
-            res = iterated_ktheory(GraphLayers(spec))
+            res = iterated_ktheory(GraphLayers(spec), False, DEFAULT_EXT_BOUND)
             r0 = min(g.free_rank for g in res.final.k0.candidates)
             r1 = min(g.free_rank for g in res.final.k1.candidates)
             assert r0 == r1
@@ -452,7 +461,7 @@ class TestProperties:
         # data kinds must then report with the same error.
         def final(data, assume_split):
             try:
-                return iterated_ktheory(data, assume_split).final.describe()
+                return iterated_ktheory(data, assume_split, DEFAULT_EXT_BOUND).final.describe()
             except (InternalError, PreconditionError) as err:
                 return str(err)
 
@@ -608,7 +617,7 @@ class TestCouplingClasses:
 
         def union(cs):
             try:
-                pairs = [solve_six_term(cut(c), paired) for c in cs]
+                pairs = [solve_six_term(cut(c), paired, False, DEFAULT_EXT_BOUND) for c in cs]
             except ResourceLimitError as err:
                 return str(err)
             return tuple(ktheory._union_outcomes([p[k] for p in pairs]) for k in (0, 1))
@@ -658,7 +667,7 @@ class TestCouplingClasses:
         monkeypatch.setattr(ktheory, "cuntz_pimsner_ktheory", solving)
         for p1, p2 in ((4, 4), (5, 9)):
             _, data = cli.parse_document(workloads.abstract_doc(p1, p2))
-            iterated_ktheory(data)
+            iterated_ktheory(data, False, DEFAULT_EXT_BOUND)
         assert len(orders) == 4 and all(orders)
         for pairs in orders:
             assert len(pairs) == len(set(pairs)), pairs

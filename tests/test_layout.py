@@ -13,8 +13,11 @@ diagonal. A kernel basis comes only from
 cpk.abelian.hom_kernel_lattice: it alone calls kernel_basis. Residuals are
 bounded only through cpk.fock._worst: it alone calls _block_bounds. In
 cpk.abelian only the int64 product _word_product uses numpy, so the Smith
-elimination has one implementation, in Python ints. Importing the command
-line loads no scipy: only fock-check needs it.
+elimination has one implementation, in Python ints, and numpy is imported
+inside that function. Importing the command line loads neither numpy nor
+scipy: only fock-check and unitary-chi documents need them. The command
+reads CPK_EXT_BOUND once, through exactseq.ext_bound, the one reader of the
+environment in the package, and passes the bound down.
 """
 
 import ast
@@ -174,18 +177,52 @@ def test_only_the_word_product_uses_numpy_in_abelian():
     assert users == {"_word_product"}, f"numpy is used in cpk.abelian by {sorted(users)}"
     tree = ast.parse((PACKAGE / "abelian.py").read_text())
     imports = [
-        ast.unparse(node)
-        for node in tree.body
+        node for node in ast.walk(tree)
         if isinstance(node, (ast.Import, ast.ImportFrom)) and uses_numpy(node)
     ]
-    assert imports == ["import numpy as np"], imports
+    product = next(node for node in tree.body if getattr(node, "name", None) == "_word_product")
+    assert [ast.unparse(node) for node in imports] == ["import numpy as np"], imports
+    assert imports[0] in product.body, "numpy is imported outside _word_product"
+
+
+def loaded_by_importing_the_command_line(package: str) -> str:
+    """The sorted names of package and its submodules in sys.modules after
+    import cpk.cli in a fresh interpreter, as printed."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    code = ("import sys, cpk.cli; "
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
+    result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                            capture_output=True, text=True, check=True)
+    return result.stdout.strip()
 
 
 def test_importing_the_command_line_loads_no_scipy():
     # cpk.fock, and scipy with it, is imported by cmd_fock_check when it runs
-    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
-    code = ("import sys, cpk.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    result = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-                            capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[]", result.stdout
+    assert loaded_by_importing_the_command_line("scipy") == "[]"
+
+
+def test_importing_the_command_line_loads_no_numpy():
+    # numpy is imported by the int64 product and the unitary-chi numerics
+    # when they first run, so ktheory and validate start without it
+    assert loaded_by_importing_the_command_line("numpy") == "[]"
+
+
+ENVIRONMENT = {"environ", "getenv", "environb", "getenvb"}
+
+
+def test_only_the_command_reads_the_extension_bound():
+    calls = callers("ext_bound")
+    assert calls == {"cli.cmd_ktheory"}, f"ext_bound is called from {sorted(calls)}"
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = [node for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            name = getattr(node, "attr", None) or getattr(node, "id", None)
+            if name not in ENVIRONMENT:
+                continue
+            around = [f for f in scopes if f.lineno <= node.lineno <= f.end_lineno]
+            inner = max(around, key=lambda f: f.lineno, default=None)
+            readers.add(f"{path.stem}.{inner.name}" if inner else path.stem)
+    assert readers == {"exactseq.ext_bound"}, f"the environment is read in {sorted(readers)}"
