@@ -642,6 +642,14 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
 # finitely generated abelian groups
 
 
+def _relations(orders) -> IntMatrix:
+    """The relation lattice of generators of the given orders (0 is free):
+    one column d * e_i per nonzero order d, in generator order."""
+    n = len(orders)
+    cols = [[d if k == i else 0 for k in range(n)] for i, d in enumerate(orders) if d]
+    return IntMatrix.from_columns(cols, rows=n)
+
+
 def invariant_factors(divisors) -> tuple:
     """Normalize arbitrary cyclic orders to the invariant-factor chain.
 
@@ -726,13 +734,7 @@ class FgAbGroup:
 
     def relations(self) -> IntMatrix:
         """Columns generate the relation lattice in generator coordinates."""
-        n = self.n_generators
-        cols = []
-        for i, d in enumerate(self.torsion):
-            col = [0] * n
-            col[self.free_rank + i] = d
-            cols.append(col)
-        return IntMatrix.from_columns(cols, rows=n)
+        return _relations(self.generator_orders())
 
     def generator_orders(self) -> tuple:
         return tuple([0] * self.free_rank) + self.torsion
@@ -902,41 +904,25 @@ class Presentation:
         are reduced in one block. Raises PreconditionError when the matrix
         does not map numerator into numerator or denominator into denominator.
         """
-        (hom,) = self.homs_to(target, [ambient_matrix])
-        return hom
-
-    def homs_to(self, target: "Presentation", ambient_matrices: list) -> list:
-        """hom_to for several ambient matrices, with the images of all of
-        them reduced in one block; each map gets every check of hom_to."""
-        for m in ambient_matrices:
-            if m.rows != target.ambient or m.cols != self.ambient:
-                raise DimensionError("ambient matrix has the wrong shape")
+        if ambient_matrix.rows != target.ambient or ambient_matrix.cols != self.ambient:
+            raise DimensionError("ambient matrix has the wrong shape")
         den = self.basis @ self.rels
-        sources = IntMatrix.hstack(den, self.gen_lift_matrix())
         coords = target._coordinates(
-            IntMatrix.hstack(*[m @ sources for m in ambient_matrices])
+            ambient_matrix @ IntMatrix.hstack(den, self.gen_lift_matrix())
         )
-        width = sources.cols
-        homs = []
-        for k in range(len(ambient_matrices)):
-            block = coords[k * width : (k + 1) * width]
-            for j, c in enumerate(block):
-                if c is None:
-                    raise PreconditionError(_OUTSIDE_NUMERATOR)
-                if j < den.cols and any(c):
-                    raise PreconditionError(
-                        "matrix does not descend: denominator generator "
-                        f"{den.column(j)} maps to a nonzero class"
-                    )
-            hom = GroupHom(
-                self.group,
-                target.group,
-                IntMatrix.from_columns(block[den.cols :], rows=target.group.n_generators),
-            )
-            if not hom_well_defined(hom):
-                raise InternalError("induced map is not well defined on torsion")
-            homs.append(hom)
-        return homs
+        for j, c in enumerate(coords):
+            if c is None:
+                raise PreconditionError(_OUTSIDE_NUMERATOR)
+            if j < den.cols and any(c):
+                raise PreconditionError(
+                    "matrix does not descend: denominator generator "
+                    f"{den.column(j)} maps to a nonzero class"
+                )
+        images = IntMatrix.from_columns(coords[den.cols :], rows=target.group.n_generators)
+        hom = GroupHom(self.group, target.group, images)
+        if not hom_well_defined(hom):
+            raise InternalError("induced map is not well defined on torsion")
+        return hom
 
 
 # ---------------------------------------------------------------------------
@@ -957,38 +943,36 @@ def hom_kernel_lattice(f: GroupHom) -> IntMatrix:
     return IntMatrix._of_rows(full._data[: f.dom.n_generators], full.cols)
 
 
-def _kernel_lift(f: GroupHom) -> IntMatrix:
-    """W = (R_dom; -Q), where F @ R_dom = R_cod @ Q.
+def _kernel_lift(matrix: IntMatrix, dom_orders: tuple, cod_orders: tuple) -> IntMatrix:
+    """W = (R_dom; -Q), where F @ R_dom = R_cod @ Q, on generators of the
+    given orders (0 is free, anywhere; torsion need not form a chain).
 
     Q is the exact division of the torsion rows of F @ R_dom by the codomain
     orders. A nonzero free row or a remainder is exactly a map that is not
     well defined on torsion, refused with PreconditionError.
     """
-    rel_dom = f.dom.relations()
-    free = f.cod.free_rank
-    images = (f.matrix @ rel_dom)._data
-    if any(any(row) for row in images[:free]) or any(
-        x % d for row, d in zip(images[free:], f.cod.torsion) for x in row
-    ):
+    rel_dom = _relations(dom_orders)
+    images = (matrix @ rel_dom)._data
+    if any(x % d if d else x for row, d in zip(images, cod_orders) for x in row):
         raise PreconditionError("kernel of an ill-defined hom")
-    minus_q = [[-(x // d) for x in row] for row, d in zip(images[free:], f.cod.torsion)]
+    minus_q = [[-(x // d) for x in row] for row, d in zip(images, cod_orders) if d]
     return IntMatrix.vstack(rel_dom, IntMatrix(minus_q, cols=rel_dom.cols))
 
 
-def _cut(f: GroupHom) -> tuple:
+def _cut(matrix: IntMatrix, dom_orders: tuple, cod_orders: tuple) -> tuple:
     """(M, the rows of Vinv @ W below the rank) for M = [F | R_cod] and
-    W = _kernel_lift(f). Callers read M back through the public functions,
-    whose factor(M) is then a cache hit.
+    W = _kernel_lift(F, dom_orders, cod_orders). Callers read M back through
+    the public functions, whose factor(M) is then a cache hit.
 
-    coker f is coker M. The map (x, y) -> [x] sends ker M onto ker f, and
+    coker F is coker M. The map (x, y) -> [x] sends ker M onto ker F, and
     its kernel is spanned by the columns of W (R_cod has independent
     columns). With U @ M @ V = S of rank r, the last columns of V are a
-    basis of ker M and Vinv @ W writes W in it, so ker f is the cokernel of
+    basis of ker M and Vinv @ W writes W in it, so ker F is the cokernel of
     the last rows of Vinv @ W. Both steps are certified: M @ W = 0, and the
     first r rows of Vinv @ W vanish.
     """
-    m = hom_image_lattice(f)
-    w = _kernel_lift(f)
+    m = IntMatrix.hstack(matrix, _relations(cod_orders))
+    w = _kernel_lift(matrix, dom_orders, cod_orders)
     if not (m @ w).is_zero():
         raise InternalError("kernel lift: [F | R_cod] @ W != 0")
     res = factor(m)
@@ -1000,15 +984,22 @@ def _cut(f: GroupHom) -> tuple:
 
 
 @once_per_command
+def group_cut(matrix: IntMatrix, dom_orders: tuple, cod_orders: tuple) -> tuple:
+    """(coker F, ker F) as groups for the matrix F on generators of the given
+    orders (as _kernel_lift takes them), from the factorization of _cut,
+    once per (matrix, orders) and command.
+    """
+    m, rels = _cut(matrix, dom_orders, cod_orders)
+    return cokernel(m), cokernel(rels)
+
+
 def hom_cut(f: GroupHom) -> tuple:
-    """(coker f, ker f) as groups, from the factorization of _cut, once per
-    map and command.
+    """(coker f, ker f) as groups: group_cut of f's matrix and orders.
 
     >>> hom_cut(GroupHom(FgAbGroup(0, (4,)), FgAbGroup(0, (2,)), IntMatrix([[1]])))
     (FgAbGroup(free_rank=0, torsion=()), FgAbGroup(free_rank=0, torsion=(2,)))
     """
-    m, rels = _cut(f)
-    return cokernel(m), cokernel(rels)
+    return group_cut(f.matrix, f.dom.generator_orders(), f.cod.generator_orders())
 
 
 @once_per_command
@@ -1026,5 +1017,5 @@ def presented_cut(f: GroupHom) -> tuple:
     >>> presented_cut(f)[1] is ker
     True
     """
-    m, rels = _cut(f)
+    m, rels = _cut(f.matrix, f.dom.generator_orders(), f.cod.generator_orders())
     return Presentation.cokernel_of(m), Presentation(hom_kernel_lattice(f), rels)

@@ -298,7 +298,7 @@ def _load_document(report: dict, path: str, role=None):
     Its input block (path, sha256, and the document's "kind" when it names
     one of KINDS, else null) goes into the report as soon as the file is
     read, under ``role`` when the command reads more than one document, so an
-    error report carries it too.
+    error report carries it too. Nesting too deep to decode is malformed.
     """
     with _named_path(), open(path, "rb") as fh:
         raw = fh.read()
@@ -307,7 +307,10 @@ def _load_document(report: dict, path: str, role=None):
         report["input"] = block
     else:
         report.setdefault("input", {})[role] = block
-    doc = json.loads(raw.decode("utf-8"))
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except RecursionError as exc:
+        raise SchemaError(f"document nests too deeply: {exc}") from None
     if isinstance(doc, dict) and doc.get("kind") in KINDS:
         block["kind"] = doc["kind"]
     return doc

@@ -15,16 +15,18 @@ two-stage order: the presented cut of 1 - [E] on each coefficient degree
 (presented_cut), with the second class acting on its pieces. Both bimodule
 orders are always computed and reconciled, and extension ambiguity is
 propagated as explicit candidate lists. The solvers read only groups: every
-map 1 - [E] whose pieces nothing acts on gets the group cut (hom_cut). Each
+map 1 - [E] whose pieces nothing acts on gets the group cut (group_cut). Each
 map is cut once, and both cuts read one factorization of [F | R_cod].
 
-On a split stage-one group N + Q the second class is known only up to a
-coupling c in Hom(Q, N). The automorphism [[1, h], [0, 1]] conjugates the
-action with coupling c to the one with coupling c + h B - A h, and
-conjugate actions give the same groups (the classification of extensions
-that split over Z; Weibel, An Introduction to Homological Algebra, 1994,
-section 3.4). So one coupling per class is cut and solved; the coupling cap
-still counts every coupling.
+On a split stage-one group N + Q the second class is a block matrix
+[[A, c], [0, B]] on the generators of N and then of Q, cut over their
+orders with no presentation of N + Q, and known only up to the coupling
+c in Hom(Q, N). The automorphism [[1, h], [0, 1]] conjugates the action
+with coupling c to the one with coupling c + h B - A h, and conjugate
+actions give the same groups (the classification of extensions that split
+over Z; Weibel, An Introduction to Homological Algebra, 1994, section
+3.4). So one coupling per class is cut and solved; the coupling cap still
+counts every coupling.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .abelian import (
     InternalError,
     PreconditionError,
     Presentation,
+    group_cut,
     hom_cut,
     presented_cut,
     solve,
@@ -293,42 +296,40 @@ def _descended_actions(sub_pres, quot_pres, a_sub, a_quot, assume_split):
     0 -> sub -> G -> quot -> 0 compatible with the actions a_sub, a_quot
     (ambient matrices) induced on the two pieces, one per conjugacy class.
 
-    Returns ([GroupHom], count, None), where count is the number of
-    compatible actions (all of Hom(quot, sub) when G splits) and the list
-    holds one per class (_coupling_classes); or ([], 0, reason) when the
-    action is genuinely not determined by the input. When a piece is
-    trivial, only the other piece's action is computed.
+    Returns (blocks, orders, count, None): each action is the block matrix
+    [[A, c], [0, B]] on the generators of sub and then of quot, whose
+    orders are orders, so G needs no presentation; count is the number of
+    compatible actions (all of Hom(quot, sub) when G splits), and blocks
+    holds one per class (_coupling_classes). Or ([], orders, 0, reason)
+    when the action is genuinely not determined by the input. A trivial
+    piece gets no induced action, and Hom(quot, sub) is then 0.
     """
     sub, quot = sub_pres.group, quot_pres.group
-    if quot.is_trivial or sub.is_trivial:
-        pres, action = (sub_pres, a_sub) if quot.is_trivial else (quot_pres, a_quot)
-        return [pres.hom_to(pres, action)], 1, None
-    act_sub = sub_pres.hom_to(sub_pres, a_sub)
-    act_quot = quot_pres.hom_to(quot_pres, a_quot)
-    g_pres = Presentation.cokernel_of(IntMatrix.block_diag(sub.relations(), quot.relations()))
     n_sub, n_quot = sub.n_generators, quot.n_generators
+    orders = sub.generator_orders() + quot.generator_orders()
+    act_sub, act_quot = (
+        IntMatrix.zeros(0, 0) if pres.group.is_trivial else pres.hom_to(pres, a).matrix
+        for pres, a in ((sub_pres, a_sub), (quot_pres, a_quot))
+    )
 
-    def block(coupling: IntMatrix) -> IntMatrix:
-        top = IntMatrix.hstack(act_sub.matrix, coupling)
-        bottom = IntMatrix.hstack(IntMatrix.zeros(n_quot, n_sub), act_quot.matrix)
-        return IntMatrix.vstack(top, bottom)
+    def block(coupling) -> IntMatrix:
+        top = IntMatrix.hstack(act_sub, IntMatrix.from_columns(coupling, rows=n_sub))
+        return IntMatrix.vstack(top, IntMatrix.hstack(IntMatrix.zeros(n_quot, n_sub), act_quot))
 
-    if assume_split:
-        action = g_pres.hom_to(g_pres, block(IntMatrix.zeros(n_sub, n_quot)))
-        return [action], 1, None
+    if assume_split or sub.is_trivial or quot.is_trivial:
+        return [block(((0,) * n_sub,) * n_quot)], orders, 1, None
     if not ext_trivial(quot, sub):
-        return [], 0, (
+        return [], orders, 0, (
             "stage-one K-group is an extension with nontrivial class group; "
             "the induced action on it is not determined by the input"
         )
     if quot.free_rank > 0 and sub.free_rank > 0:
-        return [], 0, (
+        return [], orders, 0, (
             "infinitely many couplings between the free quotient piece and the "
             "infinite subgroup piece are compatible with the input"
         )
-    count, reps = _coupling_classes(quot, sub, act_sub.matrix, act_quot.matrix)
-    blocks = [block(IntMatrix.from_columns(c, rows=n_sub)) for c in reps]
-    return g_pres.homs_to(g_pres, blocks), count, None
+    count, reps = _coupling_classes(quot, sub, act_sub, act_quot)
+    return [block(c) for c in reps], orders, count, None
 
 
 def _two_stage_order(cut0, cut1, action0: IntMatrix, action1: IntMatrix,
@@ -343,14 +344,15 @@ def _two_stage_order(cut0, cut1, action0: IntMatrix, action1: IntMatrix,
     0 -> coker_1 -> K1 -> ker_0 -> 0. The compatible actions are taken up to
     conjugation by the automorphisms [[1, h], [0, 1]] of a split stage-one
     group (_coupling_classes): conjugate actions give the same groups, so
-    one representative per class is cut into groups (hom_cut). Each distinct
-    pair of cuts, in first-seen order, is run through the Pimsner sequence
-    once, and the outcomes are joined; the first pair's certificate is
-    kept. The cap counts every coupling pair, not only the classes.
+    1 - block of one representative per class is cut into groups over the
+    pieces' generator orders (group_cut). Each distinct pair of cuts, in
+    first-seen order, is run through the Pimsner sequence once, and the
+    outcomes are joined; the first pair's certificate is kept. The cap
+    counts every coupling pair, not only the classes.
     """
     (cok0, ker0), (cok1, ker1) = cut0, cut1
-    acts0, n0, why0 = _descended_actions(cok0, ker1, action0, action1, assume_split)
-    acts1, n1, why1 = _descended_actions(cok1, ker0, action1, action0, assume_split)
+    blocks0, orders0, n0, why0 = _descended_actions(cok0, ker1, action0, action1, assume_split)
+    blocks1, orders1, n1, why1 = _descended_actions(cok1, ker0, action1, action0, assume_split)
     if why0 or why1:
         under = GroupOutcome(UNDERDETERMINED, (), None, False, why0 or why1)
         return KPair(under, under)
@@ -358,7 +360,8 @@ def _two_stage_order(cut0, cut1, action0: IntMatrix, action1: IntMatrix,
         raise ResourceLimitError(
             f"{n0 * n1} coupling combinations exceed the cap {_COUPLING_CAP}"
         )
-    cuts0, cuts1 = (dict.fromkeys(hom_cut(one_minus(a)) for a in acts) for acts in (acts0, acts1))
+    cuts0, cuts1 = (dict.fromkeys(group_cut(IntMatrix.identity(len(o)) - b, o, o) for b in bs)
+                    for bs, o in ((blocks0, orders0), (blocks1, orders1)))
     pairs = [cuntz_pimsner_ktheory(c0, c1, assume_split, bound) for c0 in cuts0 for c1 in cuts1]
     return KPair(_union_outcomes([p.k0 for p in pairs]), _union_outcomes([p.k1 for p in pairs]))
 

@@ -30,6 +30,8 @@ PULLBACK_CAP = 200_000
 # The default defect tolerance of the Fock relation checks. It lives here,
 # not in cpk.fock, so that the command line reads it without loading scipy.
 DEFAULT_TOL = 1e-10
+# How far a unitary_chi matrix may be from unitary (max |M^* M - I|).
+UNITARY_TOL = 1e-12
 
 
 class Edge(NamedTuple):
@@ -373,7 +375,7 @@ class UnitaryChi:
         mat = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", mat)
 
-    def validate(self, tol: float = 1e-12) -> ValidationReport:
+    def validate(self) -> ValidationReport:
         import numpy as np
 
         structural = []
@@ -388,7 +390,7 @@ class UnitaryChi:
                 defect = np.max(
                     np.abs(self.matrix.conj().T @ self.matrix - np.eye(size))
                 )
-            if not (defect <= tol):
+            if not (defect <= UNITARY_TOL):
                 semantic.append(f"matrix is not unitary (defect {defect:.3e})")
         return ValidationReport(tuple(structural), tuple(semantic))
 

@@ -9,7 +9,7 @@ of the Fock operators, so that two checkouts can be compared with
 
 cpk is imported from the path as given, so one copy of this script runs
 against any checkout; the bench document generators are read from
-bench/workloads.py next to it. The set holds 2085 reports and 70 operator
+bench/workloads.py next to it. The set holds 3545 reports and 70 operator
 files. The reports are:
 
 - every bundled fixture under ``ktheory`` with no flags, ``--route
@@ -22,7 +22,16 @@ files. The reports are:
 - the 576 ``abstract_doc`` documents (both multipliers in 2..25) under no
   flags, ``--assume-split`` and ``--route iterated`` (1728);
 - the 10 bundled fixtures that fock-check accepts under ``fock-check
-  --degree 3000``, where most bases pass the cap and are refused (10).
+  --degree 3000``, where most bases pass the cap and are refused (10);
+- the torsion grid: 6 abstract documents per pair of K0 and K1 from 0, Z,
+  Z/2, Z + Z/2, Z/2 + Z/4, Z^2, Z/3, Z + Z/6 and Z/2 + Z/2, drawn from
+  random.Random(5), with action1 entries in -3..3 and action2 = action1^2,
+  under no flags, ``--assume-split`` and ``--route iterated`` (1458). They
+  reach the two-stage route's refusals: an action not determined by the
+  input, a split assumption the two orders refute, and a narrowed order
+  comparison;
+- ``abstract_doc(514, 2)``, past the coupling cap, and Z/100 by Z/100, past
+  the default extension bound (2).
 
 The operator files cover the 10 bundled fixtures that fock-check accepts,
 at degrees 0 to 6: for every creator, annihilator (on the whole basis) and
@@ -43,6 +52,7 @@ import io
 import itertools
 import json
 import os
+import random
 import sys
 from pathlib import Path
 
@@ -67,6 +77,54 @@ BENCH_COUNTS = (("ktheory-graph", 156), ("ktheory-abstract", 50), ("fock-check",
 ABSTRACT_FLAGS = ([], ["--assume-split"], ["--route", "iterated"])
 FOCK_KINDS = ("graph", "two_graph", "permutation", "unitary_chi")
 FOCK_DEGREES = range(7)
+# (rank, torsion) of each K-group of the torsion grid: 0, Z, Z/2, Z + Z/2,
+# Z/2 + Z/4, Z^2, Z/3, Z + Z/6 and Z/2 + Z/2
+TORSION_GROUPS = ((0, []), (1, []), (0, [2]), (1, [2]), (0, [2, 4]), (2, []), (0, [3]),
+                  (1, [6]), (0, [2, 2]))
+TORSION_SEED = 5
+TORSION_DOCS = 6  # per (K0, K1) pair
+# Z/100 by Z/100 passes the default torsion bound of the enumeration
+BOUND_DOC = {
+    "kind": "abstract_kdata",
+    "K0": {"rank": 0, "torsion": [100]},
+    "K1": {"rank": 0, "torsion": [100]},
+    "action1": {"K0": [[1]], "K1": [[1]]},
+    "action2": {"K0": [[1]], "K1": [[1]]},
+}
+
+
+def torsion_action(rng: random.Random, rank: int, torsion: list) -> list:
+    """The rows of a random endomorphism of Z^rank + sum Z/d: each entry is
+    drawn from -3..3 among the values that keep the map well defined (a
+    generator of order q goes where q times it is 0)."""
+    orders = [0] * rank + torsion
+    columns = [
+        [rng.choice([x for x in range(-3, 4) if (q * x % d == 0 if d else q == 0 or x == 0)])
+         for d in orders]
+        for q in orders
+    ]
+    return [list(row) for row in zip(*columns)]
+
+
+def squared(rows: list) -> list:
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*rows)] for row in rows]
+
+
+def torsion_docs():
+    """(name, document) of the seeded torsion grid: TORSION_DOCS abstract
+    documents per pair of TORSION_GROUPS, action1 drawn by torsion_action
+    and action2 its square, so the two commute."""
+    rng = random.Random(TORSION_SEED)
+    for (i, g0), (j, g1) in itertools.product(enumerate(TORSION_GROUPS), repeat=2):
+        for k in range(TORSION_DOCS):
+            a0, a1 = torsion_action(rng, *g0), torsion_action(rng, *g1)
+            yield f"torsion-{i}-{j}-{k}", {
+                "kind": "abstract_kdata",
+                "K0": {"rank": g0[0], "torsion": g0[1]},
+                "K1": {"rank": g1[0], "torsion": g1[1]},
+                "action1": {"K0": a0, "K1": a1},
+                "action2": {"K0": squared(a0), "K1": squared(a1)},
+            }
 
 
 def entries(workloads):
@@ -91,6 +149,11 @@ def entries(workloads):
         doc = fixture_document(fid)
         if doc["kind"] in FOCK_KINDS:
             yield f"fixture-{fid}", doc, "fock-check", ["--degree", "3000"]
+    for name, doc in torsion_docs():
+        for options in ABSTRACT_FLAGS:
+            yield name, doc, "ktheory", options
+    yield "abstract-514-2", workloads.abstract_doc(514, 2), "ktheory", []
+    yield "torsion-bound", BOUND_DOC, "ktheory", []
 
 
 def operator_hashes(model, degree: int) -> str:

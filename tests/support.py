@@ -258,7 +258,7 @@ def every_descended_action(sub_pres, quot_pres, a_sub, a_quot, assume_split):
     else:
         _, couplings = _hom_elements(quot, sub)
     blocks = [coupling_block(act_sub, c, act_quot) for c in couplings]
-    return g_pres.homs_to(g_pres, blocks), None
+    return [g_pres.hom_to(g_pres, b) for b in blocks], None
 
 
 def per_pair_iterated_ktheory(data: AbstractKData, assume_split: bool, bound: int):

@@ -23,6 +23,7 @@ from cpk.abelian import (
     PreconditionError,
     Presentation,
     cokernel,
+    group_cut,
     hom_cut,
     hom_equal,
     hom_well_defined,
@@ -461,6 +462,25 @@ def mixed_homs(draw):
                    for x, e in zip(col, cod.generator_orders())]
         cols.append(col)
     return GroupHom(dom, cod, IntMatrix.from_columns(cols, rows=cod.n_generators))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(mixed_homs(), mixed_homs(), st.data())
+def test_group_cut_reads_generator_orders_in_any_place(f, g, data):
+    # the direct sum of two maps with its generators shuffled: a free
+    # generator may sit anywhere, and the torsion orders need not be a chain
+    if not (hom_well_defined(f) and hom_well_defined(g)):
+        return
+    dom = f.dom.generator_orders() + g.dom.generator_orders()
+    cod = f.cod.generator_orders() + g.cod.generator_orders()
+    p = data.draw(st.permutations(range(len(dom))))
+    q = data.draw(st.permutations(range(len(cod))))
+    rows = IntMatrix.block_diag(f.matrix, g.matrix).to_lists()
+    matrix = IntMatrix([[rows[i][j] for j in p] for i in q], cols=len(p))
+    (cok_f, ker_f), (cok_g, ker_g) = hom_cut(f), hom_cut(g)
+    assert group_cut(matrix, tuple(dom[j] for j in p), tuple(cod[i] for i in q)) == (
+        cok_f.direct_sum(cok_g), ker_f.direct_sum(ker_g)
+    )
 
 
 @pytest.mark.parametrize("cut", [hom_cut, presented_cut])

@@ -439,8 +439,8 @@ class TestKtheory:
             "if __debug__:\n"
             "    sys.exit(99)\n"
             "from cpk import abelian, cli\n"
-            "abelian._kernel_lift = lambda f: abelian.IntMatrix.identity(\n"
-            "    f.dom.n_generators + len(f.cod.torsion))\n"
+            "abelian._kernel_lift = lambda matrix, dom, cod: abelian.IntMatrix.identity(\n"
+            "    len(dom) + len([d for d in cod if d]))\n"
             "sys.exit(cli.main(['ktheory', sys.argv[1]]))\n"
         )
         done = run_subprocess(["-c", code, str(fixdir / "ex4.7-abstract-p2.json")], "-O")
@@ -804,6 +804,28 @@ class TestErrorReports:
         assert rep["options"] == {"degree": 2, "tol": None}
         assert rep["input"] == input_block(path, None)
 
+    @pytest.mark.parametrize("command", ["validate", "ktheory", "fock-check",
+                                         "pullback-graph", "pullback-cover"])
+    def test_too_deeply_nested_document_is_malformed(self, fixdir, tmp_path, capsys,
+                                                     command):
+        # json's decoder runs out of recursion depth on this file
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        graph = str(fixdir / "ex2.2-two-cycle.json")
+        argv = {
+            "pullback-graph": ["pullback", str(deep), graph, str(tmp_path / "out.json")],
+            "pullback-cover": ["pullback", graph, str(deep), str(tmp_path / "out.json")],
+        }.get(command, [command, str(deep)])
+        rc = cli.main(argv)
+        out, err = capsys.readouterr()
+        rep = json.loads(out)
+        assert rc == 2, rep
+        assert rep["status"] == "malformed"
+        assert "nests too deeply" in rep["error"]
+        assert "Traceback" not in err
+        inputs = rep["input"].values() if argv[0] == "pullback" else [rep["input"]]
+        assert input_block(deep, None) in inputs
+
     def test_refused_tolerance_is_shown_as_text(self, fixdir, capsys):
         argv = ["fock-check", str(fixdir / "ex4.6-flip-3-3.json"), "--tol", "inf"]
         rc = cli.main(argv)
@@ -979,7 +1001,7 @@ class TestCommandLifetime:
         monkeypatch.setattr(cli, "iterated_ktheory", recording)
         run(capsys, ["ktheory", path], expect=0)
         kinds = {key[0].__name__ if isinstance(key, tuple) else "factor" for key in held}
-        assert kinds == {"factor", "hom_cut", "presented_cut", "solve_six_term",
+        assert kinds == {"factor", "group_cut", "presented_cut", "solve_six_term",
                          "extension_candidates"}
         assert not abelian._answers
 
